@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 from .core import Coalition
 
@@ -95,8 +95,3 @@ class RoughCert:
     def __str__(self) -> str:
         ws = ", ".join(rational_str(w) for w in self.weights)
         return f"[q={rational_str(self.quota)}; w=({ws})]"
-
-
-def weights_from(values: Iterable[Rational]) -> tuple[Fraction, ...]:
-    """Convenience: exact tuple from mixed int/Fraction values."""
-    return tuple(as_rational(v, "weight") for v in values)

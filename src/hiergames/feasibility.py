@@ -1,11 +1,11 @@
 """Exact linear feasibility and optimization over the rationals.
 
 Small systems of linear inequalities a.x <= b with Fraction coefficients,
-decided by Fourier-Motzkin elimination. No floating point anywhere: the
-answers here certify mathematical claims, so "feasible up to 1e-9" is not
-feasible. FM squares the constraint count at each step, so a guard watches
-for blow-up; when it trips, an exact simplex on the Farkas dual takes over
-(its tableau has one row per variable, so it cannot grow).
+decided by one exact simplex on the dual cone program (below). No floating
+point anywhere: the answers here certify mathematical claims, so "feasible
+up to 1e-9" is not feasible. Rows are stored as integers, and the tableau
+stays integral through integer-preserving pivots (Edmonds 1967; Bareiss
+1968), so pivoting, pricing and the ratio test never build a Fraction.
 
 Provided verbs:
 
@@ -13,37 +13,30 @@ Provided verbs:
   minimize / maximize    -> exact optimum of a linear objective with witness,
                             with unbounded and infeasible reported as such
 
-On the FM route, witness construction replays the eliminations in reverse,
-picking for each variable a value inside its final interval (preferring the
-lower end, then zero), so results are deterministic.
+Witnesses are the simplex multipliers of the final basis: a basic solution
+of the system (a vertex whenever the polyhedron has one), reached by a fixed
+pivoting rule, so results are deterministic. When an optimum is attained on
+a whole face, the witness is one of its vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .certificates import Rational, as_rational
 
-__all__ = ["LinearSystem", "OptResult", "FeasibilityBlowupError"]
+__all__ = ["LinearSystem", "OptResult"]
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
 
-# hand off to the pivoting fallback once an elimination stage produces more
-# constraints than this; FM costs grow quadratically past it
-BLOWUP_LIMIT = 2_000
-
 # internal constraint form: (coeffs, rhs) meaning coeffs . x <= rhs, all ints,
 # normalized so gcd(coeffs, rhs) == 1 (zero rows keep rhs sign only)
 _Row = tuple[tuple[int, ...], int]
-
-
-class FeasibilityBlowupError(RuntimeError):
-    """Raised when elimination grows past BLOWUP_LIMIT constraints."""
 
 
 @dataclass(frozen=True)
@@ -117,192 +110,40 @@ class LinearSystem:
 
     def feasible_point(self) -> Optional[tuple[Fraction, ...]]:
         """Some exact solution of the system, or None if there is none."""
-        try:
-            stages = _eliminate_all(list(self._rows), list(range(self.num_vars)))
-        except FeasibilityBlowupError:
-            return _pivot_feasible(self._rows, self.num_vars)
-        if stages is None:
-            return None
-        values: dict[int, Fraction] = {}
-        _back_substitute(stages, values)
-        return tuple(values[i] for i in range(self.num_vars))
+        return _pivot_feasible(self._rows, self.num_vars)
 
     def minimize(self, objective: Sequence[Rational]) -> OptResult:
-        return self._optimize(objective, sense=+1)
-
-    def maximize(self, objective: Sequence[Rational]) -> OptResult:
         return self._optimize(objective, sense=-1)
 
+    def maximize(self, objective: Sequence[Rational]) -> OptResult:
+        return self._optimize(objective, sense=+1)
+
     def _optimize(self, objective: Sequence[Rational], sense: int) -> OptResult:
-        """Introduce z = objective . x, eliminate everything but z, read off
-        the exact interval of z, then rebuild a witness for the optimum."""
+        """Maximize sense * objective . x: by strong duality its optimum is
+        that of the dual cone with target sense * objective, and the cone's
+        multipliers are the witness."""
         if len(objective) != self.num_vars:
             raise ValueError(f"expected {self.num_vars} objective coefficients")
-        obj = [as_rational(c, "objective") for c in objective]
-        z = self.num_vars
-        rows: list[_Row] = []
-        seen: set[_Row] = set()
-        for coeffs, rhs in self._rows:
-            row = (coeffs + (0,), rhs)
-            if row not in seen:
-                seen.add(row)
-                rows.append(row)
-        for negate in (False, True):
-            cs = list(obj) + [Fraction(-1)]
-            b = Fraction(0)
-            if negate:
-                cs = [-c for c in cs]
-                b = -b
-            row = _normalize(cs, b)
-            if row not in seen:
-                seen.add(row)
-                rows.append(row)
-        try:
-            stages = _eliminate_all(rows, list(range(self.num_vars)), keep_last=z)
-        except FeasibilityBlowupError:
-            if sense < 0:
-                return _pivot_maximize(self._rows, self.num_vars, obj)
-            res = _pivot_maximize(self._rows, self.num_vars, [-c for c in obj])
-            if res.status != OPTIMAL:
-                return res
-            return OptResult(OPTIMAL, -res.value, res.point)
-        if stages is None:
+        obj = [sense * as_rational(c, "objective") for c in objective]
+        if _pivot_feasible(self._rows, self.num_vars) is None:
             return OptResult(INFEASIBLE, None, None)
-        final_rows = stages[-1][1]
-        lo, hi = _bounds(final_rows, z, {})
-        bound = lo if sense > 0 else hi
-        if bound is None:
+        # scaling the target scales every basic solution of the cone alike,
+        # so the pivots are the same and only the value needs scaling back
+        scale = lcm(*(c.denominator for c in obj))
+        target = tuple(c.numerator * (scale // c.denominator) for c in obj)
+        status, value, pi = _simplex_cone(self._rows, target)
+        if status == INFEASIBLE:
+            # no dual multipliers at all: nothing caps the objective
             return OptResult(UNBOUNDED, None, None)
-        values = {z: bound}
-        _back_substitute(stages, values)
-        point = tuple(values[i] for i in range(self.num_vars))
-        return OptResult(OPTIMAL, bound, point)
+        if status != OPTIMAL:
+            raise RuntimeError("dual cone unbounded although the system is feasible")
+        value /= scale
+        if sum(c * p for c, p in zip(obj, pi)) != value:
+            raise RuntimeError("simplex multipliers miss the dual optimum; inexact pivot")
+        return OptResult(OPTIMAL, sense * value, pi)
 
 
-def _eliminate_all(
-    rows: list[_Row], vars_to_drop: list[int], keep_last: Optional[int] = None
-) -> Optional[list[tuple[int, list[_Row]]]]:
-    """Eliminate variables one by one, greedily picking the cheapest next.
-
-    Returns the stage list [(var, rows_before_its_elimination), ...] followed
-    by a sentinel stage (-1, final_rows), or None if a contradictory constant
-    row ever appears. With keep_last set, that variable is eliminated after
-    all others (callers read its interval from the final rows; it is not
-    dropped)."""
-    pending = list(vars_to_drop)
-    stages: list[tuple[int, list[_Row]]] = []
-    current = rows
-    if _contradiction(current):
-        return None
-    while pending:
-        var = min(pending, key=lambda v: _pair_cost(current, v))
-        pending.remove(var)
-        stages.append((var, current))
-        current = _eliminate(current, var)
-        if current is None:
-            return None
-    stages.append((-1 if keep_last is None else keep_last, current))
-    return stages
-
-
-def _pair_cost(rows: list[_Row], var: int) -> int:
-    lowers = uppers = 0
-    for coeffs, _ in rows:
-        c = coeffs[var]
-        if c > 0:
-            uppers += 1
-        elif c < 0:
-            lowers += 1
-    return lowers * uppers
-
-
-def _contradiction(rows: list[_Row]) -> bool:
-    return any(all(c == 0 for c in coeffs) and rhs < 0 for coeffs, rhs in rows)
-
-
-def _eliminate(rows: list[_Row], var: int) -> Optional[list[_Row]]:
-    """One FM step: combine each lower bound on var with each upper bound."""
-    lowers, uppers, rest = [], [], []
-    for row in rows:
-        c = row[0][var]
-        if c > 0:
-            uppers.append(row)
-        elif c < 0:
-            lowers.append(row)
-        else:
-            rest.append(row)
-    out: list[_Row] = []
-    seen: set[_Row] = set()
-    for row in rest:
-        if row not in seen:
-            seen.add(row)
-            out.append(row)
-    for lc, lb in lowers:
-        for uc, ub in uppers:
-            scale_l = uc[var]
-            scale_u = -lc[var]
-            coeffs = tuple(
-                Fraction(scale_l * a + scale_u * b)
-                for a, b in zip(lc, uc)
-            )
-            rhs = Fraction(scale_l * lb + scale_u * ub)
-            row = _normalize(coeffs, rhs)
-            if all(v == 0 for v in row[0]) and row[1] < 0:
-                return None
-            if row not in seen:
-                seen.add(row)
-                out.append(row)
-            if len(out) > BLOWUP_LIMIT:
-                raise FeasibilityBlowupError(
-                    f"elimination of variable {var} exceeded {BLOWUP_LIMIT} rows"
-                )
-    return out
-
-
-def _bounds(
-    rows: list[_Row], var: int, values: dict[int, Fraction]
-) -> tuple[Optional[Fraction], Optional[Fraction]]:
-    """Interval for `var` after substituting known values into `rows`.
-
-    Every row is constant except in `var` and already-valued variables;
-    callers guarantee this by replaying stages in reverse order."""
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
-    for coeffs, rhs in rows:
-        c = coeffs[var]
-        if c == 0:
-            continue
-        acc = Fraction(rhs)
-        for idx, a in enumerate(coeffs):
-            if idx != var and a != 0:
-                acc -= a * values[idx]
-        bound = acc / c
-        if c > 0:
-            if hi is None or bound < hi:
-                hi = bound
-        else:
-            if lo is None or bound > lo:
-                lo = bound
-    return lo, hi
-
-
-def _back_substitute(stages: list[tuple[int, list[_Row]]], values: dict[int, Fraction]) -> None:
-    """Assign each eliminated variable a value inside its valid interval,
-    walking the stages last-to-first. Pre-seeded entries in `values` (the
-    optimizer pins the objective variable) are left untouched."""
-    for var, rows in reversed(stages[:-1]):
-        if var in values:
-            continue
-        lo, hi = _bounds(rows, var, values)
-        if lo is not None:
-            values[var] = lo
-        elif hi is not None:
-            values[var] = hi if hi < 0 else Fraction(0)
-        else:
-            values[var] = Fraction(0)
-
-
-# ===== pivoting fallback =====
+# ===== the dual-cone simplex =====
 #
 # Both questions about {a.x <= b} are answered through the dual cone program
 #
@@ -321,38 +162,46 @@ _PIVOT_SAFETY = 50_000
 
 
 def _simplex_cone(
-    cols: list[tuple[Fraction, ...]],
-    target: tuple[Fraction, ...],
-    costs: list[Fraction],
+    rows: list[_Row], target: tuple[int, ...]
 ) -> tuple[str, Optional[Fraction], Optional[tuple[Fraction, ...]]]:
-    """min costs.y with sum_j y_j * cols[j] = target, y >= 0, exactly.
+    """min b.y with sum_j y_j * a_j = target, y >= 0, over rows (a_j, b_j).
 
     Returns (status, value, pi): pi are the multipliers of the final basis,
-    i.e. the unique solution of pi . col = cost(col) over basic columns."""
+    i.e. the unique solution of pi . a_j = b_j over basic columns."""
     d = len(target)
-    n = len(cols)
+    n = len(rows)
     rhs_col = n + d
-    # rows flipped to make the rhs column nonnegative; artificial i lives in
-    # column n+i and stands for the coordinate-i equality at cost 0
+    # The rational tableau T is kept as integers tab = T * denom, where
+    # denom > 0 is |det| of the current basis. Rows are flipped to make the
+    # rhs column nonnegative; artificial i lives in column n+i and stands
+    # for the coordinate-i equality at cost 0.
     sign = [1 if t >= 0 else -1 for t in target]
-    tab: list[list[Fraction]] = []
+    tab: list[list[int]] = []
     for i in range(d):
-        row = [sign[i] * col[i] for col in cols]
-        row.extend(Fraction(1 if t == i else 0) for t in range(d))
+        row = [sign[i] * coeffs[i] for coeffs, _ in rows]
+        row.extend(1 if t == i else 0 for t in range(d))
         row.append(sign[i] * target[i])
         tab.append(row)
     basis = list(range(n, n + d))
     in_basis = set(basis)
+    denom = 1
     pivots = 0
 
     def pivot(leave: int, entering: int) -> None:
-        nonlocal pivots
-        piv = tab[leave][entering]
-        tab[leave] = [v / piv for v in tab[leave]]
-        for i in range(len(tab)):
-            if i != leave and tab[i][entering] != 0:
-                f = tab[i][entering]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
+        # fraction-free Gauss-Jordan step: every other row becomes
+        # (piv * row - f * pivot_row) / denom, an exact division (Sylvester's
+        # identity); a negative pivot flips all signs to keep denom > 0
+        nonlocal denom, pivots
+        prow = tab[leave]
+        piv = prow[entering]
+        div = denom if piv > 0 else -denom
+        for i, row in enumerate(tab):
+            if i != leave:
+                f = row[entering]
+                tab[i] = [(piv * a - f * b) // div for a, b in zip(row, prow)]
+        if piv < 0:
+            tab[leave] = [-v for v in prow]
+        denom = abs(piv)
         in_basis.discard(basis[leave])
         in_basis.add(entering)
         basis[leave] = entering
@@ -360,25 +209,24 @@ def _simplex_cone(
         if pivots > _PIVOT_SAFETY:
             raise RuntimeError("simplex pivot limit hit; cycling bug")
 
-    def run(cost: list[Fraction], stop_at_zero: bool) -> str:
+    def run(cost: list[int], stop_at_zero: bool) -> str:
         while True:
-            rows = len(tab)
-            ybar = [cost[basis[i]] for i in range(rows)]
+            ybar = [cost[b] for b in basis]
             if stop_at_zero and sum(
-                y * tab[i][rhs_col] for i, y in enumerate(ybar)
+                y * row[rhs_col] for y, row in zip(ybar, tab)
             ) == 0:
                 return OPTIMAL
             # Dantzig entering normally, Bland entering once the pivot count
-            # looks cyclic; artificials never re-enter
+            # looks cyclic; artificials never re-enter. Reduced costs are
+            # compared scaled by denom.
             bland = pivots >= 4 * (n + d)
+            priced = [(y, row) for y, row in zip(ybar, tab) if y != 0]
             entering = -1
-            best = Fraction(0)
+            best = 0
             for j in range(n):
                 if j in in_basis:
                     continue
-                red = cost[j] - sum(
-                    y * tab[i][j] for i, y in enumerate(ybar) if y != 0
-                )
+                red = cost[j] * denom - sum(y * row[j] for y, row in priced)
                 if red < best:
                     entering = j
                     best = red
@@ -386,26 +234,27 @@ def _simplex_cone(
                         break
             if entering < 0:
                 return OPTIMAL
+            # ratio test by cross-multiplying: rhs_i / t_i < rhs_l / t_l
             leave = -1
-            ratio: Optional[Fraction] = None
-            for i in range(rows):
-                t = tab[i][entering]
+            for i, row in enumerate(tab):
+                t = row[entering]
                 if t > 0:
-                    r = tab[i][rhs_col] / t
-                    if ratio is None or r < ratio or (
-                        r == ratio and basis[i] < basis[leave]
-                    ):
-                        ratio = r
+                    if leave < 0:
+                        leave = i
+                        continue
+                    lhs = row[rhs_col] * tab[leave][entering]
+                    rhs = tab[leave][rhs_col] * t
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                         leave = i
             if leave < 0:
                 return UNBOUNDED
             pivot(leave, entering)
 
     # phase 1: drive the artificial variables to zero
-    phase1 = [Fraction(0)] * n + [Fraction(1)] * d
-    status = run(phase1, stop_at_zero=True)
-    assert status == OPTIMAL, "phase-1 objective is bounded below by zero"
-    if sum(phase1[basis[i]] * tab[i][rhs_col] for i in range(d)) != 0:
+    phase1 = [0] * n + [1] * d
+    if run(phase1, stop_at_zero=True) != OPTIMAL:
+        raise RuntimeError("phase 1 unbounded although its objective is >= 0")
+    if sum(phase1[b] * row[rhs_col] for b, row in zip(basis, tab)) != 0:
         return INFEASIBLE, None, None
     # An artificial still sitting in the basis (at value zero) would poison
     # phase 2: a column whose ray only inflates artificials is not a real
@@ -423,67 +272,29 @@ def _simplex_cone(
             in_basis.discard(basis[i])
             del tab[i], basis[i], coords[i]
     # phase 2: the real costs
-    phase2 = list(costs) + [Fraction(0)] * d
-    status = run(phase2, stop_at_zero=False)
-    if status == UNBOUNDED:
+    phase2 = [rhs for _, rhs in rows] + [0] * d
+    if run(phase2, stop_at_zero=False) == UNBOUNDED:
         return UNBOUNDED, None, None
-    value = sum(phase2[basis[i]] * tab[i][rhs_col] for i in range(len(tab)))
-    # multipliers: solve pi . B = cost_B over the surviving coordinates
-    mat = [[cols[b][c] for b in basis] for c in coords]
     cost_b = [phase2[b] for b in basis]
-    reduced = _gauss_solve([list(r) for r in zip(*mat)], cost_b)
+    value = Fraction(sum(c * row[rhs_col] for c, row in zip(cost_b, tab)), denom)
+    # multipliers pi = cost_B . B^-1, read off the artificial columns (they
+    # hold B^-1 of the flipped rows, hence the sign)
     pi = [Fraction(0)] * d
-    for c, v in zip(coords, reduced):
-        pi[c] = v
+    for c in coords:
+        pi[c] = sign[c] * Fraction(
+            sum(cb * row[n + c] for cb, row in zip(cost_b, tab)), denom
+        )
     return OPTIMAL, value, tuple(pi)
 
 
-def _gauss_solve(mat: list[list[Fraction]], rhs: list[Fraction]) -> tuple[Fraction, ...]:
-    """Solve mat . x = rhs exactly; mat is square and nonsingular (a basis)."""
-    d = len(rhs)
-    aug = [list(mat[i]) + [rhs[i]] for i in range(d)]
-    for col in range(d):
-        p = next(r for r in range(col, d) if aug[r][col] != 0)
-        aug[col], aug[p] = aug[p], aug[col]
-        inv = aug[col][col]
-        aug[col] = [v / inv for v in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(aug[i][d] for i in range(d))
-
-
-def _cone_inputs(
-    rows: list[_Row],
-) -> tuple[list[tuple[Fraction, ...]], list[Fraction]]:
-    cols = [tuple(Fraction(c) for c in coeffs) for coeffs, _ in rows]
-    costs = [Fraction(rhs) for _, rhs in rows]
-    return cols, costs
-
-
 def _pivot_feasible(rows: list[_Row], num_vars: int) -> Optional[tuple[Fraction, ...]]:
-    cols, costs = _cone_inputs(rows)
-    zero = tuple(Fraction(0) for _ in range(num_vars))
-    status, value, pi = _simplex_cone(cols, zero, costs)
+    status, value, pi = _simplex_cone(rows, (0,) * num_vars)
     if status != OPTIMAL:
         return None
-    assert value == 0, "the zero-target cone can only optimize to zero"
-    for (coeffs, rhs), col in zip(rows, cols):
-        assert sum(p * c for p, c in zip(pi, col)) <= rhs
+    # run-time guard on the exact divisions above: a witness that misses
+    # any row means a pivot went wrong
+    if value != 0 or any(
+        sum(p * c for p, c in zip(pi, coeffs)) > rhs for coeffs, rhs in rows
+    ):
+        raise RuntimeError("simplex witness violates the system; inexact pivot")
     return pi
-
-
-def _pivot_maximize(
-    rows: list[_Row], num_vars: int, objective: Sequence[Fraction]
-) -> OptResult:
-    if _pivot_feasible(rows, num_vars) is None:
-        return OptResult(INFEASIBLE, None, None)
-    cols, costs = _cone_inputs(rows)
-    status, value, pi = _simplex_cone(cols, tuple(objective), costs)
-    if status == INFEASIBLE:
-        # no dual multipliers at all: nothing caps the objective
-        return OptResult(UNBOUNDED, None, None)
-    assert status == OPTIMAL, "dual unbounded although the primal is feasible"
-    assert sum(o * p for o, p in zip(objective, pi)) == value
-    return OptResult(OPTIMAL, value, pi)

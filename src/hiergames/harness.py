@@ -29,17 +29,16 @@ from .core import (
     Coalition,
     EnumerationCapError,
     ExplicitGame,
-    LevelRelation,
     Multiset,
     is_complete,
     iter_coalitions,
-    level_relation,
 )
 from .hierarchy import (
     CONJUNCTIVE,
     DISJUNCTIVE,
     HierSpec,
     canon_check,
+    level_classes,
     merge_levels,
     realize,
     recover_conjunctive,
@@ -135,7 +134,8 @@ def sweep_specs(
             if kmax is not None and k[-1] > kmax:
                 continue
             spec = HierSpec(kind, n, tuple(k))
-            assert canon_check(spec).canonical, spec
+            if not canon_check(spec).canonical:
+                raise RuntimeError(f"sweep grid produced non-canonical {spec}")
             yield spec
 
 
@@ -228,30 +228,6 @@ def _antichains(coalitions: list[Coalition]) -> Iterator[frozenset[Coalition]]:
     yield from rec(0, [])
 
 
-def _order_and_merge(game: ExplicitGame) -> ExplicitGame:
-    """Sort levels by descending desirability, merging equivalent ones.
-
-    Requires a complete game; the result has strictly ordered levels."""
-    classes: list[list[int]] = []
-    for lvl in range(game.universe.m):
-        placed = False
-        for idx, cls in enumerate(classes):
-            rel = level_relation(game, lvl, cls[0])
-            if rel is LevelRelation.EQUIVALENT:
-                cls.append(lvl)
-                placed = True
-                break
-            if rel is LevelRelation.STRICTLY_ABOVE:
-                classes.insert(idx, [lvl])
-                placed = True
-                break
-            if rel is LevelRelation.INCOMPARABLE:
-                raise ValueError("game is not complete")
-        if not placed:
-            classes.append([lvl])
-    return merge_levels(game, classes)
-
-
 def structural_scan(universe: Multiset, cap: int | None = None) -> StructuralReport:
     """Test the shift-extremal uniqueness equivalences over one universe.
 
@@ -274,7 +250,7 @@ def structural_scan(universe: Multiset, cap: int | None = None) -> StructuralRep
         if not is_complete(game, cap):
             continue
         complete += 1
-        ordered = _order_and_merge(game)
+        ordered = merge_levels(game, level_classes(game, cap))
         extremal = shift_extremal(ordered, cap)
         d = recover_disjunctive(ordered, cap)
         c = recover_conjunctive(ordered, cap)

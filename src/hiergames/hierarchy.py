@@ -22,6 +22,7 @@ from .core import (
     ExplicitGame,
     LevelRelation,
     Multiset,
+    _int_tuple,
     is_winning,
     iter_coalitions,
     level_relation,
@@ -38,6 +39,7 @@ __all__ = [
     "realize",
     "canon_check",
     "canonicalize_semantic",
+    "level_classes",
     "merge_levels",
     "truncate",
     "shift_maximal_losing",
@@ -67,16 +69,12 @@ class HierSpec:
     def __post_init__(self) -> None:
         if self.kind not in (DISJUNCTIVE, CONJUNCTIVE):
             raise ValueError(f"kind must be {DISJUNCTIVE!r} or {CONJUNCTIVE!r}, got {self.kind!r}")
-        n = tuple(int(v) for v in self.n)
-        k = tuple(int(v) for v in self.k)
+        n = _int_tuple(self.n, "level count", 1)
+        k = _int_tuple(self.k, "threshold", 1)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
         if len(n) != len(k) or not n:
             raise ValueError(f"n and k must be equal-length and nonempty, got {n} / {k}")
-        if any(v < 1 for v in n):
-            raise ValueError(f"level counts must be >= 1, got {n}")
-        if any(v < 1 for v in k):
-            raise ValueError(f"thresholds must be >= 1, got {k}")
         m = len(k)
         for i in range(1, m):
             strict = self.kind == DISJUNCTIVE or i < m - 1
@@ -207,17 +205,24 @@ def truncate(spec: HierSpec) -> HierSpec:
     return HierSpec(spec.kind, spec.n[:-1], spec.k[:-1])
 
 
-def _class_partition(game: ExplicitGame, cap: int | None) -> list[list[int]]:
-    # adjacent comparisons suffice: desirability never increases along levels
-    classes: list[list[int]] = [[0]]
-    for lvl in range(1, game.universe.m):
-        rel = level_relation(game, lvl - 1, lvl, cap)
-        if rel is LevelRelation.EQUIVALENT:
-            classes[-1].append(lvl)
-        elif rel is LevelRelation.STRICTLY_ABOVE:
-            classes.append([lvl])
+def level_classes(game: ExplicitGame, cap: int | None = None) -> list[list[int]]:
+    """Levels grouped by desirability: classes of equivalent levels, most
+    desirable class first, each level inserted in turn before the first
+    class it beats. Requires a complete game (ValueError otherwise)."""
+    classes: list[list[int]] = []
+    for lvl in range(game.universe.m):
+        for idx, cls in enumerate(classes):
+            rel = level_relation(game, lvl, cls[0], cap)
+            if rel is LevelRelation.EQUIVALENT:
+                cls.append(lvl)
+                break
+            if rel is LevelRelation.STRICTLY_ABOVE:
+                classes.insert(idx, [lvl])
+                break
+            if rel is LevelRelation.INCOMPARABLE:
+                raise ValueError("game is not complete")
         else:
-            raise RuntimeError(f"level {lvl} more desirable than {lvl - 1} in {game.universe}")
+            classes.append([lvl])
     return classes
 
 
@@ -250,15 +255,16 @@ def canonicalize_semantic(
     describes the same game. mapping[i] is the class index of original level i.
     """
     game = realize(spec, cap)
-    classes = _class_partition(game, cap)
+    classes = level_classes(game, cap)
     merged = merge_levels(game, classes)
     recover = recover_disjunctive if spec.kind == DISJUNCTIVE else recover_conjunctive
     canonical = recover(merged, cap)
     if canonical is None:
         raise RuntimeError(f"merged game of {spec} failed threshold recovery")
-    mapping = []
+    mapping = [0] * spec.m
     for cls_index, cls in enumerate(classes):
-        mapping.extend([cls_index] * len(cls))
+        for lvl in cls:
+            mapping[lvl] = cls_index
     return canonical, tuple(mapping)
 
 

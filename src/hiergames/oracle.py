@@ -122,7 +122,8 @@ def oracle_weighted(
         return None
     weights, quota = point[:m], point[m]
     # the empty coalition is losing, so its maximal superset forces q >= 1
-    assert quota >= 1
+    if quota < 1:
+        raise RuntimeError(f"weighted witness has quota {quota} < 1")
     return RoughCert(quota, weights)
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hiergames import Coalition, RoughCert, parse_rational, rational_str
-from hiergames.certificates import as_rational, weights_from
+from hiergames.certificates import as_rational
 
 
 class TestRationalText:
@@ -52,13 +52,6 @@ class TestAsRational:
         # bool is an int subclass; it still has no business as a weight
         with pytest.raises(TypeError):
             as_rational(True)
-
-    def test_weights_from_mixes_ints_and_fractions(self):
-        assert weights_from([1, Fraction(1, 2), 0]) == (
-            Fraction(1),
-            Fraction(1, 2),
-            Fraction(0),
-        )
 
 
 class TestRoughCert:

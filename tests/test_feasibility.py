@@ -1,32 +1,19 @@
-"""Exact linear feasibility/optimization: elimination engine, pivot engine,
-and the agreement between the two."""
+"""Exact linear feasibility/optimization: the dual-cone simplex, and its
+agreement with the Fourier-Motzkin reference engine in fm_reference."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from hiergames.feasibility import (
-    INFEASIBLE,
-    OPTIMAL,
-    UNBOUNDED,
-    LinearSystem,
-    _pivot_feasible,
-    _pivot_maximize,
-)
+import fm_reference
+from hiergames.feasibility import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearSystem
 
 
 def satisfies(rows, point):
     return all(
         sum(c * x for c, x in zip(coeffs, point)) <= rhs for coeffs, rhs in rows
     )
-
-
-def build(rows, num_vars):
-    sys = LinearSystem(num_vars)
-    for coeffs, rhs in rows:
-        sys.add_le(coeffs, rhs)
-    return sys
 
 
 class TestFeasiblePoint:
@@ -110,25 +97,23 @@ class TestOptimize:
 
 
 class TestPivotEngine:
-    """Direct checks of the dual-cone simplex used past the blowup limit."""
-
-    def rows(self, sys):
-        return sys._rows
+    """Direct checks of the dual-cone simplex on systems with known answers."""
 
     def test_feasible_matches_elimination(self):
         sys = LinearSystem(2)
         sys.add_ge([1, 0], 1)
         sys.add_ge([0, 1], 2)
         sys.add_le([1, 1], 5)
-        pt = _pivot_feasible(self.rows(sys), 2)
+        pt = sys.feasible_point()
         assert pt is not None
-        assert satisfies(self.rows(sys), pt)
+        assert satisfies(sys._rows, pt)
+        assert satisfies(sys._rows, fm_reference.feasible_point(sys._rows, 2))
 
     def test_infeasible_detected(self):
         sys = LinearSystem(1)
         sys.add_ge([1], 2)
         sys.add_le([1], 1)
-        assert _pivot_feasible(self.rows(sys), 1) is None
+        assert sys.feasible_point() is None
 
     def test_maximize_vertex(self):
         sys = LinearSystem(2)
@@ -136,14 +121,14 @@ class TestPivotEngine:
         sys.add_ge([0, 1], 0)
         sys.add_le([1, 2], 4)
         sys.add_le([3, 1], 6)
-        res = _pivot_maximize(self.rows(sys), 2, [Fraction(1), Fraction(1)])
+        res = sys.maximize([Fraction(1), Fraction(1)])
         assert res.status == OPTIMAL
         assert res.value == Fraction(14, 5)
 
     def test_unbounded_ray(self):
         sys = LinearSystem(2)
         sys.add_ge([1, -1], 0)
-        res = _pivot_maximize(self.rows(sys), 2, [Fraction(1), Fraction(0)])
+        res = sys.maximize([Fraction(1), Fraction(0)])
         assert res.status == UNBOUNDED
 
     def test_redundant_equalities_survive_phase_one(self):
@@ -154,25 +139,44 @@ class TestPivotEngine:
             sys.add_eq([1, 1], 2)
         sys.add_ge([1, 0], 0)
         sys.add_ge([0, 1], 0)
-        res = _pivot_maximize(self.rows(sys), 2, [Fraction(1), Fraction(0)])
+        res = sys.maximize([Fraction(1), Fraction(0)])
         assert res.status == OPTIMAL
         assert res.value == Fraction(2)
+        assert res.point == (Fraction(2), Fraction(0))
+
+    def test_dependent_equalities_pin_a_line(self):
+        # x = y is two opposite rows of rank 1 in two variables: the
+        # kick-out step drops the dependent one and still finds a witness
+        sys = LinearSystem(2)
+        sys.add_eq([1, -1], 0)
+        pt = sys.feasible_point()
+        assert pt is not None and pt[0] == pt[1]
+        assert sys.maximize([1, 0]).status == UNBOUNDED
+        res = sys.maximize([1, -1])
+        assert (res.status, res.value) == (OPTIMAL, 0)
 
 
 class TestEnginesAgree:
+    """The simplex against the Fourier-Motzkin reference on random systems
+    with 1-5 variables, up to 13 rows, some of them equalities."""
+
     def random_system(self, rng, num_vars):
         sys = LinearSystem(num_vars)
-        for _ in range(rng.randrange(1, 9)):
+        for _ in range(rng.randrange(1, 14)):
             coeffs = [Fraction(rng.randrange(-3, 4)) for _ in range(num_vars)]
-            sys.add_le(coeffs, Fraction(rng.randrange(-4, 7)))
+            rhs = Fraction(rng.randrange(-4, 7))
+            if rng.random() < 0.15:
+                sys.add_eq(coeffs, rhs)
+            else:
+                sys.add_le(coeffs, rhs)
         return sys
 
     def test_feasibility_agreement_fuzz(self):
         rng = random.Random(20260815)
-        for trial in range(150):
-            sys = self.random_system(rng, rng.randrange(1, 4))
-            via_fm = sys.feasible_point()
-            via_pivot = _pivot_feasible(sys._rows, sys.num_vars)
+        for trial in range(300):
+            sys = self.random_system(rng, rng.randrange(1, 6))
+            via_pivot = sys.feasible_point()
+            via_fm = fm_reference.feasible_point(sys._rows, sys.num_vars)
             assert (via_fm is None) == (via_pivot is None), f"trial {trial}"
             if via_fm is not None:
                 assert satisfies(sys._rows, via_fm)
@@ -180,24 +184,23 @@ class TestEnginesAgree:
 
     def test_optimum_agreement_fuzz(self):
         rng = random.Random(99)
-        for trial in range(80):
-            num_vars = rng.randrange(1, 4)
+        for trial in range(300):
+            num_vars = rng.randrange(1, 6)
             sys = self.random_system(rng, num_vars)
-            obj = [Fraction(rng.randrange(-2, 3)) for _ in range(num_vars)]
-            res_fm = sys.maximize(obj)
-            res_pivot = _pivot_maximize(sys._rows, num_vars, obj)
-            assert res_fm.status == res_pivot.status, f"trial {trial}"
-            if res_fm.status == OPTIMAL:
-                assert res_fm.value == res_pivot.value, f"trial {trial}"
+            obj = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(num_vars)]
+            sense = rng.choice(["min", "max"])
+            res = sys.minimize(obj) if sense == "min" else sys.maximize(obj)
+            status, value, _ = fm_reference.optimize(sys._rows, num_vars, obj, sense)
+            assert (res.status, res.value) == (status, value), f"trial {trial}"
+            if res.status == OPTIMAL:
+                assert satisfies(sys._rows, res.point), f"trial {trial}"
+                assert sum(c * x for c, x in zip(obj, res.point)) == res.value
+            else:
+                assert res.value is None and res.point is None
 
 
 class TestBlowupHandoff:
-    def test_wide_system_still_answers(self, monkeypatch):
-        # force the elimination engine to give up immediately so the pivot
-        # path carries a system it would normally never see
-        import hiergames.feasibility as feas
-
-        monkeypatch.setattr(feas, "BLOWUP_LIMIT", 1)
+    def test_wide_system_still_answers(self):
         sys = LinearSystem(3)
         sys.add_ge([1, 0, 0], 1)
         sys.add_ge([0, 1, 0], 1)

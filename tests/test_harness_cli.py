@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hiergames
 from hiergames import (
     CONJUNCTIVE,
     DISJUNCTIVE,
@@ -234,3 +239,30 @@ class TestCliErrors:
     def test_bad_sweep_kind(self, capsys):
         code = main(["sweep", "--kind", "both", "--levels", "2", "--nmax", "2"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "n", [[3.9, 3, 3], "333", [True, 3, 3]], ids=["float", "string", "bool"]
+    )
+    def test_coercible_counts_rejected(self, tmp_path, capsys, n):
+        # int() would turn each of these into the counts of another game
+        doc = dict(EXAMPLE_DOC, n=n)
+        assert main(["classify", write_doc(tmp_path, doc)]) == 2
+        assert "must be ints" in capsys.readouterr().err
+
+
+class TestOptimizedMode:
+    def test_classify_oracle_same_under_dash_O(self, tmp_path):
+        # invariant checks are explicit raises, so python -O drops none of them
+        path = write_doc(tmp_path, {"kind": "disjunctive", "n": [3, 3, 3], "k": [1, 2, 3]})
+        src = str(Path(hiergames.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        runs = [
+            subprocess.run(
+                [sys.executable, *flags, "-m", "hiergames", "classify", path, "--oracle", "--json"],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            for flags in ([], ["-O"])
+        ]
+        assert [r.returncode for r in runs] == [0, 0]
+        assert json.loads(runs[0].stdout)["class"] == "weighted"
+        assert runs[0].stdout == runs[1].stdout

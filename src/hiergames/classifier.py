@@ -35,8 +35,9 @@ The decision law is a finite case list over (kind, n, k):
     dual derivation disagree, the verdict follows duality and the
     disagreement is recorded in Verdict.notes.
 
-Weighted certificates come from the LP oracle (no closed forms for most
-cases); rough certificates are closed forms validated in the test suite.
+Certificates are closed forms in (n, k), weighted ones integer with a gap of
+1, conjunctive ones carried over from the dual spec; classification is O(m)
+and touches neither the coalition lattice nor the LP oracle.
 """
 
 from __future__ import annotations
@@ -46,15 +47,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .certificates import RoughCert
-from .core import EnumerationCapError
-from .hierarchy import (
-    CONJUNCTIVE,
-    DISJUNCTIVE,
-    HierSpec,
-    canon_check,
-    realize,
-)
-from .oracle import oracle_weighted
+from .hierarchy import CONJUNCTIVE, DISJUNCTIVE, HierSpec, canon_check
 from .transforms import dual_spec
 
 __all__ = [
@@ -140,6 +133,29 @@ def _weighted_case_conj(n: tuple[int, ...], k: tuple[int, ...]) -> Optional[int]
         if _weighted_case_conj(n[:-1], k[:-1]) in (1, 2, 3, 4):
             return 5
     return None
+
+
+def _weighted_cert_disj(n: tuple[int, ...], k: tuple[int, ...]) -> RoughCert:
+    """Integer certificate of a weighted canonical disjunctive (n, k), with
+    minimal winning coalitions at >= q and maximal losing ones at <= q - 1."""
+    case = _weighted_case_disj(n, k)
+    if case == 1:
+        return RoughCert(k[0], (1,))
+    if case == 2:
+        # w(X) = k1 * (x1 + x2) + x1, and a loser has x1 < k1, x1 + x2 <= k1
+        return RoughCert(k[0] * k[1], (k[1], k[0]))
+    if case == 3:
+        # reaching k2 without k1 first-level players takes x1 = k1 - 1, x2 = n2
+        return RoughCert(k[0] * n[1], (n[1], 1))
+    if case == 4:
+        # one first-level player wins alone; without one, the residual game
+        # on the lower levels decides
+        inner = _weighted_cert_disj(n[1:], k[1:])
+        return RoughCert(inner.quota, (inner.quota,) + inner.weights)
+    if case == 5:
+        inner = _weighted_cert_disj(n[:-1], k[:-1])
+        return RoughCert(inner.quota, inner.weights + (Fraction(0),))  # dummy last level
+    raise RuntimeError(f"weighted n={n} k={k} matches no weighted case")
 
 
 def classify_weighted(spec: HierSpec) -> Optional[str]:
@@ -254,12 +270,6 @@ def _literal_conj_case(n: tuple[int, ...], k: tuple[int, ...]) -> Optional[str]:
     return None
 
 
-def _dual_case_to_conj_tag(case: str, n: tuple[int, ...]) -> str:
-    if case == "v":
-        return "Thm13(va)" if (n[1] == 2 and n[2] == 2) else "Thm13(vb)"
-    return f"Thm13({case})"
-
-
 def classify_rough(spec: HierSpec) -> Verdict:
     """Full structural verdict for a canonical spec.
 
@@ -270,18 +280,7 @@ def classify_rough(spec: HierSpec) -> Verdict:
     _require_canonical(spec)
     wtag = classify_weighted(spec)
     if wtag is not None:
-        try:
-            cert = synthesize_certificate(spec, wtag)
-        except EnumerationCapError:
-            # weighted certificates come from the LP oracle on the realized
-            # game; on huge universes report the class without a witness
-            return Verdict(
-                WEIGHTED,
-                wtag,
-                None,
-                ("certificate synthesis skipped: enumeration cap exceeded",),
-            )
-        return Verdict(WEIGHTED, wtag, cert)
+        return Verdict(WEIGHTED, wtag, synthesize_certificate(spec, wtag))
 
     if spec.kind == DISJUNCTIVE:
         case = _route_rough_disj(spec.n, spec.k)
@@ -306,7 +305,9 @@ def classify_rough(spec: HierSpec) -> Verdict:
         )
     if case is None:
         return Verdict(NOT_ROUGH, "none", None, notes)
-    tag = _dual_case_to_conj_tag(case, spec.n)
+    if case == "v":
+        case = "va" if spec.n[1] == spec.n[2] == 2 else "vb"
+    tag = f"Thm13({case})"
     return Verdict(ROUGH_NOT_WEIGHTED, tag, synthesize_certificate(spec, tag), notes)
 
 
@@ -318,34 +319,31 @@ def classify(spec: HierSpec) -> Verdict:
 def synthesize_certificate(spec: HierSpec, case_tag: str) -> RoughCert:
     """Exact certificate for a spec under a given decision-law tag.
 
-    Thm4/Thm5 tags (weighted): solved by the LP oracle on the realized game;
-    the strict-separation system is feasible exactly for weighted games, so
-    this raises if the tag was wrong.
-    Thm12 tags: closed forms on the disjunctive thresholds.
-    Thm13 tags: the dual spec's Thm12 certificate carried across duality
-    (quota' = w(P) - quota).
-    Unknown tags raise ValueError.
+    Thm4 and Thm12 tags: closed forms on the disjunctive thresholds; Thm4
+    ones are integer with a gap of 1.
+    Thm5 and Thm13 tags: the dual spec's Thm4 or Thm12 certificate carried
+    across duality (quota' = w(P) - quota, plus the gap of 1 for Thm5).
+    A weighted tag must be the one classify_weighted gives the spec; unknown
+    or inapplicable tags raise ValueError.
     """
     family, _, rest = case_tag.partition("(")
     case = rest.rstrip(")")
-    if family in ("Thm4", "Thm5") and case:
-        expected = "Thm4" if spec.kind == DISJUNCTIVE else "Thm5"
-        if family != expected:
-            raise ValueError(f"{case_tag} does not apply to a {spec.kind} spec")
-        cert = oracle_weighted(realize(spec))
-        if cert is None:
-            raise ValueError(f"{spec} is not weighted; {case_tag} is wrong")
-        return cert
-    if family == "Thm12" and case:
-        if spec.kind != DISJUNCTIVE:
-            raise ValueError(f"{case_tag} does not apply to a {spec.kind} spec")
-        return _rough_cert_disj(spec.n, spec.k, case)
-    if family == "Thm13" and case:
-        if spec.kind != CONJUNCTIVE:
-            raise ValueError(f"{case_tag} does not apply to a {spec.kind} spec")
-        dual = dual_spec(spec)
-        dual_case = "v" if case in ("va", "vb") else case
-        inner = _rough_cert_disj(dual.n, dual.k, dual_case)
-        total = inner.weight_of(dual.universe().full())
-        return RoughCert(total - inner.quota, inner.weights)
-    raise ValueError(f"unknown case tag {case_tag!r}")
+    kinds = {"Thm4": DISJUNCTIVE, "Thm12": DISJUNCTIVE, "Thm5": CONJUNCTIVE, "Thm13": CONJUNCTIVE}
+    if family not in kinds or not case:
+        raise ValueError(f"unknown case tag {case_tag!r}")
+    if spec.kind != kinds[family]:
+        raise ValueError(f"{case_tag} does not apply to a {spec.kind} spec")
+    weighted = family in ("Thm4", "Thm5")
+    if weighted and classify_weighted(spec) != case_tag:
+        raise ValueError(f"{spec} does not fall under {case_tag}")
+    disj = spec if spec.kind == DISJUNCTIVE else dual_spec(spec)
+    if weighted:
+        inner = _weighted_cert_disj(disj.n, disj.k)
+    else:
+        inner = _rough_cert_disj(disj.n, disj.k, "v" if case in ("va", "vb") else case)
+    if disj is spec:
+        return inner
+    # X wins iff its complement loses in the dual game, so the dual's losing
+    # bound w(P - X) <= quota - gap turns into w(X) >= w(P) - quota + gap
+    gap = 1 if weighted else 0
+    return RoughCert(inner.weight_of(disj.universe().full()) - inner.quota + gap, inner.weights)

@@ -15,6 +15,7 @@ documents; they only show up in verdicts, serialized as 'p/q' strings.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -100,9 +101,10 @@ def document_to_dict(doc: GameDocument) -> dict:
 
 def load_document(path: str) -> GameDocument:
     """Read a document from a JSON file; '-' reads standard input."""
-    if path == "-":
-        import sys
-
-        return parse_document(json.load(sys.stdin))
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_document(json.load(fh))
+    try:
+        if path == "-":
+            return parse_document(json.load(sys.stdin))
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_document(json.load(fh))
+    except RecursionError as exc:
+        raise ValueError(f"JSON document is nested too deeply: {exc}") from exc

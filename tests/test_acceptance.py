@@ -15,6 +15,7 @@ from hiergames import (
     DISJUNCTIVE,
     NOT_ROUGH,
     ROUGH_NOT_WEIGHTED,
+    WEIGHTED,
     Coalition,
     HierSpec,
     MinorStep,
@@ -124,6 +125,10 @@ def test_criterion_3_conjunctive_duals(capsys):
         dual_rough = oracle_rough(dual_game) is not None
         if dual_rough != (verdict.game_class != NOT_ROUGH):
             oracle_mismatches += 1
+        if dual_verdict.certificate is not None:
+            mode = "weighted" if dual_verdict.game_class == WEIGHTED else "rough"
+            if not verify_representation(dual_game, dual_verdict.certificate, mode):
+                oracle_mismatches += 1
     elapsed = time.monotonic() - started
     ok = class_mismatches == 0 and oracle_mismatches == 0
     announce(

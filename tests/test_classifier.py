@@ -1,8 +1,15 @@
-"""Structural classifier: verdicts, case tags, certificates, notes, and
-agreement with the LP oracle on a small exhaustive grid."""
+"""Structural classifier: verdicts, case tags, certificates, notes,
+agreement with the LP oracle on a small exhaustive grid, and independence
+from the coalition lattice and the oracle."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
+import hiergames.classifier
+import hiergames.core
+import hiergames.hierarchy
 from hiergames import (
     CONJUNCTIVE,
     DISJUNCTIVE,
@@ -13,6 +20,7 @@ from hiergames import (
     classify,
     classify_rough,
     classify_weighted,
+    dual_spec,
     oracle_classify,
     realize,
     special_players,
@@ -21,7 +29,8 @@ from hiergames import (
 )
 
 # (kind, n, k, class, case tag, certificate text, notes) all frozen; the
-# certificates were cross-checked against the LP oracle when recorded
+# certificates are the classifier's closed forms, checked against the oracle
+# by test_certificates_verify
 BATTERY = [
     (DISJUNCTIVE, (3, 3), (2, 3), WEIGHTED, "Thm4(2)", "[q=6; w=(3, 2)]", ()),
     (DISJUNCTIVE, (2, 4), (2, 4), ROUGH_NOT_WEIGHTED, "Thm12(ii)", "[q=1; w=(1/2, 1/4)]", ()),
@@ -32,7 +41,7 @@ BATTERY = [
     (DISJUNCTIVE, (3, 2, 3), (2, 3, 4), ROUGH_NOT_WEIGHTED, "Thm12(iv)", "[q=1; w=(1/2, 1/4, 1/4)]", ()),
     (DISJUNCTIVE, (3, 2, 2), (3, 4, 5), ROUGH_NOT_WEIGHTED, "Thm12(v)", "[q=1; w=(1/3, 1/3, 0)]", ()),
     (DISJUNCTIVE, (3, 3, 3), (2, 3, 6), WEIGHTED, "Thm4(5)", "[q=6; w=(3, 2, 0)]", ()),
-    (DISJUNCTIVE, (2, 2, 2, 2), (1, 2, 3, 5), WEIGHTED, "Thm4(5)", "[q=4; w=(4, 2, 1, 0)]", ()),
+    (DISJUNCTIVE, (2, 2, 2, 2), (1, 2, 3, 5), WEIGHTED, "Thm4(5)", "[q=6; w=(6, 3, 2, 0)]", ()),
     (DISJUNCTIVE, (2, 4, 3), (2, 4, 7), ROUGH_NOT_WEIGHTED, "Thm12(vii)", "[q=1; w=(1/2, 1/4, 0)]", ()),
     (CONJUNCTIVE, (3, 3), (2, 4), WEIGHTED, "Thm5(3)", "[q=10; w=(3, 2)]", ()),
     (CONJUNCTIVE, (3, 3, 3), (2, 4, 5), ROUGH_NOT_WEIGHTED, "Thm13(vi)", "[q=2; w=(1/2, 1/2, 0)]", ()),
@@ -161,3 +170,52 @@ class TestGridAgreement:
             assert v.game_class == oracle_classify(realize(spec)), spec
             total += 1
         assert total == 100
+
+
+class TestOffLattice:
+    def test_classify_never_touches_the_lattice(self, monkeypatch):
+        specs = [
+            spec
+            for kind in (DISJUNCTIVE, CONJUNCTIVE)
+            for levels in (1, 2, 3, 4)
+            for spec in sweep_specs(kind, levels, 3)
+        ]
+        big = HierSpec(DISJUNCTIVE, (100, 100, 100), (1, 2, 3))
+
+        def lattice(*args, **kwargs):
+            raise AssertionError("the classifier walked the coalition lattice")
+
+        for module, name in (
+            (hiergames.core, "iter_coalitions"),
+            (hiergames.hierarchy, "iter_coalitions"),
+            (hiergames.hierarchy, "realize"),
+        ):
+            monkeypatch.setattr(module, name, lattice)
+        for spec in specs:
+            v = classify(spec)
+            assert (v.certificate is None) == (v.game_class == NOT_ROUGH), spec
+        v = classify(big)
+        assert (v.game_class, v.matched_case, str(v.certificate)) == (
+            WEIGHTED,
+            "Thm4(4)",
+            "[q=6; w=(6, 3, 2)]",
+        )
+        v = classify(dual_spec(big))  # H_A((100,100,100),(100,199,298))
+        assert (v.game_class, v.matched_case, str(v.certificate)) == (
+            WEIGHTED,
+            "Thm5(4)",
+            "[q=1095; w=(6, 3, 2)]",
+        )
+
+    def test_classifier_imports_nothing_from_the_oracle(self):
+        tree = ast.parse(Path(hiergames.classifier.__file__).read_text(encoding="utf-8"))
+        modules, names = [], []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                modules.append(node.module or "")
+                names += [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                modules += [alias.name for alias in node.names]
+        assert not [m for m in modules + names if "oracle" in m.split(".")]
+        lattice = {"realize", "iter_coalitions", "maximal_losing", "EnumerationCapError"}
+        assert not lattice & set(names)

@@ -1,13 +1,16 @@
 """Sweep/scan harness and the command-line interface."""
 
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hiergames
 from hiergames import (
@@ -16,6 +19,7 @@ from hiergames import (
     HierSpec,
     Multiset,
     canon_check,
+    parse_document,
     run_sweep,
     structural_scan,
     sweep_specs,
@@ -233,6 +237,13 @@ class TestCliErrors:
         path.write_text("{nope")
         assert main(["classify", str(path)]) == 2
 
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        # the decoder runs out of recursion long before the end of the file
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["classify", str(path)]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
 
@@ -251,18 +262,82 @@ class TestCliErrors:
 
 
 class TestOptimizedMode:
-    def test_classify_oracle_same_under_dash_O(self, tmp_path):
-        # invariant checks are explicit raises, so python -O drops none of them
-        path = write_doc(tmp_path, {"kind": "disjunctive", "n": [3, 3, 3], "k": [1, 2, 3]})
+    # invariant checks are explicit raises, so python -O drops none of them.
+    # An -O pytest run strips the test asserts themselves; these subprocess
+    # comparisons are the suite's -O check.
+    def run_both(self, *args):
         src = str(Path(hiergames.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         runs = [
             subprocess.run(
-                [sys.executable, *flags, "-m", "hiergames", "classify", path, "--oracle", "--json"],
+                [sys.executable, *flags, "-m", "hiergames", *args],
                 capture_output=True, text=True, env=env, check=False,
             )
             for flags in ([], ["-O"])
         ]
         assert [r.returncode for r in runs] == [0, 0]
-        assert json.loads(runs[0].stdout)["class"] == "weighted"
         assert runs[0].stdout == runs[1].stdout
+        return json.loads(runs[0].stdout)
+
+    def test_classify_oracle_same_under_dash_O(self, tmp_path):
+        path = write_doc(tmp_path, {"kind": "disjunctive", "n": [3, 3, 3], "k": [1, 2, 3]})
+        assert self.run_both("classify", path, "--oracle", "--json")["class"] == "weighted"
+
+    def test_conjunctive_sweep_same_under_dash_O(self):
+        # the harness's checks and the Thm5 duality route
+        payload = self.run_both(
+            "sweep", "--kind", "conjunctive", "--levels", "2", "--nmax", "3", "--json"
+        )
+        assert payload["count"] == 36
+        assert payload["disagreements"] == 0
+
+
+# JSON values of every type, with counts small enough that an explicit
+# document's oracle run stays quick
+_small_ints = st.integers(-1, 4)
+_json_keys = st.sampled_from(["kind", "n", "k", "universe", "min_winning", "name"]) | st.text(max_size=3)
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | _small_ints
+    | st.floats(-4, 4)
+    | st.text(max_size=4)
+    | st.sampled_from(["disjunctive", "conjunctive"])
+)
+_json_values = st.recursive(
+    _json_scalars | st.lists(_small_ints, max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_json_keys, inner, max_size=4),
+    max_leaves=12,
+)
+# document-shaped values (right keys, count lists as fields), so that the fuzz
+# also reaches the classifier and the oracle
+_counts = st.lists(st.integers(0, 4), min_size=1, max_size=3)
+_name = {"name": st.text(max_size=4)}
+_json_documents = (
+    _json_values
+    | st.dictionaries(_json_keys, _json_values, max_size=5)
+    | st.fixed_dictionaries(
+        {"kind": st.sampled_from(["disjunctive", "conjunctive"]), "n": _counts, "k": _counts},
+        optional=_name,
+    )
+    | st.fixed_dictionaries(
+        {"universe": _counts, "min_winning": st.lists(_counts, max_size=4)}, optional=_name
+    )
+)
+
+
+class TestInputFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_json_documents)
+    def test_any_json_exits_0_or_2(self, data):
+        try:
+            parse_document(data)
+        except (ValueError, TypeError):
+            pass
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "doc.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(data, fh)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(["classify", path])
+        assert code in (0, 2)

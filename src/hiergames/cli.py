@@ -23,7 +23,7 @@ import sys
 from typing import Any, Optional
 
 from .certificates import RoughCert
-from .classifier import ROUGH_NOT_WEIGHTED, Verdict, WEIGHTED, classify_rough
+from .classifier import NOT_ROUGH, ROUGH_NOT_WEIGHTED, Verdict, WEIGHTED, classify_rough
 from .core import Coalition, EnumerationCapError, Multiset
 from .documents import (
     GameDocument,
@@ -103,8 +103,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
                 cert_ok = verify_representation(game, verdict.certificate, mode)
     else:
         game = doc.to_game()
-        oracle_class = oracle_classify(game)
-        cert = oracle_weighted(game) if oracle_class == WEIGHTED else oracle_rough(game)
+        oracle_class = WEIGHTED
+        cert = oracle_weighted(game)
+        if cert is None:
+            cert = oracle_rough(game)
+            oracle_class = NOT_ROUGH if cert is None else ROUGH_NOT_WEIGHTED
         verdict = Verdict(oracle_class, "oracle", cert)
         cert_ok = None
         if cert is not None:

@@ -6,9 +6,15 @@ per-level counts. A game is given by the antichain of its minimal winning
 coalitions; losing maxima, the desirability preorder on levels, completeness,
 and special players (dummies, passers, blockers) are all derived from it.
 
-Everything here is exact and deterministic. Full enumerations of the coalition
-lattice are guarded by a configurable cap (HIERGAME_ENUM_CAP) so that a typo
-in a universe cannot silently turn into a billion-element loop.
+Inputs are validated at the public boundary (Multiset, Coalition,
+ExplicitGame, is_winning). Inside, lattice scans run on plain count tuples
+from one private walker, _lattice, in mixed-radix index order, so a scan can
+keep a flat table indexed by position; only the coalitions a scan returns
+are wrapped, unvalidated, by _coalition.
+
+Everything here is exact and deterministic. _lattice enforces a
+configurable cap (HIERGAME_ENUM_CAP) on every enumeration, so that a typo in
+a universe cannot silently turn into a billion-element loop.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Iterable, Iterator
+from operator import ge
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "DEFAULT_ENUM_CAP",
@@ -116,7 +123,7 @@ class Multiset:
         return Coalition(tuple(n - x for x, n in zip(coalition.counts, self.counts)))
 
     def __str__(self) -> str:
-        return "{" + ",".join(f"{i + 1}^{c}" for i, c in enumerate(self.counts)) + "}"
+        return _levels_str(self.counts)
 
 
 @dataclass(frozen=True)
@@ -152,30 +159,63 @@ class Coalition:
         return "{" + ",".join(parts) + "}" if parts else "{}"
 
 
+def _levels_str(counts: Sequence[int]) -> str:
+    return "{" + ",".join(f"{i + 1}^{c}" for i, c in enumerate(counts)) + "}"
+
+
+def _coalition(counts: tuple[int, ...]) -> Coalition:
+    """Coalition from a count tuple the library built itself: no validation."""
+    out = object.__new__(Coalition)
+    object.__setattr__(out, "counts", counts)
+    return out
+
+
+def _strides(counts: Sequence[int]) -> tuple[int, ...]:
+    """Mixed-radix place values: stride_i is the product of (n_j + 1), j > i."""
+    return tuple(math.prod(c + 1 for c in counts[i + 1 :]) for i in range(len(counts)))
+
+
+def _lattice(
+    counts: Sequence[int], cap: int | None, what: str = "universe"
+) -> Iterator[tuple[int, ...]]:
+    """Every count vector x <= counts, in lexicographic order.
+
+    That is index order: the j-th vector is the x with sum(x_i * stride_i)
+    == j (see _strides). Raises EnumerationCapError at the call, before
+    anything is built, when there are more than `cap` vectors (default:
+    enumeration_cap()). This is the one place the cap is checked.
+    """
+    limit = enumeration_cap() if cap is None else cap
+    total = math.prod(c + 1 for c in counts)
+    if total > limit:
+        raise EnumerationCapError(
+            f"{what} {_levels_str(counts)} has {total} coalitions, cap is {limit}"
+        )
+    return product(*(range(c + 1) for c in counts))
+
+
 def iter_coalitions(universe: Multiset, cap: int | None = None) -> Iterator[Coalition]:
     """All submultisets of the universe, in lexicographic count order.
 
     Raises EnumerationCapError when the lattice has more than `cap` members
     (default: enumeration_cap()).
     """
-    limit = enumeration_cap() if cap is None else cap
-    total = universe.coalition_count()
-    if total > limit:
-        raise EnumerationCapError(
-            f"universe {universe} has {total} coalitions, cap is {limit}"
-        )
-    for counts in product(*(range(n + 1) for n in universe.counts)):
-        yield Coalition(counts)
+    return map(_coalition, _lattice(universe.counts, cap))
+
+
+def _covers(x: tuple[int, ...], w: tuple[int, ...]) -> bool:
+    """Pointwise x >= w."""
+    return all(map(ge, x, w))
 
 
 def _minimal_antichain(members: Iterable[Coalition]) -> frozenset[Coalition]:
-    pool = set(members)
-    keep = set()
-    for x in pool:
-        if not any(y is not x and x.contains(y) and x != y for y in pool):
-            keep.add(x)
-    # equal duplicates collapse in the set; strict containments are dropped above
-    return frozenset(keep)
+    # equal coalitions collapse in the dict; strict supersets are dropped
+    pool = {w.counts: w for w in members}
+    return frozenset(
+        w
+        for x, w in pool.items()
+        if not any(y != x and _covers(x, y) for y in pool)
+    )
 
 
 @dataclass(frozen=True)
@@ -187,6 +227,9 @@ class ExplicitGame:
     is equality of games. The empty antichain (nothing wins) and the antichain
     {empty coalition} (everything wins) are representable; most derived
     operations treat them as edge cases rather than rejecting them.
+
+    maximal_losing memoizes its antichain on the instance (outside the
+    dataclass fields, so equality and hashing do not see it).
     """
 
     universe: Multiset
@@ -207,29 +250,65 @@ class ExplicitGame:
         return self.universe.m
 
 
+def _explicit_game(universe: Multiset, min_winning: frozenset[Coalition]) -> ExplicitGame:
+    """ExplicitGame from an antichain a lattice scan built: no validation and
+    no minimization, since the scan yields exactly the minimal members."""
+    game = object.__new__(ExplicitGame)
+    object.__setattr__(game, "universe", universe)
+    object.__setattr__(game, "min_winning", min_winning)
+    return game
+
+
 def is_winning(game: ExplicitGame, coalition: Coalition) -> bool:
     """True iff the coalition contains some minimal winning coalition."""
     if not game.universe.fits(coalition):
         raise ValueError(f"{coalition} does not fit in universe {game.universe}")
-    return any(coalition.contains(w) for w in game.min_winning)
+    x = coalition.counts
+    return any(_covers(x, w.counts) for w in game.min_winning)
 
 
 def maximal_losing(game: ExplicitGame, cap: int | None = None) -> frozenset[Coalition]:
     """Antichain of losing coalitions all of whose strict supersets win.
 
-    Enumerates the full coalition lattice (cap applies). A losing coalition is
-    maximal iff every single-unit extension wins, by monotonicity.
+    Scans the full coalition lattice once per game: the cap is checked on
+    every call, and the antichain is memoized on the game.
+    """
+    points = _lattice(game.universe.counts, cap)
+    memo = game.__dict__.get("_maximal_losing")
+    if memo is None:
+        memo = frozenset(map(_coalition, _scan_maximal_losing(game, list(points))))
+        object.__setattr__(game, "_maximal_losing", memo)
+    return memo
+
+
+def _scan_maximal_losing(
+    game: ExplicitGame, points: list[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    """Maximal losing count vectors from a flat winning table over `points`
+    (the whole lattice, in index order).
+
+    First pass: x wins iff it is minimal winning or x - e_i wins for some
+    level i. Second pass: x is maximal losing iff it loses and x + e_i wins
+    for every level i with x_i < n_i (by monotonicity, every strict superset
+    then wins).
     """
     n = game.universe.counts
-    losing = {x for x in iter_coalitions(game.universe, cap) if not is_winning(game, x)}
-    out = []
-    for x in losing:
-        if all(
-            x.counts[i] == n[i] or x.with_unit(i) not in losing
-            for i in range(len(n))
-        ):
-            out.append(x)
-    return frozenset(out)
+    strides = _strides(n)
+    levels = tuple(enumerate(strides))
+    win = bytearray(len(points))
+    for w in game.min_winning:
+        win[sum(a * s for a, s in zip(w.counts, strides))] = 1
+    for idx, x in enumerate(points):
+        if not win[idx]:
+            for i, s in levels:
+                if x[i] and win[idx - s]:
+                    win[idx] = 1
+                    break
+    return [
+        x
+        for idx, x in enumerate(points)
+        if not win[idx] and all(x[i] == n[i] or win[idx + s] for i, s in levels)
+    ]
 
 
 class LevelRelation(Enum):
@@ -254,15 +333,14 @@ def level_relation(game: ExplicitGame, i: int, j: int, cap: int | None = None) -
     caps = list(game.universe.counts)
     caps[i] -= 1
     caps[j] -= 1
-    limit = enumeration_cap() if cap is None else cap
-    if math.prod(c + 1 for c in caps) > limit:
-        raise EnumerationCapError(f"level comparison on {game.universe} exceeds cap {limit}")
+    wmin = [w.counts for w in game.min_winning]
     i_ge_j = True
     j_ge_i = True
-    for counts in product(*(range(c + 1) for c in caps)):
-        x = Coalition(counts)
-        wi = is_winning(game, x.with_unit(i))
-        wj = is_winning(game, x.with_unit(j))
+    for x in _lattice(caps, cap, "level comparison lattice"):
+        xi = x[:i] + (x[i] + 1,) + x[i + 1 :]
+        xj = x[:j] + (x[j] + 1,) + x[j + 1 :]
+        wi = any(_covers(xi, w) for w in wmin)
+        wj = any(_covers(xj, w) for w in wmin)
         if wj and not wi:
             i_ge_j = False
         if wi and not wj:

@@ -15,6 +15,8 @@ game itself (merging equivalent levels).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import ge
 from typing import Optional
 
 from .core import (
@@ -22,7 +24,11 @@ from .core import (
     ExplicitGame,
     LevelRelation,
     Multiset,
+    _coalition,
+    _explicit_game,
     _int_tuple,
+    _lattice,
+    _strides,
     is_winning,
     iter_coalitions,
     level_relation,
@@ -121,20 +127,24 @@ def hier_is_winning(spec: HierSpec, coalition: Coalition) -> bool:
 def realize(spec: HierSpec, cap: int | None = None) -> ExplicitGame:
     """Explicit game of a spec: minimal winning coalitions by lattice scan.
 
-    A winning coalition is minimal iff removing any single unit loses.
+    One pass in index order: the prefix thresholds decide whether x wins,
+    and a winning x is minimal iff x - e_i loses for every level i with
+    x_i > 0 (those points come earlier, so their flags are already set).
     Cost O(product(n_i + 1) * m), guarded by the enumeration cap.
     """
+    points = _lattice(spec.n, cap)  # the cap is checked before any allocation
+    test = any if spec.kind == DISJUNCTIVE else all
+    k = spec.k
+    levels = tuple(enumerate(_strides(spec.n)))
     universe = spec.universe()
+    win = bytearray(universe.coalition_count())
     minimal = []
-    for x in iter_coalitions(universe, cap):
-        if not hier_is_winning(spec, x):
-            continue
-        if all(
-            x.counts[i] == 0 or not hier_is_winning(spec, x.with_unit(i, -1))
-            for i in range(spec.m)
-        ):
-            minimal.append(x)
-    return ExplicitGame(universe, frozenset(minimal))
+    for idx, x in enumerate(points):
+        if test(map(ge, accumulate(x), k)):
+            win[idx] = 1
+            if not any(x[i] and win[idx - s] for i, s in levels):
+                minimal.append(_coalition(x))
+    return _explicit_game(universe, frozenset(minimal))
 
 
 @dataclass(frozen=True)

@@ -81,39 +81,28 @@ def _require_proper(game: ExplicitGame) -> None:
 
 
 def separation_system(
-    game: ExplicitGame,
-    quota: Rational = 1,
-    lmax: Optional[frozenset[Coalition]] = None,
-    cap: int | None = None,
+    game: ExplicitGame, quota: Rational = 1, cap: int | None = None
 ) -> SeparationSystem:
     """Antichain rows of `game` at a fixed quota (default 1, the rough form)."""
     _require_proper(game)
     q = as_rational(quota, "quota")
-    if lmax is None:
-        lmax = maximal_losing(game, cap)
     ge = tuple(sorted((w.counts, q) for w in game.min_winning))
-    le = tuple(sorted((x.counts, q) for x in lmax))
+    le = tuple(sorted((x.counts, q) for x in maximal_losing(game, cap)))
     return SeparationSystem(game.universe.m, ge, le)
 
 
-def oracle_weighted(
-    game: ExplicitGame,
-    lmax: Optional[frozenset[Coalition]] = None,
-    cap: int | None = None,
-) -> Optional[RoughCert]:
+def oracle_weighted(game: ExplicitGame, cap: int | None = None) -> Optional[RoughCert]:
     """Exact weighted representation of the game, or None.
 
     The returned certificate satisfies w(W) >= q for minimal winning W and
     w(L) <= q - 1 < q for maximal losing L.
     """
     _require_proper(game)
-    if lmax is None:
-        lmax = maximal_losing(game, cap)
     m = game.universe.m
     sys = LinearSystem(m + 1)  # variables w_1..w_m, q
     for w in sorted(x.counts for x in game.min_winning):
         sys.add_ge(w + (-1,), 0)
-    for x in sorted(x.counts for x in lmax):
+    for x in sorted(x.counts for x in maximal_losing(game, cap)):
         sys.add_le(x + (-1,), -1)
     for i in range(m):
         sys.add_ge(tuple(1 if j == i else 0 for j in range(m)) + (0,), 0)
@@ -127,21 +116,14 @@ def oracle_weighted(
     return RoughCert(quota, weights)
 
 
-def oracle_rough(
-    game: ExplicitGame,
-    lmax: Optional[frozenset[Coalition]] = None,
-    cap: int | None = None,
-) -> Optional[RoughCert]:
+def oracle_rough(game: ExplicitGame, cap: int | None = None) -> Optional[RoughCert]:
     """Exact rough representation of the game, or None.
 
     Tries the quota-1 polytope first (branch A), then the zero-quota passer
     certificates (branch B). See the module docstring for why these two
     branches are exhaustive.
     """
-    _require_proper(game)
-    if lmax is None:
-        lmax = maximal_losing(game, cap)
-    point = separation_system(game, 1, lmax).to_linear_system().feasible_point()
+    point = separation_system(game, 1, cap).to_linear_system().feasible_point()
     if point is not None:
         return RoughCert(Fraction(1), point)
     m = game.universe.m
@@ -155,10 +137,9 @@ def oracle_rough(
 
 def oracle_classify(game: ExplicitGame, cap: int | None = None) -> str:
     """'weighted', 'rough_not_weighted', or 'not_rough', by pure feasibility."""
-    lmax = maximal_losing(game, cap)
-    if oracle_weighted(game, lmax) is not None:
+    if oracle_weighted(game, cap) is not None:
         return "weighted"
-    if oracle_rough(game, lmax) is not None:
+    if oracle_rough(game, cap) is not None:
         return "rough_not_weighted"
     return "not_rough"
 
@@ -207,7 +188,7 @@ def extremal_weight(
     m = game.universe.m
     if len(objective) != m:
         raise ValueError(f"objective needs {m} coefficients, got {len(objective)}")
-    sys = separation_system(game, 1, None, cap).to_linear_system()
+    sys = separation_system(game, 1, cap).to_linear_system()
     result = sys.minimize(objective) if sense == "min" else sys.maximize(objective)
     if result.status == INFEASIBLE:
         raise ValueError("game has no rough representation with quota 1")

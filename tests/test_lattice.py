@@ -1,0 +1,179 @@
+"""The lean lattice layer against the coalition-by-coalition reference scans,
+its enumeration cap, and how often the oracle paths scan a game's lattice."""
+
+import json
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import hiergames
+import lattice_reference as ref
+from hiergames import (
+    CONJUNCTIVE,
+    DISJUNCTIVE,
+    Coalition,
+    EnumerationCapError,
+    ExplicitGame,
+    HierSpec,
+    Multiset,
+    classify,
+    level_relation,
+    maximal_losing,
+    realize,
+    run_sweep,
+    sweep_specs,
+)
+from hiergames.cli import main
+from hiergames.feasibility import LinearSystem
+
+GRIDS = [(levels, 3) for levels in (1, 2, 3, 4)] + [(5, 2)]
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("kind", [DISJUNCTIVE, CONJUNCTIVE])
+    @pytest.mark.parametrize("levels,nmax", GRIDS)
+    def test_sweep_grids(self, kind, levels, nmax):
+        specs = list(sweep_specs(kind, levels, nmax))
+        assert specs
+        for spec in specs:
+            game = realize(spec)
+            expected = ref.realize(spec)
+            assert game.min_winning == expected.min_winning, spec
+            assert maximal_losing(game) == ref.maximal_losing(expected), spec
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_explicit_games(self, data):
+        m = data.draw(st.integers(1, 4))
+        universe = Multiset(tuple(data.draw(st.integers(1, 3)) for _ in range(m)))
+        pool = ref.lattice(universe)
+        members = data.draw(st.lists(st.sampled_from(pool), max_size=6))
+        game = ExplicitGame(universe, frozenset(members))
+        assert game.min_winning == ref.minimal_antichain(members)
+        assert maximal_losing(game) == ref.maximal_losing(game)
+        assert maximal_losing(game) == ref.maximal_losing(game)  # memoized copy
+
+    def test_returned_coalitions_are_plain_values(self):
+        game = realize(HierSpec(DISJUNCTIVE, (3, 3, 3), (2, 3, 5)))
+        for c in game.min_winning | maximal_losing(game):
+            assert type(c) is Coalition and type(c.counts) is tuple
+            assert all(type(v) is int for v in c.counts)
+            assert c == Coalition(c.counts) and hash(c) == hash(Coalition(c.counts))
+
+
+class TestCap:
+    SPEC = HierSpec(DISJUNCTIVE, (3, 3, 3), (2, 3, 5))  # 64 lattice points
+
+    def test_realize_and_maximal_losing_honour_cap_argument(self):
+        with pytest.raises(EnumerationCapError, match="has 64 coalitions, cap is 63"):
+            realize(self.SPEC, cap=63)
+        game = realize(self.SPEC, cap=64)
+        with pytest.raises(EnumerationCapError):
+            maximal_losing(game, cap=63)
+        maximal_losing(game, cap=64)
+        # a memoized antichain is still refused under a smaller cap
+        with pytest.raises(EnumerationCapError):
+            maximal_losing(game, cap=63)
+        with pytest.raises(EnumerationCapError):
+            level_relation(game, 0, 1, cap=35)  # 3 * 3 * 4 points
+        level_relation(game, 0, 1, cap=36)
+
+    def test_realize_and_maximal_losing_honour_env_cap(self, monkeypatch):
+        game = realize(self.SPEC)
+        maximal_losing(game)
+        monkeypatch.setenv("HIERGAME_ENUM_CAP", "63")
+        with pytest.raises(EnumerationCapError):
+            realize(self.SPEC)
+        with pytest.raises(EnumerationCapError):
+            maximal_losing(game)
+
+    def test_refused_before_the_table_is_allocated(self):
+        # 201^3 = 8,120,601 points: a winning table for them would take 8 MB
+        spec = HierSpec(DISJUNCTIVE, (200, 200, 200), (1, 2, 3))
+        game = ExplicitGame(spec.universe(), frozenset({Coalition((1, 0, 0))}))
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationCapError):
+                realize(spec, cap=100)
+            with pytest.raises(EnumerationCapError):
+                maximal_losing(game, cap=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_run_sweep_records_skipped_specs(self):
+        # n = (1, 2, 1) has 12 lattice points; every other 3-level universe
+        # with n_i <= 2 has more
+        report = run_sweep(DISJUNCTIVE, 3, 2, cap=12)
+        skipped = [r for r in report.records if r.skipped is not None]
+        checked = [r for r in report.records if r.skipped is None]
+        assert skipped and checked
+        for r in report.records:
+            assert r.verdict == classify(r.spec)
+        for r in skipped:
+            assert r.skipped.startswith("universe {")
+            assert (r.oracle_class, r.cert_verified, r.agree) == (None, None, True)
+        for r in checked:
+            assert r.spec.universe().coalition_count() <= 12
+            assert r.oracle_class == r.verdict.game_class and r.cert_verified
+        assert report.all_agree
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """Every game whose maximal losing antichain is computed by a lattice scan."""
+    log = []
+    scan = hiergames.core._scan_maximal_losing
+
+    def counting(game, points):
+        log.append(game)
+        return scan(game, points)
+
+    monkeypatch.setattr(hiergames.core, "_scan_maximal_losing", counting)
+    return log
+
+
+class TestScanCounts:
+    def test_run_sweep_scans_each_game_once(self, scanned):
+        report = run_sweep(DISJUNCTIVE, 2, 3)
+        assert len(report.records) == 36 and report.all_agree
+        assert [g.universe.counts for g in scanned] == [r.spec.n for r in report.records]
+        assert len({id(g) for g in scanned}) == 36
+
+    def test_classify_oracle_scans_once(self, scanned, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"kind": DISJUNCTIVE, "n": [3, 3, 3], "k": [2, 3, 5]}))
+        assert main(["classify", str(path), "--oracle", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["agree"] is True
+        assert len(scanned) == 1
+
+    @pytest.mark.parametrize(
+        "doc,game_class,solves",
+        [
+            ({"universe": [3, 3], "min_winning": [[2, 0], [1, 2]]}, "weighted", 1),
+            ({"universe": [2, 2], "min_winning": [[1, 1]]}, "rough_not_weighted", 2),
+            (
+                {"universe": [2, 2, 2], "min_winning": [[2, 0, 0], [0, 2, 0], [0, 0, 2]]},
+                "not_rough",
+                2,
+            ),
+        ],
+    )
+    def test_explicit_classify_solves_each_lp_once(
+        self, doc, game_class, solves, scanned, tmp_path, capsys, monkeypatch
+    ):
+        solved = []
+        solve = LinearSystem.feasible_point
+
+        def counting(system):
+            solved.append(system)
+            return solve(system)
+
+        monkeypatch.setattr(LinearSystem, "feasible_point", counting)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["classify", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["class"] == game_class
+        assert (len(solved), len(scanned)) == (solves, 1)

@@ -45,6 +45,7 @@ from .harness import (
     StructuralReport,
     SweepRecord,
     SweepReport,
+    cross_check,
     run_sweep,
     structural_scan,
     sweep_specs,
@@ -67,12 +68,10 @@ from .hierarchy import (
     truncate,
 )
 from .oracle import (
-    SeparationSystem,
     extremal_weight,
     oracle_classify,
     oracle_rough,
     oracle_weighted,
-    separation_system,
     verify_representation,
 )
 from .transforms import (

@@ -32,14 +32,9 @@ from .documents import (
     document_to_dict,
     load_document,
 )
-from .harness import SweepReport, run_sweep, structural_scan
-from .hierarchy import canon_check, canonicalize_semantic, realize
-from .oracle import (
-    oracle_classify,
-    oracle_rough,
-    oracle_weighted,
-    verify_representation,
-)
+from .harness import SweepReport, cross_check, run_sweep, structural_scan
+from .hierarchy import canon_check, canonicalize_semantic
+from .oracle import oracle_rough, oracle_weighted, verify_representation
 from .transforms import (
     REDUCED,
     SUBGAME,
@@ -92,15 +87,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
             )
         verdict = classify_rough(spec)
         payload["spec"] = document_to_dict(document_from_spec(spec))
-        game = None
         oracle_class: Optional[str] = None
         cert_ok: Optional[bool] = None
         if args.oracle:
-            game = realize(spec)
-            oracle_class = oracle_classify(game)
-            if verdict.certificate is not None:
-                mode = "weighted" if verdict.game_class == WEIGHTED else "rough"
-                cert_ok = verify_representation(game, verdict.certificate, mode)
+            oracle_class, cert_ok = cross_check(spec, verdict)
     else:
         game = doc.to_game()
         oracle_class = WEIGHTED
@@ -197,10 +187,11 @@ def cmd_canon(args: argparse.Namespace) -> int:
 
 
 def _parse_counts(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.replace(" ", "").split(",") if part != "")
-    except ValueError as exc:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from exc
+    # spaces around a field are fine; an empty field, "1_0" or "+1" is not
+    fields = [part.strip() for part in text.split(",")]
+    if not all(f.isascii() and f.isdigit() for f in fields):
+        raise ValueError(f"expected comma-separated nonnegative integers, got {text!r}")
+    return tuple(map(int, fields))
 
 
 def cmd_minor(args: argparse.Namespace) -> int:

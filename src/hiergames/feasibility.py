@@ -1,6 +1,6 @@
 """Exact linear feasibility and optimization over the rationals.
 
-Small systems of linear inequalities a.x <= b with Fraction coefficients,
+Small systems of linear inequalities a.x <= b with int or Fraction coefficients,
 decided by one exact simplex on the dual cone program (below). No floating
 point anywhere: the answers here certify mathematical claims, so "feasible
 up to 1e-9" is not feasible. Rows are stored as integers, and the tableau
@@ -39,6 +39,12 @@ INFEASIBLE = "infeasible"
 _Row = tuple[tuple[int, ...], int]
 
 
+def _exact(value: Rational, what: str) -> Rational:
+    """An int passes through as it is (no Fraction per coefficient); any
+    other value must pass as_rational, which rejects bools and floats."""
+    return value if type(value) is int else as_rational(value, what)
+
+
 @dataclass(frozen=True)
 class OptResult:
     """Outcome of an exact linear program.
@@ -53,16 +59,16 @@ class OptResult:
     point: Optional[tuple[Fraction, ...]]
 
 
-def _normalize(coeffs: Sequence[Fraction], rhs: Fraction) -> _Row:
-    denom = rhs.denominator
-    for c in coeffs:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in coeffs]
-    b = int(rhs * denom)
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    g = gcd(g, abs(b))
+def _scaled(values: Sequence[Rational]) -> tuple[tuple[int, ...], int]:
+    """Integers v * scale for the least scale > 0 that clears every
+    denominator; ints (denominator 1) pass through unchanged."""
+    scale = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (scale // v.denominator) for v in values), scale
+
+
+def _normalize(coeffs: Sequence[Rational], rhs: Rational) -> _Row:
+    *ints, b = _scaled([*coeffs, rhs])[0]
+    g = gcd(*ints, b)
     if g > 1:
         ints = [v // g for v in ints]
         b //= g
@@ -85,8 +91,8 @@ class LinearSystem:
     def _add(self, coeffs: Sequence[Rational], rhs: Rational, negate: bool) -> None:
         if len(coeffs) != self.num_vars:
             raise ValueError(f"expected {self.num_vars} coefficients, got {len(coeffs)}")
-        cs = [as_rational(c, "coefficient") for c in coeffs]
-        b = as_rational(rhs, "bound")
+        cs = [_exact(c, "coefficient") for c in coeffs]
+        b = _exact(rhs, "bound")
         if negate:
             cs = [-c for c in cs]
             b = -b
@@ -124,13 +130,12 @@ class LinearSystem:
         multipliers are the witness."""
         if len(objective) != self.num_vars:
             raise ValueError(f"expected {self.num_vars} objective coefficients")
-        obj = [sense * as_rational(c, "objective") for c in objective]
+        obj = [sense * _exact(c, "objective") for c in objective]
         if _pivot_feasible(self._rows, self.num_vars) is None:
             return OptResult(INFEASIBLE, None, None)
         # scaling the target scales every basic solution of the cone alike,
         # so the pivots are the same and only the value needs scaling back
-        scale = lcm(*(c.denominator for c in obj))
-        target = tuple(c.numerator * (scale // c.denominator) for c in obj)
+        target, scale = _scaled(obj)
         status, value, pi = _simplex_cone(self._rows, target)
         if status == INFEASIBLE:
             # no dual multipliers at all: nothing caps the objective

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional
 
-from .classifier import Verdict, classify_rough
+from .classifier import WEIGHTED, Verdict, classify_rough
 from .core import (
     Coalition,
     EnumerationCapError,
@@ -52,6 +52,7 @@ __all__ = [
     "SweepReport",
     "StructuralReport",
     "sweep_specs",
+    "cross_check",
     "run_sweep",
     "structural_scan",
 ]
@@ -139,6 +140,22 @@ def sweep_specs(
             yield spec
 
 
+def cross_check(
+    spec: HierSpec, verdict: Verdict, cap: int | None = None
+) -> tuple[str, Optional[bool]]:
+    """The oracle's class of the realized spec, and whether the verdict's
+    certificate holds on that game (None when the verdict has none).
+
+    Raises EnumerationCapError when the spec's lattice exceeds the cap.
+    """
+    game = realize(spec, cap)
+    oracle_class = oracle_classify(game, cap)
+    if verdict.certificate is None:
+        return oracle_class, None
+    mode = "weighted" if verdict.game_class == WEIGHTED else "rough"
+    return oracle_class, verify_representation(game, verdict.certificate, mode, cap)
+
+
 def run_sweep(
     kind: str,
     levels: int,
@@ -163,19 +180,10 @@ def run_sweep(
         t2 = t1
         if oracle:
             try:
-                game = realize(spec, cap)
-                oracle_class = oracle_classify(game, cap)
-                if verdict.certificate is not None:
-                    mode = "weighted" if verdict.game_class == "weighted" else "rough"
-                    cert_verified = verify_representation(
-                        game, verdict.certificate, mode, cap
-                    )
-                t2 = time.perf_counter()
+                oracle_class, cert_verified = cross_check(spec, verdict, cap)
             except EnumerationCapError as exc:
                 skipped = str(exc)
-                oracle_class = None
-                cert_verified = None
-                t2 = time.perf_counter()
+            t2 = time.perf_counter()
         records.append(
             SweepRecord(
                 spec=spec,

@@ -300,32 +300,22 @@ def recover_conjunctive(game: ExplicitGame, cap: int | None = None) -> Optional[
 def _recover(game: ExplicitGame, kind: str, cap: int | None) -> Optional[HierSpec]:
     if not game.min_winning or any(w.size == 0 for w in game.min_winning):
         return None
-    m = game.universe.m
-    best: list[Optional[int]] = [None] * m
-    for x in iter_coalitions(game.universe, cap):
-        winning = is_winning(game, x)
-        if kind == DISJUNCTIVE and not winning:
-            for i in range(m):
-                p = x.prefix(i)
-                if best[i] is None or p > best[i]:
-                    best[i] = p
-        elif kind == CONJUNCTIVE and winning:
-            for i in range(m):
-                p = x.prefix(i)
-                if best[i] is None or p < best[i]:
-                    best[i] = p
-    if any(b is None for b in best):
-        return None
-    k = tuple(b + 1 for b in best) if kind == DISJUNCTIVE else tuple(best)
+    iter_coalitions(game.universe, cap)  # the cap error comes before any verdict
+    # prefix counts only grow with the coalition, so the extreme prefixes of
+    # all losing (winning) coalitions are those of the maximal losing
+    # (minimal winning) ones
+    if kind == DISJUNCTIVE:
+        prefixes = zip(*(accumulate(x.counts) for x in maximal_losing(game, cap)))
+        k = tuple(1 + max(p) for p in prefixes)
+    else:
+        prefixes = zip(*(accumulate(w.counts) for w in game.min_winning))
+        k = tuple(min(p) for p in prefixes)
     try:
         spec = HierSpec(kind, game.universe.counts, k)
     except ValueError:
         return None
-    if not canon_check(spec).canonical:
+    if not canon_check(spec).canonical or realize(spec, cap) != game:
         return None
-    for x in iter_coalitions(game.universe, cap):
-        if hier_is_winning(spec, x) != is_winning(game, x):
-            return None
     return spec
 
 

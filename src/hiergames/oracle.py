@@ -25,21 +25,22 @@ some level's single player wins alone (a zero-quota certificate must give
 losing coalitions weight zero; a positive weight on level i then forces the
 singleton {i} to win). Branch B scans for such a level and certifies with its
 indicator weighting. The two branches together are complete.
+
+Both systems come from one builder, _separating_system. Its rows are the
+game's own count vectors as ints (the weighted system appends -1 for the
+quota variable), so the LP engine never rescales a coalition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .certificates import Rational, RoughCert, as_rational
+from .certificates import Rational, RoughCert
 from .core import Coalition, ExplicitGame, is_winning, maximal_losing
 from .feasibility import INFEASIBLE, UNBOUNDED, LinearSystem
 
 __all__ = [
-    "SeparationSystem",
-    "separation_system",
     "oracle_weighted",
     "oracle_rough",
     "oracle_classify",
@@ -48,47 +49,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SeparationSystem:
-    """The two antichain-driven constraint families at a fixed quota.
+def _separating_system(game: ExplicitGame, weighted: bool, cap: int | None) -> LinearSystem:
+    """The weighted system (quota as the last variable) or the quota-1 rough
+    system of `game`, with w >= 0.
 
-    ge_rows: (coalition counts, bound) meaning w . counts >= bound, one row
-    per minimal winning coalition. le_rows likewise with <=, one row per
-    maximal losing coalition. Nonnegativity of w is implied.
+    Rows come in a fixed order, sorted minimal winning, sorted maximal
+    losing, then the unit rows: the order fixes the simplex's pivots, and so
+    the witnesses.
     """
-
-    num_levels: int
-    ge_rows: tuple[tuple[tuple[int, ...], Fraction], ...]
-    le_rows: tuple[tuple[tuple[int, ...], Fraction], ...]
-
-    def to_linear_system(self) -> LinearSystem:
-        sys = LinearSystem(self.num_levels)
-        for counts, bound in self.ge_rows:
-            sys.add_ge(counts, bound)
-        for counts, bound in self.le_rows:
-            sys.add_le(counts, bound)
-        for i in range(self.num_levels):
-            unit = tuple(1 if j == i else 0 for j in range(self.num_levels))
-            sys.add_ge(unit, 0)
-        return sys
-
-
-def _require_proper(game: ExplicitGame) -> None:
     if not game.min_winning:
         raise ValueError("game has no winning coalitions")
     if any(w.size == 0 for w in game.min_winning):
         raise ValueError("game declares the empty coalition winning")
-
-
-def separation_system(
-    game: ExplicitGame, quota: Rational = 1, cap: int | None = None
-) -> SeparationSystem:
-    """Antichain rows of `game` at a fixed quota (default 1, the rough form)."""
-    _require_proper(game)
-    q = as_rational(quota, "quota")
-    ge = tuple(sorted((w.counts, q) for w in game.min_winning))
-    le = tuple(sorted((x.counts, q) for x in maximal_losing(game, cap)))
-    return SeparationSystem(game.universe.m, ge, le)
+    m = game.universe.m
+    # weighted: w(W) - q >= 0 and w(L) - q <= -1; rough: w(W) >= 1, w(L) <= 1
+    tail, win, lose = ((-1,), 0, -1) if weighted else ((), 1, 1)
+    sys = LinearSystem(m + len(tail))
+    for w in sorted(x.counts for x in game.min_winning):
+        sys.add_ge(w + tail, win)
+    for x in sorted(x.counts for x in maximal_losing(game, cap)):
+        sys.add_le(x + tail, lose)
+    for i in range(m):
+        sys.add_ge(tuple(int(j == i) for j in range(sys.num_vars)), 0)
+    return sys
 
 
 def oracle_weighted(game: ExplicitGame, cap: int | None = None) -> Optional[RoughCert]:
@@ -97,18 +80,10 @@ def oracle_weighted(game: ExplicitGame, cap: int | None = None) -> Optional[Roug
     The returned certificate satisfies w(W) >= q for minimal winning W and
     w(L) <= q - 1 < q for maximal losing L.
     """
-    _require_proper(game)
-    m = game.universe.m
-    sys = LinearSystem(m + 1)  # variables w_1..w_m, q
-    for w in sorted(x.counts for x in game.min_winning):
-        sys.add_ge(w + (-1,), 0)
-    for x in sorted(x.counts for x in maximal_losing(game, cap)):
-        sys.add_le(x + (-1,), -1)
-    for i in range(m):
-        sys.add_ge(tuple(1 if j == i else 0 for j in range(m)) + (0,), 0)
-    point = sys.feasible_point()
+    point = _separating_system(game, True, cap).feasible_point()
     if point is None:
         return None
+    m = game.universe.m
     weights, quota = point[:m], point[m]
     # the empty coalition is losing, so its maximal superset forces q >= 1
     if quota < 1:
@@ -123,7 +98,7 @@ def oracle_rough(game: ExplicitGame, cap: int | None = None) -> Optional[RoughCe
     certificates (branch B). See the module docstring for why these two
     branches are exhaustive.
     """
-    point = separation_system(game, 1, cap).to_linear_system().feasible_point()
+    point = _separating_system(game, False, cap).feasible_point()
     if point is not None:
         return RoughCert(Fraction(1), point)
     m = game.universe.m
@@ -188,7 +163,7 @@ def extremal_weight(
     m = game.universe.m
     if len(objective) != m:
         raise ValueError(f"objective needs {m} coefficients, got {len(objective)}")
-    sys = separation_system(game, 1, cap).to_linear_system()
+    sys = _separating_system(game, False, cap)
     result = sys.minimize(objective) if sense == "min" else sys.maximize(objective)
     if result.status == INFEASIBLE:
         raise ValueError("game has no rough representation with quota 1")

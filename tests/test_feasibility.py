@@ -96,6 +96,26 @@ class TestOptimize:
             sys.maximize([1])
 
 
+class TestExactBoundary:
+    """Only ints and Fractions enter a system; bools and floats raise
+    TypeError, which the CLI reports as an input error."""
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True], ids=["float", "float-int", "bool"])
+    @pytest.mark.parametrize("verb", ["add_le", "add_ge", "add_eq"])
+    def test_rows_reject_non_rationals(self, verb, bad):
+        sys = LinearSystem(2)
+        with pytest.raises(TypeError):
+            getattr(sys, verb)([1, bad], 1)
+        with pytest.raises(TypeError):
+            getattr(sys, verb)([1, 1], bad)
+
+    def test_objective_rejects_float(self):
+        sys = LinearSystem(2)
+        sys.add_le([1, 1], 1)
+        with pytest.raises(TypeError):
+            sys.maximize([1, 0.5])
+
+
 class TestPivotEngine:
     """Direct checks of the dual-cone simplex on systems with known answers."""
 

@@ -8,14 +8,31 @@ from the repository root:
   hiergames classify --json tests/data/explicit_CLASS.json
       -> classify_explicit_CLASS.golden.json
 
+oracle_certificates.golden.txt pins the LP oracle's exact witnesses: one
+line per game with str(oracle_weighted), str(oracle_rough) and the maximum
+of w . (1, ..., m) over the quota-1 rough polytope. It is written by
+
+  PYTHONPATH=src python tests/test_golden.py
+
 A change that is meant to alter this output re-records the files with the
 same commands and says so; any other difference is a regression.
 """
 
+import random
 from pathlib import Path
 
 import pytest
 
+from hiergames import (
+    Coalition,
+    ExplicitGame,
+    Multiset,
+    extremal_weight,
+    oracle_rough,
+    oracle_weighted,
+    realize,
+    sweep_specs,
+)
 from hiergames.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -39,3 +56,52 @@ CASES = [
 def test_cli_output_matches_golden(argv, golden, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == (DATA / golden).read_text(encoding="utf-8")
+
+
+ORACLE_GOLDEN = "oracle_certificates.golden.txt"
+
+
+def _explicit_games(count: int = 300, seed: int = 6) -> list[ExplicitGame]:
+    """Seeded explicit games on 1-4 levels of 1-3 players each, generated by
+    the nonempty ones of 1-4 random coalitions (the constructor minimizes
+    them); a draw with none is skipped."""
+    rng = random.Random(seed)
+    games = []
+    while len(games) < count:
+        counts = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
+        draws = [tuple(rng.randint(0, c) for c in counts) for _ in range(rng.randint(1, 4))]
+        winning = frozenset(Coalition(x) for x in draws if any(x))
+        if winning:
+            games.append(ExplicitGame(Multiset(counts), winning))
+    return games
+
+
+def oracle_certificates() -> str:
+    """The oracle's witnesses on realized sweep specs and seeded explicit games."""
+    games = [
+        (str(spec), realize(spec))
+        for levels, nmax in ((2, 5), (3, 3), (4, 2))
+        for kind in ("disjunctive", "conjunctive")
+        for spec in sweep_specs(kind, levels, nmax)
+    ]
+    games += [
+        (f"{g.universe.counts} {sorted(w.counts for w in g.min_winning)}", g)
+        for g in _explicit_games()
+    ]
+    lines = []
+    for label, g in games:
+        objective = tuple(range(1, g.universe.m + 1))
+        try:
+            top = str(extremal_weight(g, objective, "max"))
+        except ValueError:
+            top = "infeasible"
+        lines.append(f"{label}\t{oracle_weighted(g)}\t{oracle_rough(g)}\t{top}\n")
+    return "".join(lines)
+
+
+def test_oracle_certificates_match_golden():
+    assert oracle_certificates() == (DATA / ORACLE_GOLDEN).read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    (DATA / ORACLE_GOLDEN).write_text(oracle_certificates(), encoding="utf-8")

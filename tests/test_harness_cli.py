@@ -261,6 +261,35 @@ class TestCliErrors:
         assert "must be ints" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["structural", "--universe", "2,,1"],
+            ["structural", "--universe", "2,1,"],
+            ["structural", "--universe", "2 1"],
+            ["structural", "--universe", "1_1"],
+            ["minor", None, "--op", "custom", "--A", "1,,0", "--step", "subgame"],
+        ],
+        ids=[
+            "structural-inner",
+            "structural-trailing",
+            "structural-no-comma",
+            "structural-underscore",
+            "minor",
+        ],
+    )
+    def test_malformed_count_fields_rejected(self, tmp_path, capsys, argv):
+        # each of these once ran silently on other counts: (2,1), (2,1),
+        # (21,), (11,) and (1,0)
+        argv = [write_doc(tmp_path, EXAMPLE_DOC) if a is None else a for a in argv]
+        assert main(argv) == 2
+        assert "comma-separated nonnegative integers" in capsys.readouterr().err
+
+    def test_spaces_around_commas_allowed(self, capsys):
+        assert main(["structural", "--universe", " 1 , 2 ", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["universe"] == [1, 2]
+
+
 class TestOptimizedMode:
     # invariant checks are explicit raises, so python -O drops none of them.
     # An -O pytest run strips the test asserts themselves; these subprocess

@@ -1,5 +1,5 @@
-"""LP-backed classification oracle: separation systems, certificates,
-verification, and extremal weights."""
+"""LP-backed classification oracle: certificates, verification, and
+extremal weights."""
 
 from fractions import Fraction
 
@@ -18,7 +18,6 @@ from hiergames import (
     oracle_rough,
     oracle_weighted,
     realize,
-    separation_system,
     verify_representation,
 )
 
@@ -29,27 +28,6 @@ def game(counts, winning):
 
 
 EXAMPLE = HierSpec(DISJUNCTIVE, (3, 3, 3), (2, 3, 5))
-
-
-class TestSeparationSystem:
-    def test_rows_mirror_the_antichains(self):
-        ss = separation_system(realize(HierSpec(DISJUNCTIVE, (3, 3), (2, 3))), 1)
-        assert ss.num_levels == 2
-        assert set(ss.ge_rows) == {
-            ((2, 0), Fraction(1)),
-            ((1, 2), Fraction(1)),
-            ((0, 3), Fraction(1)),
-        }
-        assert set(ss.le_rows) == {((1, 1), Fraction(1)), ((0, 2), Fraction(1))}
-
-    def test_to_linear_system_feasibility(self):
-        ss = separation_system(realize(EXAMPLE), 1)
-        pt = ss.to_linear_system().feasible_point()
-        assert pt is not None
-        for counts, bound in ss.ge_rows:
-            assert sum(w * c for w, c in zip(pt, counts)) >= bound
-        for counts, bound in ss.le_rows:
-            assert sum(w * c for w, c in zip(pt, counts)) <= bound
 
 
 class TestOracleWeighted:

@@ -208,7 +208,9 @@ def cmd_minor(args: argparse.Namespace) -> int:
         raise ValueError("named minors need a spec document (kind/n/k)")
     wanted = args.op
     if wanted.startswith("remove_one:"):
-        wanted = f"remove_one({int(wanted.split(':', 1)[1])})"
+        # a list of levels names no minor, so it is refused below
+        levels = _parse_counts(wanted.split(":", 1)[1])
+        wanted = f"remove_one({','.join(map(str, levels))})"
     for nm in named_minors(doc.spec):
         if nm.name == wanted:
             out = document_from_spec(nm.spec, f"{wanted}({doc.name})" if doc.name else None)

@@ -5,6 +5,8 @@ players at level i. A coalition is a submultiset, stored as a vector of
 per-level counts. A game is given by the antichain of its minimal winning
 coalitions; losing maxima, the desirability preorder on levels, completeness,
 and special players (dummies, passers, blockers) are all derived from it.
+The desirability order (level_relation, level_classes, is_complete) never
+walks the coalition lattice.
 
 Inputs are validated at the public boundary (Multiset, Coalition,
 ExplicitGame, is_winning). Inside, lattice scans run on plain count tuples
@@ -41,6 +43,7 @@ __all__ = [
     "is_winning",
     "maximal_losing",
     "level_relation",
+    "level_classes",
     "is_complete",
     "special_players",
 ]
@@ -175,9 +178,7 @@ def _strides(counts: Sequence[int]) -> tuple[int, ...]:
     return tuple(math.prod(c + 1 for c in counts[i + 1 :]) for i in range(len(counts)))
 
 
-def _lattice(
-    counts: Sequence[int], cap: int | None, what: str = "universe"
-) -> Iterator[tuple[int, ...]]:
+def _lattice(counts: Sequence[int], cap: int | None) -> Iterator[tuple[int, ...]]:
     """Every count vector x <= counts, in lexicographic order.
 
     That is index order: the j-th vector is the x with sum(x_i * stride_i)
@@ -189,7 +190,7 @@ def _lattice(
     total = math.prod(c + 1 for c in counts)
     if total > limit:
         raise EnumerationCapError(
-            f"{what} {_levels_str(counts)} has {total} coalitions, cap is {limit}"
+            f"universe {_levels_str(counts)} has {total} coalitions, cap is {limit}"
         )
     return product(*(range(c + 1) for c in counts))
 
@@ -320,46 +321,65 @@ class LevelRelation(Enum):
     INCOMPARABLE = "incomparable"
 
 
-def level_relation(game: ExplicitGame, i: int, j: int, cap: int | None = None) -> LevelRelation:
+def _at_least(wmin: list[tuple[int, ...]], i: int, j: int, n_i: int) -> bool:
+    """Level i >= level j: every minimal winning w with w_j > 0 and w_i < n_i
+    still wins with one j-unit traded for an i-unit."""
+    traded = (
+        tuple(x + (k == i) - (k == j) for k, x in enumerate(w))
+        for w in wmin
+        if w[j] and w[i] < n_i
+    )
+    return all(any(_covers(t, v) for v in wmin) for t in traded)
+
+
+def level_relation(game: ExplicitGame, i: int, j: int) -> LevelRelation:
     """Compare levels i and j (0-indexed) in the desirability preorder.
 
-    Level i is at least as desirable as j iff for every coalition X avoiding
-    one unit of each, X + {j} winning implies X + {i} winning. Tested by
-    enumerating coalitions with capacity n_i - 1 and n_j - 1 at the two levels.
+    Level i is at least as desirable as j iff every winning Y with y_j >= 1
+    and y_i < n_i still wins after one j-unit is traded for an i-unit. The
+    minimal winning Y suffice (_at_least): any such Y contains a minimal
+    winning w; if w_j >= 1 the traded w lies inside the traded Y, and if
+    w_j = 0, w lies inside Y - e_j. Cost O(|min_winning|^2 * m), no lattice.
     """
     m = game.universe.m
     if i == j or not (0 <= i < m and 0 <= j < m):
         raise ValueError(f"need two distinct levels in 0..{m - 1}, got {i}, {j}")
-    caps = list(game.universe.counts)
-    caps[i] -= 1
-    caps[j] -= 1
+    n = game.universe.counts
     wmin = [w.counts for w in game.min_winning]
-    i_ge_j = True
-    j_ge_i = True
-    for x in _lattice(caps, cap, "level comparison lattice"):
-        xi = x[:i] + (x[i] + 1,) + x[i + 1 :]
-        xj = x[:j] + (x[j] + 1,) + x[j + 1 :]
-        wi = any(_covers(xi, w) for w in wmin)
-        wj = any(_covers(xj, w) for w in wmin)
-        if wj and not wi:
-            i_ge_j = False
-        if wi and not wj:
-            j_ge_i = False
-        if not i_ge_j and not j_ge_i:
-            return LevelRelation.INCOMPARABLE
+    i_ge_j = _at_least(wmin, i, j, n[i])
+    j_ge_i = _at_least(wmin, j, i, n[j])
     if i_ge_j and j_ge_i:
         return LevelRelation.EQUIVALENT
-    return LevelRelation.STRICTLY_ABOVE if i_ge_j else LevelRelation.STRICTLY_BELOW
+    if i_ge_j:
+        return LevelRelation.STRICTLY_ABOVE
+    return LevelRelation.STRICTLY_BELOW if j_ge_i else LevelRelation.INCOMPARABLE
 
 
-def is_complete(game: ExplicitGame, cap: int | None = None) -> bool:
+def level_classes(game: ExplicitGame) -> list[list[int]] | None:
+    """Levels grouped by desirability: classes of equivalent levels, most
+    desirable class first, each level inserted in turn before the first
+    class it beats. None when two levels are incomparable; as the preorder
+    is transitive, the insertions meet such a pair if there is one."""
+    classes: list[list[int]] = []
+    for lvl in range(game.universe.m):
+        for idx, cls in enumerate(classes):
+            rel = level_relation(game, lvl, cls[0])
+            if rel is LevelRelation.EQUIVALENT:
+                cls.append(lvl)
+                break
+            if rel is LevelRelation.STRICTLY_ABOVE:
+                classes.insert(idx, [lvl])
+                break
+            if rel is LevelRelation.INCOMPARABLE:
+                return None
+        else:
+            classes.append([lvl])
+    return classes
+
+
+def is_complete(game: ExplicitGame) -> bool:
     """True iff every pair of levels is comparable in desirability."""
-    m = game.universe.m
-    return all(
-        level_relation(game, i, j, cap) is not LevelRelation.INCOMPARABLE
-        for i in range(m)
-        for j in range(i + 1, m)
-    )
+    return level_classes(game) is not None
 
 
 @dataclass(frozen=True)

@@ -32,13 +32,13 @@ from .core import (
     Multiset,
     is_complete,
     iter_coalitions,
+    level_classes,
 )
 from .hierarchy import (
     CONJUNCTIVE,
     DISJUNCTIVE,
     HierSpec,
     canon_check,
-    level_classes,
     merge_levels,
     realize,
     recover_conjunctive,
@@ -255,10 +255,10 @@ def structural_scan(universe: Multiset, cap: int | None = None) -> StructuralRep
     for members in _antichains(coalitions):
         total += 1
         game = ExplicitGame(universe, members)
-        if not is_complete(game, cap):
+        if not is_complete(game):
             continue
         complete += 1
-        ordered = merge_levels(game, level_classes(game, cap))
+        ordered = merge_levels(game, level_classes(game))
         extremal = shift_extremal(ordered, cap)
         d = recover_disjunctive(ordered, cap)
         c = recover_conjunctive(ordered, cap)

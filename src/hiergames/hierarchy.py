@@ -9,7 +9,7 @@ with k strictly increasing (conjunctive: the last pair may be equal). Distinct
 specs can describe the same game; canon_check tests the canonical-form
 conditions under which the m levels are strictly ordered by desirability, and
 canonicalize_semantic rebuilds the canonical spec of any spec's game from the
-game itself (merging equivalent levels).
+game itself, merging the equivalent levels that core.level_classes finds.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Optional
 from .core import (
     Coalition,
     ExplicitGame,
-    LevelRelation,
     Multiset,
     _coalition,
     _explicit_game,
@@ -30,8 +29,7 @@ from .core import (
     _lattice,
     _strides,
     is_winning,
-    iter_coalitions,
-    level_relation,
+    level_classes,
     maximal_losing,
 )
 
@@ -45,7 +43,6 @@ __all__ = [
     "realize",
     "canon_check",
     "canonicalize_semantic",
-    "level_classes",
     "merge_levels",
     "truncate",
     "shift_maximal_losing",
@@ -215,27 +212,6 @@ def truncate(spec: HierSpec) -> HierSpec:
     return HierSpec(spec.kind, spec.n[:-1], spec.k[:-1])
 
 
-def level_classes(game: ExplicitGame, cap: int | None = None) -> list[list[int]]:
-    """Levels grouped by desirability: classes of equivalent levels, most
-    desirable class first, each level inserted in turn before the first
-    class it beats. Requires a complete game (ValueError otherwise)."""
-    classes: list[list[int]] = []
-    for lvl in range(game.universe.m):
-        for idx, cls in enumerate(classes):
-            rel = level_relation(game, lvl, cls[0], cap)
-            if rel is LevelRelation.EQUIVALENT:
-                cls.append(lvl)
-                break
-            if rel is LevelRelation.STRICTLY_ABOVE:
-                classes.insert(idx, [lvl])
-                break
-            if rel is LevelRelation.INCOMPARABLE:
-                raise ValueError("game is not complete")
-        else:
-            classes.append([lvl])
-    return classes
-
-
 def merge_levels(game: ExplicitGame, classes: list[list[int]]) -> ExplicitGame:
     """Collapse each listed class of equally desirable levels into one level.
 
@@ -265,7 +241,9 @@ def canonicalize_semantic(
     describes the same game. mapping[i] is the class index of original level i.
     """
     game = realize(spec, cap)
-    classes = level_classes(game, cap)
+    classes = level_classes(game)
+    if classes is None:
+        raise RuntimeError(f"realized game of {spec} has incomparable levels")
     merged = merge_levels(game, classes)
     recover = recover_disjunctive if spec.kind == DISJUNCTIVE else recover_conjunctive
     canonical = recover(merged, cap)
@@ -300,7 +278,7 @@ def recover_conjunctive(game: ExplicitGame, cap: int | None = None) -> Optional[
 def _recover(game: ExplicitGame, kind: str, cap: int | None) -> Optional[HierSpec]:
     if not game.min_winning or any(w.size == 0 for w in game.min_winning):
         return None
-    iter_coalitions(game.universe, cap)  # the cap error comes before any verdict
+    _lattice(game.universe.counts, cap)  # the cap error comes before any verdict
     # prefix counts only grow with the coalition, so the extreme prefixes of
     # all losing (winning) coalitions are those of the maximal losing
     # (minimal winning) ones
@@ -341,10 +319,8 @@ def shift_extremal(game: ExplicitGame, cap: int | None = None) -> ShiftExtremal:
     """
     m = game.universe.m
     n = game.universe.counts
-    for i in range(m):
-        for j in range(i + 1, m):
-            if level_relation(game, i, j, cap) is not LevelRelation.STRICTLY_ABOVE:
-                raise ValueError(f"levels {i} and {j} are not strictly ordered")
+    if level_classes(game) != [[i] for i in range(m)]:
+        raise ValueError(f"levels 0..{m - 1} are not strictly ordered by desirability")
 
     def shifts(x: Coalition, weakening: bool):
         for i in range(m):

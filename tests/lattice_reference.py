@@ -5,14 +5,17 @@ These are the definition-level scans the library used before it moved to
 plain count tuples and flat winning tables: every lattice point is a
 validated Coalition, and winning is decided on it by hier_is_winning or by
 Coalition.contains against each minimal winning coalition. Slow, but each
-step reads straight off a definition.
+step reads straight off a definition. level_relation is the sub-lattice
+walk the library used before it read desirability off the minimal winning
+coalitions.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable
 
-from hiergames.core import Coalition, ExplicitGame, Multiset
+from hiergames.core import Coalition, ExplicitGame, LevelRelation, Multiset
 from hiergames.hierarchy import HierSpec, hier_is_winning
 
 
@@ -59,3 +62,34 @@ def maximal_losing(game: ExplicitGame) -> frozenset[Coalition]:
         for x in losing
         if all(x.counts[i] == n[i] or x.with_unit(i) not in losing for i in range(len(n)))
     )
+
+
+def winning(game: ExplicitGame) -> frozenset[tuple[int, ...]]:
+    """Count vectors of the coalitions that contain a minimal winning one."""
+    return frozenset(
+        x.counts for x in lattice(game.universe) if any(x.contains(w) for w in game.min_winning)
+    )
+
+
+def level_relation(
+    game: ExplicitGame, i: int, j: int, wins: frozenset[tuple[int, ...]] | None = None
+) -> LevelRelation:
+    """Desirability of level i against level j, by definition: for every X
+    with x_i < n_i and x_j < n_j, X + {j} winning implies X + {i} winning
+    (and the other way round for j against i). `wins` is winning(game),
+    passed in to share it between pairs."""
+    wins = winning(game) if wins is None else wins
+    caps = list(game.universe.counts)
+    caps[i] -= 1
+    caps[j] -= 1
+    i_ge_j = j_ge_i = True
+    for x in product(*(range(c + 1) for c in caps)):
+        wi = x[:i] + (x[i] + 1,) + x[i + 1 :] in wins
+        wj = x[:j] + (x[j] + 1,) + x[j + 1 :] in wins
+        i_ge_j = i_ge_j and (wi or not wj)
+        j_ge_i = j_ge_i and (wj or not wi)
+    if i_ge_j and j_ge_i:
+        return LevelRelation.EQUIVALENT
+    if i_ge_j:
+        return LevelRelation.STRICTLY_ABOVE
+    return LevelRelation.STRICTLY_BELOW if j_ge_i else LevelRelation.INCOMPARABLE

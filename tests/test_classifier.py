@@ -3,6 +3,8 @@ agreement with the LP oracle on a small exhaustive grid, and independence
 from the coalition lattice and the oracle."""
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -185,12 +187,18 @@ class TestOffLattice:
         def lattice(*args, **kwargs):
             raise AssertionError("the classifier walked the coalition lattice")
 
-        for module, name in (
-            (hiergames.core, "iter_coalitions"),
-            (hiergames.hierarchy, "iter_coalitions"),
-            (hiergames.hierarchy, "realize"),
-        ):
-            monkeypatch.setattr(module, name, lattice)
+        # every lattice scan goes through the one walker core._lattice;
+        # replace it wherever a hiergames module binds it
+        walker = hiergames.core._lattice
+        patched = []
+        for info in pkgutil.iter_modules(hiergames.__path__):
+            module = importlib.import_module(f"hiergames.{info.name}")
+            for name, value in list(vars(module).items()):
+                if value is walker:
+                    monkeypatch.setattr(module, name, lattice)
+                    patched.append(info.name)
+        assert {"core", "hierarchy"} <= set(patched)
+        monkeypatch.setattr(hiergames.hierarchy, "realize", lattice)
         for spec in specs:
             v = classify(spec)
             assert (v.certificate is None) == (v.game_class == NOT_ROUGH), spec

@@ -10,7 +10,11 @@ from the repository root:
 
 oracle_certificates.golden.txt pins the LP oracle's exact witnesses: one
 line per game with str(oracle_weighted), str(oracle_rough) and the maximum
-of w . (1, ..., m) over the quota-1 rough polytope. It is written by
+of w . (1, ..., m) over the quota-1 rough polytope. level_order.golden.txt
+pins the level desirability order: canonicalize_semantic (canonical spec and
+level mapping, or the name of the exception) on every valid spec of both
+kinds with 1-3 levels, n_i <= 3 and k_i <= 9, then `structural --json` on
+four universes. Both are written by
 
   PYTHONPATH=src python tests/test_golden.py
 
@@ -18,7 +22,10 @@ A change that is meant to alter this output re-records the files with the
 same commands and says so; any other difference is a regression.
 """
 
+import io
 import random
+from contextlib import redirect_stdout
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -26,7 +33,9 @@ import pytest
 from hiergames import (
     Coalition,
     ExplicitGame,
+    HierSpec,
     Multiset,
+    canonicalize_semantic,
     extremal_weight,
     oracle_rough,
     oracle_weighted,
@@ -103,5 +112,44 @@ def test_oracle_certificates_match_golden():
     assert oracle_certificates() == (DATA / ORACLE_GOLDEN).read_text(encoding="utf-8")
 
 
+LEVEL_ORDER_GOLDEN = "level_order.golden.txt"
+
+
+def _small_specs() -> list[HierSpec]:
+    """Every spec HierSpec accepts with 1-3 levels, n_i <= 3 and k_i <= 9."""
+    specs = []
+    for kind in ("disjunctive", "conjunctive"):
+        for m in (1, 2, 3):
+            for n, k in product(product(range(1, 4), repeat=m), product(range(1, 10), repeat=m)):
+                try:
+                    specs.append(HierSpec(kind, n, k))
+                except ValueError:
+                    pass
+    return specs
+
+
+def level_order() -> str:
+    """canonicalize_semantic on the small specs, then structural --json."""
+    lines = []
+    for spec in _small_specs():
+        try:
+            canonical, mapping = canonicalize_semantic(spec)
+        except (ValueError, RuntimeError) as exc:
+            lines.append(f"{spec}\t{type(exc).__name__}\n")
+        else:
+            lines.append(f"{spec}\t{canonical}\t{mapping}\n")
+    for universe in ("2,2,2", "1,2,3", "3,3", "4,2"):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["structural", "--universe", universe, "--json"]) == 0
+        lines.append(f"structural --universe {universe} --json\n{out.getvalue()}")
+    return "".join(lines)
+
+
+def test_level_order_matches_golden():
+    assert level_order() == (DATA / LEVEL_ORDER_GOLDEN).read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     (DATA / ORACLE_GOLDEN).write_text(oracle_certificates(), encoding="utf-8")
+    (DATA / LEVEL_ORDER_GOLDEN).write_text(level_order(), encoding="utf-8")

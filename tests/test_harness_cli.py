@@ -285,6 +285,22 @@ class TestCliErrors:
         assert main(argv) == 2
         assert "comma-separated nonnegative integers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "op,error",
+        [
+            ("remove_one:0_1", "comma-separated nonnegative integers"),
+            ("remove_one:+1", "comma-separated nonnegative integers"),
+            ("remove_one:\uff11", "comma-separated nonnegative integers"),
+            ("remove_one:", "comma-separated nonnegative integers"),
+            ("remove_one:1,2", "is not applicable"),
+        ],
+        ids=["underscore", "plus", "fullwidth", "empty", "list"],
+    )
+    def test_malformed_remove_one_index_rejected(self, tmp_path, capsys, op, error):
+        # int() read the first three as level 1, and the minor ran with exit 0
+        assert main(["minor", write_doc(tmp_path, EXAMPLE_DOC), "--op", op]) == 2
+        assert error in capsys.readouterr().err
+
     def test_spaces_around_commas_allowed(self, capsys):
         assert main(["structural", "--universe", " 1 , 2 ", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["universe"] == [1, 2]

@@ -1,5 +1,6 @@
-"""The lean lattice layer against the coalition-by-coalition reference scans,
-its enumeration cap, and how often the oracle paths scan a game's lattice."""
+"""The lean lattice layer and the level desirability order against the
+coalition-by-coalition reference scans, the enumeration cap, and how often
+the oracle paths scan a game's lattice."""
 
 import json
 import tracemalloc
@@ -17,7 +18,9 @@ from hiergames import (
     ExplicitGame,
     HierSpec,
     Multiset,
+    LevelRelation,
     classify,
+    is_complete,
     level_relation,
     maximal_losing,
     realize,
@@ -28,6 +31,17 @@ from hiergames.cli import main
 from hiergames.feasibility import LinearSystem
 
 GRIDS = [(levels, 3) for levels in (1, 2, 3, 4)] + [(5, 2)]
+
+
+def assert_same_level_order(game):
+    """level_relation on every ordered pair of levels, and is_complete,
+    equal the reference walk."""
+    m = game.universe.m
+    pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
+    got = [level_relation(game, i, j) for i, j in pairs]
+    wins = ref.winning(game)
+    assert got == [ref.level_relation(game, i, j, wins) for i, j in pairs], game
+    assert is_complete(game) == (LevelRelation.INCOMPARABLE not in got), game
 
 
 class TestAgainstReference:
@@ -41,6 +55,7 @@ class TestAgainstReference:
             expected = ref.realize(spec)
             assert game.min_winning == expected.min_winning, spec
             assert maximal_losing(game) == ref.maximal_losing(expected), spec
+            assert_same_level_order(game)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -53,6 +68,7 @@ class TestAgainstReference:
         assert game.min_winning == ref.minimal_antichain(members)
         assert maximal_losing(game) == ref.maximal_losing(game)
         assert maximal_losing(game) == ref.maximal_losing(game)  # memoized copy
+        assert_same_level_order(game)
 
     def test_returned_coalitions_are_plain_values(self):
         game = realize(HierSpec(DISJUNCTIVE, (3, 3, 3), (2, 3, 5)))
@@ -75,9 +91,6 @@ class TestCap:
         # a memoized antichain is still refused under a smaller cap
         with pytest.raises(EnumerationCapError):
             maximal_losing(game, cap=63)
-        with pytest.raises(EnumerationCapError):
-            level_relation(game, 0, 1, cap=35)  # 3 * 3 * 4 points
-        level_relation(game, 0, 1, cap=36)
 
     def test_realize_and_maximal_losing_honour_env_cap(self, monkeypatch):
         game = realize(self.SPEC)

@@ -57,14 +57,15 @@ class EnumerationCapError(RuntimeError):
 
 
 def enumeration_cap() -> int:
-    """Current enumeration cap: HIERGAME_ENUM_CAP if set, else the default."""
+    """The enumeration cap, HIERGAME_ENUM_CAP if set, else the default."""
     raw = os.environ.get(ENUM_CAP_ENV)
     if raw is None:
         return DEFAULT_ENUM_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{ENUM_CAP_ENV} must be an integer, got {raw!r}") from exc
+    digits = raw.strip()
+    # the rule of cli._parse_counts: "1_0", "+5" and non-ASCII digits are refused
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{ENUM_CAP_ENV} must be an integer, got {raw!r}")
+    cap = int(digits)
     if cap <= 0:
         raise ValueError(f"{ENUM_CAP_ENV} must be positive, got {cap}")
     return cap
@@ -96,10 +97,6 @@ class Multiset:
     @property
     def m(self) -> int:
         return len(self.counts)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
 
     def prefix_totals(self) -> tuple[int, ...]:
         """(N_1, ..., N_m) where N_i = n_1 + ... + n_i."""
@@ -142,10 +139,6 @@ class Coalition:
     def size(self) -> int:
         return sum(self.counts)
 
-    def prefix(self, i: int) -> int:
-        """Count of members at levels 0..i inclusive."""
-        return sum(self.counts[: i + 1])
-
     def contains(self, other: Coalition) -> bool:
         """Pointwise >=; both coalitions must live in the same universe."""
         if len(self.counts) != len(other.counts):
@@ -178,15 +171,15 @@ def _strides(counts: Sequence[int]) -> tuple[int, ...]:
     return tuple(math.prod(c + 1 for c in counts[i + 1 :]) for i in range(len(counts)))
 
 
-def _lattice(counts: Sequence[int], cap: int | None) -> Iterator[tuple[int, ...]]:
+def _lattice(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """Every count vector x <= counts, in lexicographic order.
 
     That is index order: the j-th vector is the x with sum(x_i * stride_i)
     == j (see _strides). Raises EnumerationCapError at the call, before
-    anything is built, when there are more than `cap` vectors (default:
-    enumeration_cap()). This is the one place the cap is checked.
+    anything is built, when there are more vectors than the enumeration cap.
+    This is the one place the cap is read and checked.
     """
-    limit = enumeration_cap() if cap is None else cap
+    limit = enumeration_cap()
     total = math.prod(c + 1 for c in counts)
     if total > limit:
         raise EnumerationCapError(
@@ -195,13 +188,13 @@ def _lattice(counts: Sequence[int], cap: int | None) -> Iterator[tuple[int, ...]
     return product(*(range(c + 1) for c in counts))
 
 
-def iter_coalitions(universe: Multiset, cap: int | None = None) -> Iterator[Coalition]:
+def iter_coalitions(universe: Multiset) -> Iterator[Coalition]:
     """All submultisets of the universe, in lexicographic count order.
 
-    Raises EnumerationCapError when the lattice has more than `cap` members
-    (default: enumeration_cap()).
+    Raises EnumerationCapError when the lattice has more members than the
+    enumeration cap.
     """
-    return map(_coalition, _lattice(universe.counts, cap))
+    return map(_coalition, _lattice(universe.counts))
 
 
 def _covers(x: tuple[int, ...], w: tuple[int, ...]) -> bool:
@@ -268,13 +261,13 @@ def is_winning(game: ExplicitGame, coalition: Coalition) -> bool:
     return any(_covers(x, w.counts) for w in game.min_winning)
 
 
-def maximal_losing(game: ExplicitGame, cap: int | None = None) -> frozenset[Coalition]:
+def maximal_losing(game: ExplicitGame) -> frozenset[Coalition]:
     """Antichain of losing coalitions all of whose strict supersets win.
 
     Scans the full coalition lattice once per game: the cap is checked on
     every call, and the antichain is memoized on the game.
     """
-    points = _lattice(game.universe.counts, cap)
+    points = _lattice(game.universe.counts)
     memo = game.__dict__.get("_maximal_losing")
     if memo is None:
         memo = frozenset(map(_coalition, _scan_maximal_losing(game, list(points))))

@@ -44,8 +44,8 @@ class GameDocument:
         if (self.spec is None) == (self.game is None):
             raise ValueError("document needs exactly one of spec or explicit game")
 
-    def to_game(self, cap: int | None = None) -> ExplicitGame:
-        return self.game if self.game is not None else realize(self.spec, cap)
+    def to_game(self) -> ExplicitGame:
+        return self.game if self.game is not None else realize(self.spec)
 
 
 def document_from_spec(spec: HierSpec, name: Optional[str] = None) -> GameDocument:

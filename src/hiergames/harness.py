@@ -140,20 +140,18 @@ def sweep_specs(
             yield spec
 
 
-def cross_check(
-    spec: HierSpec, verdict: Verdict, cap: int | None = None
-) -> tuple[str, Optional[bool]]:
+def cross_check(spec: HierSpec, verdict: Verdict) -> tuple[str, Optional[bool]]:
     """The oracle's class of the realized spec, and whether the verdict's
     certificate holds on that game (None when the verdict has none).
 
     Raises EnumerationCapError when the spec's lattice exceeds the cap.
     """
-    game = realize(spec, cap)
-    oracle_class = oracle_classify(game, cap)
+    game = realize(spec)
+    oracle_class = oracle_classify(game)
     if verdict.certificate is None:
         return oracle_class, None
     mode = "weighted" if verdict.game_class == WEIGHTED else "rough"
-    return oracle_class, verify_representation(game, verdict.certificate, mode, cap)
+    return oracle_class, verify_representation(game, verdict.certificate, mode)
 
 
 def run_sweep(
@@ -162,7 +160,6 @@ def run_sweep(
     nmax: int,
     kmax: Optional[int] = None,
     oracle: bool = True,
-    cap: int | None = None,
 ) -> SweepReport:
     """Classify a whole grid, cross-validating against the oracle.
 
@@ -180,7 +177,7 @@ def run_sweep(
         t2 = t1
         if oracle:
             try:
-                oracle_class, cert_verified = cross_check(spec, verdict, cap)
+                oracle_class, cert_verified = cross_check(spec, verdict)
             except EnumerationCapError as exc:
                 skipped = str(exc)
             t2 = time.perf_counter()
@@ -236,7 +233,7 @@ def _antichains(coalitions: list[Coalition]) -> Iterator[frozenset[Coalition]]:
     yield from rec(0, [])
 
 
-def structural_scan(universe: Multiset, cap: int | None = None) -> StructuralReport:
+def structural_scan(universe: Multiset) -> StructuralReport:
     """Test the shift-extremal uniqueness equivalences over one universe.
 
     Enumerates every game (nonempty antichain of nonempty coalitions), keeps
@@ -244,7 +241,7 @@ def structural_scan(universe: Multiset, cap: int | None = None) -> StructuralRep
     equivalences. Any failure lands in mismatches with enough detail to
     replay it.
     """
-    coalitions = [c for c in iter_coalitions(universe, cap) if c.size > 0]
+    coalitions = [c for c in iter_coalitions(universe) if c.size > 0]
     total = 0
     complete = 0
     usml = 0
@@ -259,9 +256,9 @@ def structural_scan(universe: Multiset, cap: int | None = None) -> StructuralRep
             continue
         complete += 1
         ordered = merge_levels(game, level_classes(game))
-        extremal = shift_extremal(ordered, cap)
-        d = recover_disjunctive(ordered, cap)
-        c = recover_conjunctive(ordered, cap)
+        extremal = shift_extremal(ordered)
+        d = recover_disjunctive(ordered)
+        c = recover_conjunctive(ordered)
         unique_max = len(extremal.shift_max_losing) == 1
         unique_min = len(extremal.shift_min_winning) == 1
         usml += unique_max

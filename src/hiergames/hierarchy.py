@@ -17,18 +17,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import ge
-from typing import Optional
+from typing import Iterator, Optional
 
 from .core import (
     Coalition,
     ExplicitGame,
     Multiset,
     _coalition,
+    _covers,
     _explicit_game,
     _int_tuple,
     _lattice,
     _strides,
-    is_winning,
     level_classes,
     maximal_losing,
 )
@@ -121,7 +121,7 @@ def hier_is_winning(spec: HierSpec, coalition: Coalition) -> bool:
     return hits > 0 if spec.kind == DISJUNCTIVE else hits == spec.m
 
 
-def realize(spec: HierSpec, cap: int | None = None) -> ExplicitGame:
+def realize(spec: HierSpec) -> ExplicitGame:
     """Explicit game of a spec: minimal winning coalitions by lattice scan.
 
     One pass in index order: the prefix thresholds decide whether x wins,
@@ -129,7 +129,7 @@ def realize(spec: HierSpec, cap: int | None = None) -> ExplicitGame:
     x_i > 0 (those points come earlier, so their flags are already set).
     Cost O(product(n_i + 1) * m), guarded by the enumeration cap.
     """
-    points = _lattice(spec.n, cap)  # the cap is checked before any allocation
+    points = _lattice(spec.n)  # the cap is checked before any allocation
     test = any if spec.kind == DISJUNCTIVE else all
     k = spec.k
     levels = tuple(enumerate(_strides(spec.n)))
@@ -229,9 +229,7 @@ def merge_levels(game: ExplicitGame, classes: list[list[int]]) -> ExplicitGame:
     return ExplicitGame(merged_universe, merged_wmin)
 
 
-def canonicalize_semantic(
-    spec: HierSpec, cap: int | None = None
-) -> tuple[HierSpec, tuple[int, ...]]:
+def canonicalize_semantic(spec: HierSpec) -> tuple[HierSpec, tuple[int, ...]]:
     """Canonical spec of the game described by `spec`, plus the level mapping.
 
     Realizes the game, merges equivalence classes of levels, and recovers the
@@ -240,13 +238,13 @@ def canonicalize_semantic(
     against the merged game coalition by coalition, so the result provably
     describes the same game. mapping[i] is the class index of original level i.
     """
-    game = realize(spec, cap)
+    game = realize(spec)
     classes = level_classes(game)
     if classes is None:
         raise RuntimeError(f"realized game of {spec} has incomparable levels")
     merged = merge_levels(game, classes)
     recover = recover_disjunctive if spec.kind == DISJUNCTIVE else recover_conjunctive
-    canonical = recover(merged, cap)
+    canonical = recover(merged)
     if canonical is None:
         raise RuntimeError(f"merged game of {spec} failed threshold recovery")
     mapping = [0] * spec.m
@@ -256,7 +254,7 @@ def canonicalize_semantic(
     return canonical, tuple(mapping)
 
 
-def recover_disjunctive(game: ExplicitGame, cap: int | None = None) -> Optional[HierSpec]:
+def recover_disjunctive(game: ExplicitGame) -> Optional[HierSpec]:
     """Canonical disjunctive spec describing `game`, or None.
 
     Candidate thresholds: k_i = 1 + (largest i-prefix among losing
@@ -264,26 +262,26 @@ def recover_disjunctive(game: ExplicitGame, cap: int | None = None) -> Optional[
     lattice; any mismatch, or a candidate violating spec validation, means the
     game is not disjunctive-hierarchical on this universe.
     """
-    return _recover(game, DISJUNCTIVE, cap)
+    return _recover(game, DISJUNCTIVE)
 
 
-def recover_conjunctive(game: ExplicitGame, cap: int | None = None) -> Optional[HierSpec]:
+def recover_conjunctive(game: ExplicitGame) -> Optional[HierSpec]:
     """Canonical conjunctive spec describing `game`, or None.
 
     Candidate thresholds: k_i = smallest i-prefix among winning coalitions.
     """
-    return _recover(game, CONJUNCTIVE, cap)
+    return _recover(game, CONJUNCTIVE)
 
 
-def _recover(game: ExplicitGame, kind: str, cap: int | None) -> Optional[HierSpec]:
+def _recover(game: ExplicitGame, kind: str) -> Optional[HierSpec]:
     if not game.min_winning or any(w.size == 0 for w in game.min_winning):
         return None
-    _lattice(game.universe.counts, cap)  # the cap error comes before any verdict
+    _lattice(game.universe.counts)  # the cap error comes before any verdict
     # prefix counts only grow with the coalition, so the extreme prefixes of
     # all losing (winning) coalitions are those of the maximal losing
     # (minimal winning) ones
     if kind == DISJUNCTIVE:
-        prefixes = zip(*(accumulate(x.counts) for x in maximal_losing(game, cap)))
+        prefixes = zip(*(accumulate(x.counts) for x in maximal_losing(game)))
         k = tuple(1 + max(p) for p in prefixes)
     else:
         prefixes = zip(*(accumulate(w.counts) for w in game.min_winning))
@@ -292,7 +290,7 @@ def _recover(game: ExplicitGame, kind: str, cap: int | None) -> Optional[HierSpe
         spec = HierSpec(kind, game.universe.counts, k)
     except ValueError:
         return None
-    if not canon_check(spec).canonical or realize(spec, cap) != game:
+    if not canon_check(spec).canonical or realize(spec) != game:
         return None
     return spec
 
@@ -310,34 +308,35 @@ class ShiftExtremal:
     shift_max_losing: frozenset[Coalition]
 
 
-def shift_extremal(game: ExplicitGame, cap: int | None = None) -> ShiftExtremal:
+def shift_extremal(game: ExplicitGame) -> ShiftExtremal:
     """Both shift-extremal antichains of a game with strictly ordered levels.
 
     Raises ValueError unless level i is strictly more desirable than level j
     for every i < j (merge equivalent levels first; shifts between equally
-    desirable levels would not change the game).
+    desirable levels would not change the game). A shift is tested as a
+    count tuple against the minimal winning counts, as core._at_least does.
     """
     m = game.universe.m
     n = game.universe.counts
     if level_classes(game) != [[i] for i in range(m)]:
         raise ValueError(f"levels 0..{m - 1} are not strictly ordered by desirability")
+    wmin = [w.counts for w in game.min_winning]
 
-    def shifts(x: Coalition, weakening: bool):
+    def shifts(x: tuple[int, ...], weakening: bool) -> Iterator[tuple[int, ...]]:
         for i in range(m):
             for j in range(i + 1, m):
                 src, dst = (i, j) if weakening else (j, i)
-                if x.counts[src] >= 1 and x.counts[dst] < n[dst]:
-                    yield x.with_unit(src, -1).with_unit(dst, 1)
+                if x[src] and x[dst] < n[dst]:
+                    yield tuple(c - (k == src) + (k == dst) for k, c in enumerate(x))
+
+    def wins(x: tuple[int, ...]) -> bool:
+        return any(_covers(x, w) for w in wmin)
 
     smw = frozenset(
-        w
-        for w in game.min_winning
-        if not any(is_winning(game, y) for y in shifts(w, weakening=True))
+        w for w in game.min_winning if not any(map(wins, shifts(w.counts, weakening=True)))
     )
     sml = frozenset(
-        x
-        for x in maximal_losing(game, cap)
-        if all(is_winning(game, y) for y in shifts(x, weakening=False))
+        x for x in maximal_losing(game) if all(map(wins, shifts(x.counts, weakening=False)))
     )
     return ShiftExtremal(shift_min_winning=smw, shift_max_losing=sml)
 

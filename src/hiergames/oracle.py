@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 
-def _separating_system(game: ExplicitGame, weighted: bool, cap: int | None) -> LinearSystem:
+def _separating_system(game: ExplicitGame, weighted: bool) -> LinearSystem:
     """The weighted system (quota as the last variable) or the quota-1 rough
     system of `game`, with w >= 0.
 
@@ -67,20 +67,20 @@ def _separating_system(game: ExplicitGame, weighted: bool, cap: int | None) -> L
     sys = LinearSystem(m + len(tail))
     for w in sorted(x.counts for x in game.min_winning):
         sys.add_ge(w + tail, win)
-    for x in sorted(x.counts for x in maximal_losing(game, cap)):
+    for x in sorted(x.counts for x in maximal_losing(game)):
         sys.add_le(x + tail, lose)
     for i in range(m):
         sys.add_ge(tuple(int(j == i) for j in range(sys.num_vars)), 0)
     return sys
 
 
-def oracle_weighted(game: ExplicitGame, cap: int | None = None) -> Optional[RoughCert]:
+def oracle_weighted(game: ExplicitGame) -> Optional[RoughCert]:
     """Exact weighted representation of the game, or None.
 
     The returned certificate satisfies w(W) >= q for minimal winning W and
     w(L) <= q - 1 < q for maximal losing L.
     """
-    point = _separating_system(game, True, cap).feasible_point()
+    point = _separating_system(game, True).feasible_point()
     if point is None:
         return None
     m = game.universe.m
@@ -91,14 +91,14 @@ def oracle_weighted(game: ExplicitGame, cap: int | None = None) -> Optional[Roug
     return RoughCert(quota, weights)
 
 
-def oracle_rough(game: ExplicitGame, cap: int | None = None) -> Optional[RoughCert]:
+def oracle_rough(game: ExplicitGame) -> Optional[RoughCert]:
     """Exact rough representation of the game, or None.
 
     Tries the quota-1 polytope first (branch A), then the zero-quota passer
     certificates (branch B). See the module docstring for why these two
     branches are exhaustive.
     """
-    point = _separating_system(game, False, cap).feasible_point()
+    point = _separating_system(game, False).feasible_point()
     if point is not None:
         return RoughCert(Fraction(1), point)
     m = game.universe.m
@@ -110,21 +110,16 @@ def oracle_rough(game: ExplicitGame, cap: int | None = None) -> Optional[RoughCe
     return None
 
 
-def oracle_classify(game: ExplicitGame, cap: int | None = None) -> str:
+def oracle_classify(game: ExplicitGame) -> str:
     """'weighted', 'rough_not_weighted', or 'not_rough', by pure feasibility."""
-    if oracle_weighted(game, cap) is not None:
+    if oracle_weighted(game) is not None:
         return "weighted"
-    if oracle_rough(game, cap) is not None:
+    if oracle_rough(game) is not None:
         return "rough_not_weighted"
     return "not_rough"
 
 
-def verify_representation(
-    game: ExplicitGame,
-    cert: RoughCert,
-    mode: str,
-    cap: int | None = None,
-) -> bool:
+def verify_representation(game: ExplicitGame, cert: RoughCert, mode: str) -> bool:
     """Check a certificate against the game's antichains.
 
     mode 'weighted': every minimal winning coalition weighs >= quota and
@@ -140,7 +135,7 @@ def verify_representation(
         raise ValueError(f"certificate has {cert.m} weights for {game.universe}")
     if not all(cert.weight_of(w) >= cert.quota for w in game.min_winning):
         return False
-    lmax = maximal_losing(game, cap)
+    lmax = maximal_losing(game)
     if mode == "weighted":
         return all(cert.weight_of(x) < cert.quota for x in lmax)
     return all(cert.weight_of(x) <= cert.quota for x in lmax)
@@ -150,7 +145,6 @@ def extremal_weight(
     game: ExplicitGame,
     objective: Sequence[Rational],
     sense: str,
-    cap: int | None = None,
 ) -> Optional[Fraction]:
     """Exact optimum of objective . w over the quota-1 rough polytope.
 
@@ -163,7 +157,7 @@ def extremal_weight(
     m = game.universe.m
     if len(objective) != m:
         raise ValueError(f"objective needs {m} coefficients, got {len(objective)}")
-    sys = _separating_system(game, False, cap)
+    sys = _separating_system(game, False)
     result = sys.minimize(objective) if sense == "min" else sys.maximize(objective)
     if result.status == INFEASIBLE:
         raise ValueError("game has no rough representation with quota 1")

@@ -57,12 +57,10 @@ class NamedMinor:
     spec: HierSpec
 
 
-def dual_explicit(game: ExplicitGame, cap: int | None = None) -> ExplicitGame:
+def dual_explicit(game: ExplicitGame) -> ExplicitGame:
     """Dual game on the same universe. Involution: dual(dual(G)) = G."""
     u = game.universe
-    return ExplicitGame(
-        u, frozenset(u.complement(x) for x in maximal_losing(game, cap))
-    )
+    return ExplicitGame(u, frozenset(u.complement(x) for x in maximal_losing(game)))
 
 
 def k_star(n: tuple[int, ...], k: tuple[int, ...]) -> tuple[int, ...]:

@@ -7,7 +7,8 @@ validated Coalition, and winning is decided on it by hier_is_winning or by
 Coalition.contains against each minimal winning coalition. Slow, but each
 step reads straight off a definition. level_relation is the sub-lattice
 walk the library used before it read desirability off the minimal winning
-coalitions.
+coalitions. shift_extremal is the shift test the library used before it
+tested shifted count tuples against the minimal winning counts.
 """
 
 from __future__ import annotations
@@ -15,8 +16,15 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable
 
-from hiergames.core import Coalition, ExplicitGame, LevelRelation, Multiset
-from hiergames.hierarchy import HierSpec, hier_is_winning
+from hiergames.core import (
+    Coalition,
+    ExplicitGame,
+    LevelRelation,
+    Multiset,
+    is_winning,
+    level_classes,
+)
+from hiergames.hierarchy import HierSpec, ShiftExtremal, hier_is_winning
 
 
 def lattice(universe: Multiset) -> list[Coalition]:
@@ -93,3 +101,32 @@ def level_relation(
     if i_ge_j:
         return LevelRelation.STRICTLY_ABOVE
     return LevelRelation.STRICTLY_BELOW if j_ge_i else LevelRelation.INCOMPARABLE
+
+
+def shift_extremal(game: ExplicitGame) -> ShiftExtremal:
+    """Shift-extremal antichains of a game with strictly ordered levels, each
+    shift built by two validating Coalition.with_unit calls and tested with
+    the validating is_winning."""
+    m = game.universe.m
+    n = game.universe.counts
+    if level_classes(game) != [[i] for i in range(m)]:
+        raise ValueError(f"levels 0..{m - 1} are not strictly ordered by desirability")
+
+    def shifts(x: Coalition, weakening: bool):
+        for i in range(m):
+            for j in range(i + 1, m):
+                src, dst = (i, j) if weakening else (j, i)
+                if x.counts[src] >= 1 and x.counts[dst] < n[dst]:
+                    yield x.with_unit(src, -1).with_unit(dst, 1)
+
+    smw = frozenset(
+        w
+        for w in game.min_winning
+        if not any(is_winning(game, y) for y in shifts(w, weakening=True))
+    )
+    sml = frozenset(
+        x
+        for x in maximal_losing(game)
+        if all(is_winning(game, y) for y in shifts(x, weakening=False))
+    )
+    return ShiftExtremal(shift_min_winning=smw, shift_max_losing=sml)

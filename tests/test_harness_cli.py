@@ -260,6 +260,11 @@ class TestCliErrors:
         assert main(["classify", write_doc(tmp_path, doc)]) == 2
         assert "must be ints" in capsys.readouterr().err
 
+    def test_coerced_enum_cap_rejected(self, tmp_path, capsys, monkeypatch):
+        # int() once read "6_4" as 64, the example's lattice size, and ran
+        monkeypatch.setenv("HIERGAME_ENUM_CAP", "6_4")
+        assert main(["classify", write_doc(tmp_path, EXAMPLE_DOC), "--oracle"]) == 2
+        assert "HIERGAME_ENUM_CAP must be an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

@@ -2,7 +2,10 @@
 coalition-by-coalition reference scans, the enumeration cap, and how often
 the oracle paths scan a game's lattice."""
 
+import importlib
+import inspect
 import json
+import pkgutil
 import tracemalloc
 
 import pytest
@@ -21,14 +24,19 @@ from hiergames import (
     LevelRelation,
     classify,
     is_complete,
+    iter_coalitions,
     level_relation,
     maximal_losing,
+    merge_levels,
     realize,
     run_sweep,
+    shift_extremal,
     sweep_specs,
 )
 from hiergames.cli import main
+from hiergames.core import level_classes
 from hiergames.feasibility import LinearSystem
+from hiergames.harness import _antichains
 
 GRIDS = [(levels, 3) for levels in (1, 2, 3, 4)] + [(5, 2)]
 
@@ -70,6 +78,21 @@ class TestAgainstReference:
         assert maximal_losing(game) == ref.maximal_losing(game)  # memoized copy
         assert_same_level_order(game)
 
+    @pytest.mark.parametrize("counts", [(2, 2, 2), (1, 2, 3)], ids=str)
+    def test_shift_extremal_on_every_complete_game(self, counts):
+        universe = Multiset(counts)
+        coalitions = [c for c in iter_coalitions(universe) if c.size > 0]
+        complete = 0
+        for members in _antichains(coalitions):
+            game = ExplicitGame(universe, members)
+            classes = level_classes(game)
+            if classes is None:
+                continue
+            complete += 1
+            ordered = merge_levels(game, classes)
+            assert shift_extremal(ordered) == ref.shift_extremal(ordered), members
+        assert complete > 100
+
     def test_returned_coalitions_are_plain_values(self):
         game = realize(HierSpec(DISJUNCTIVE, (3, 3, 3), (2, 3, 5)))
         for c in game.min_winning | maximal_losing(game):
@@ -81,16 +104,21 @@ class TestAgainstReference:
 class TestCap:
     SPEC = HierSpec(DISJUNCTIVE, (3, 3, 3), (2, 3, 5))  # 64 lattice points
 
-    def test_realize_and_maximal_losing_honour_cap_argument(self):
+    def test_realize_and_maximal_losing_cap_boundary(self, monkeypatch):
+        monkeypatch.setenv("HIERGAME_ENUM_CAP", "63")
         with pytest.raises(EnumerationCapError, match="has 64 coalitions, cap is 63"):
-            realize(self.SPEC, cap=63)
-        game = realize(self.SPEC, cap=64)
+            realize(self.SPEC)
+        monkeypatch.setenv("HIERGAME_ENUM_CAP", "64")
+        game = realize(self.SPEC)
+        monkeypatch.setenv("HIERGAME_ENUM_CAP", "63")
         with pytest.raises(EnumerationCapError):
-            maximal_losing(game, cap=63)
-        maximal_losing(game, cap=64)
+            maximal_losing(game)
+        monkeypatch.setenv("HIERGAME_ENUM_CAP", "64")
+        maximal_losing(game)
         # a memoized antichain is still refused under a smaller cap
+        monkeypatch.setenv("HIERGAME_ENUM_CAP", "63")
         with pytest.raises(EnumerationCapError):
-            maximal_losing(game, cap=63)
+            maximal_losing(game)
 
     def test_realize_and_maximal_losing_honour_env_cap(self, monkeypatch):
         game = realize(self.SPEC)
@@ -101,25 +129,52 @@ class TestCap:
         with pytest.raises(EnumerationCapError):
             maximal_losing(game)
 
-    def test_refused_before_the_table_is_allocated(self):
+    def test_refused_before_the_table_is_allocated(self, monkeypatch):
         # 201^3 = 8,120,601 points: a winning table for them would take 8 MB
         spec = HierSpec(DISJUNCTIVE, (200, 200, 200), (1, 2, 3))
         game = ExplicitGame(spec.universe(), frozenset({Coalition((1, 0, 0))}))
+        monkeypatch.setenv("HIERGAME_ENUM_CAP", "100")
         tracemalloc.start()
         try:
             with pytest.raises(EnumerationCapError):
-                realize(spec, cap=100)
+                realize(spec)
             with pytest.raises(EnumerationCapError):
-                maximal_losing(game, cap=100)
+                maximal_losing(game)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
 
-    def test_run_sweep_records_skipped_specs(self):
+    def test_no_public_callable_takes_a_cap(self):
+        # HIERGAME_ENUM_CAP is the one way to set the cap; only core._lattice reads it
+        checked = []
+        for info in pkgutil.iter_modules(hiergames.__path__):
+            module = importlib.import_module(f"hiergames.{info.name}")
+            for name in getattr(module, "__all__", ()):
+                obj = getattr(module, name)
+                if not callable(obj):
+                    continue
+                routines = [(name, obj)]
+                if inspect.isclass(obj):
+                    routines += inspect.getmembers(
+                        obj, lambda v: inspect.isfunction(v) or inspect.ismethod(v)
+                    )
+                for attr, routine in routines:
+                    where = f"hiergames.{info.name}.{name}" + ("" if routine is obj else f".{attr}")
+                    try:
+                        params = inspect.signature(routine).parameters
+                    except ValueError:  # a builtin-derived class such as EnumerationCapError
+                        continue
+                    assert "cap" not in params, where
+                    checked.append(where)
+        assert "hiergames.documents.GameDocument.to_game" in checked
+        assert "hiergames.core.maximal_losing" in checked
+
+    def test_run_sweep_records_skipped_specs(self, monkeypatch):
         # n = (1, 2, 1) has 12 lattice points; every other 3-level universe
         # with n_i <= 2 has more
-        report = run_sweep(DISJUNCTIVE, 3, 2, cap=12)
+        monkeypatch.setenv("HIERGAME_ENUM_CAP", "12")
+        report = run_sweep(DISJUNCTIVE, 3, 2)
         skipped = [r for r in report.records if r.skipped is not None]
         checked = [r for r in report.records if r.skipped is None]
         assert skipped and checked

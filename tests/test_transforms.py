@@ -55,10 +55,11 @@ class TestDualExplicit:
         g = game((3,), [(3,)])
         assert dual_explicit(g).min_winning == frozenset({Coalition((1,))})
 
-    def test_cap_limits_enumeration(self):
+    def test_cap_limits_enumeration(self, monkeypatch):
+        monkeypatch.setenv("HIERGAME_ENUM_CAP", "3")
         g = game((2, 2), [(2, 0)])
         with pytest.raises(EnumerationCapError):
-            dual_explicit(g, cap=3)
+            dual_explicit(g)
 
 
 class TestDualSpec:

@@ -15,7 +15,6 @@ from .classifier import (
     classify,
     classify_rough,
     classify_weighted,
-    synthesize_certificate,
 )
 from .core import (
     Coalition,

@@ -40,13 +40,17 @@ def rational_str(value: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p' or 'p/q' with integer parts. Decimal forms are rejected
-    (int() raises), keeping serialized certificates exact by construction."""
-    text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    """Parse what rational_str prints, 'p' or 'p/q', surrounding spaces
+    allowed: an optional '-', ASCII digits, and an optional '/' with a
+    positive ASCII-digit denominator. Anything else (decimals, '+', '_',
+    non-ASCII digits, a signed or zero denominator) raises ValueError."""
+    num, slash, den = text.strip().partition("/")
+    digits = num.removeprefix("-")
+    if not slash:
+        den = "1"
+    if not (digits.isascii() and digits.isdigit() and den.isascii() and den.isdigit() and int(den) > 0):
+        raise ValueError(f"not a rational p or p/q: {text!r}")
+    return Fraction(int(num), int(den))
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,11 @@ The decision law is a finite case list over (kind, n, k):
     dual derivation disagree, the verdict follows duality and the
     disagreement is recorded in Verdict.notes.
 
-Certificates are closed forms in (n, k), weighted ones integer with a gap of
-1, conjunctive ones carried over from the dual spec; classification is O(m)
-and touches neither the coalition lattice nor the LP oracle.
+Each case returns its tag together with its certificate, so a verdict is one
+pass over the law. Certificates are closed forms in (n, k), weighted ones
+integer with a gap of 1, conjunctive ones carried over from the dual spec;
+classification is O(m) and touches neither the coalition lattice nor the LP
+oracle.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .certificates import RoughCert
-from .hierarchy import CONJUNCTIVE, DISJUNCTIVE, HierSpec, canon_check
+from .hierarchy import DISJUNCTIVE, HierSpec, canon_check
 from .transforms import dual_spec
 
 __all__ = [
@@ -58,7 +60,6 @@ __all__ = [
     "classify_weighted",
     "classify_rough",
     "classify",
-    "synthesize_certificate",
 ]
 
 WEIGHTED = "weighted"
@@ -94,24 +95,32 @@ def _require_canonical(spec: HierSpec) -> None:
 # ===== weighted case law =====
 
 
-def _weighted_case_disj(n: tuple[int, ...], k: tuple[int, ...]) -> Optional[int]:
+def _weighted_disj(n: tuple[int, ...], k: tuple[int, ...]) -> Optional[tuple[int, RoughCert]]:
+    """Thm4 case of a canonical disjunctive (n, k) and its integer
+    certificate, with minimal winning coalitions at >= q and maximal losing
+    ones at <= q - 1; None when the game is not weighted."""
     m = len(n)
     if m == 1:
-        return 1
+        return 1, RoughCert(k[0], (1,))
     if m == 2 and k[1] == k[0] + 1:
-        return 2
+        # w(X) = k1 * (x1 + x2) + x1, and a loser has x1 < k1, x1 + x2 <= k1
+        return 2, RoughCert(k[0] * k[1], (k[1], k[0]))
     if m == 2 and n[1] == k[1] - k[0] + 1:
-        return 3
+        # reaching k2 without k1 first-level players takes x1 = k1 - 1, x2 = n2
+        return 3, RoughCert(k[0] * n[1], (n[1], 1))
     if m in (2, 3) and k[0] == 1:
-        if m == 2:
-            return 4
-        # single first-level players win alone, so weightedness is decided
-        # by the residual game on levels 2..3 (thresholds unchanged)
-        if _weighted_case_disj(n[1:], k[1:]) is not None:
-            return 4
+        # one first-level player wins alone; without one, the residual game
+        # on levels 2..m (thresholds unchanged) decides; for m = 2 it is
+        # always case 1
+        inner = _weighted_disj(n[1:], k[1:])
+        if inner is not None:
+            quota = inner[1].quota
+            return 4, RoughCert(quota, (quota,) + inner[1].weights)
     if m in (2, 3, 4) and k[-1] == k[-2] + n[-1]:
-        if _weighted_case_disj(n[:-1], k[:-1]) in (1, 2, 3, 4):
-            return 5
+        inner = _weighted_disj(n[:-1], k[:-1])
+        if inner is not None and inner[0] != 5:
+            # dummy last level
+            return 5, RoughCert(inner[1].quota, inner[1].weights + (0,))
     return None
 
 
@@ -135,104 +144,70 @@ def _weighted_case_conj(n: tuple[int, ...], k: tuple[int, ...]) -> Optional[int]
     return None
 
 
-def _weighted_cert_disj(n: tuple[int, ...], k: tuple[int, ...]) -> RoughCert:
-    """Integer certificate of a weighted canonical disjunctive (n, k), with
-    minimal winning coalitions at >= q and maximal losing ones at <= q - 1."""
-    case = _weighted_case_disj(n, k)
-    if case == 1:
-        return RoughCert(k[0], (1,))
-    if case == 2:
-        # w(X) = k1 * (x1 + x2) + x1, and a loser has x1 < k1, x1 + x2 <= k1
-        return RoughCert(k[0] * k[1], (k[1], k[0]))
-    if case == 3:
-        # reaching k2 without k1 first-level players takes x1 = k1 - 1, x2 = n2
-        return RoughCert(k[0] * n[1], (n[1], 1))
-    if case == 4:
-        # one first-level player wins alone; without one, the residual game
-        # on the lower levels decides
-        inner = _weighted_cert_disj(n[1:], k[1:])
-        return RoughCert(inner.quota, (inner.quota,) + inner.weights)
-    if case == 5:
-        inner = _weighted_cert_disj(n[:-1], k[:-1])
-        return RoughCert(inner.quota, inner.weights + (Fraction(0),))  # dummy last level
-    raise RuntimeError(f"weighted n={n} k={k} matches no weighted case")
-
-
 def classify_weighted(spec: HierSpec) -> Optional[str]:
     """Matched weighted-case tag ('Thm4(2)', 'Thm5(4)', ...) or None.
 
     Requires a canonical spec. Truthiness of the result answers "is the
     game weighted".
     """
-    _require_canonical(spec)
-    if spec.kind == DISJUNCTIVE:
-        case = _weighted_case_disj(spec.n, spec.k)
-        return None if case is None else f"Thm4({case})"
-    case = _weighted_case_conj(spec.n, spec.k)
-    return None if case is None else f"Thm5({case})"
+    verdict = classify_rough(spec)
+    return verdict.matched_case if verdict.game_class == WEIGHTED else None
 
 
 # ===== rough case law (disjunctive; conjunctive goes through duality) =====
 
 
-def _rough_case_disj(n: tuple[int, ...], k: tuple[int, ...]) -> Optional[str]:
-    """Match a canonical nonweighted dummy-free disjunctive (n, k) against
-    cases (i)-(vi). Callers handle the dummy route (vii)."""
+def _rough_disj(n: tuple[int, ...], k: tuple[int, ...]) -> Optional[tuple[str, RoughCert]]:
+    """Thm12 case (i)-(vi) of a canonical nonweighted dummy-free disjunctive
+    (n, k) and its quota-1 certificate (quota 0 for (i)); None when none
+    matches. _route_rough_disj handles the dummy route (vii)."""
     m = len(n)
     if k[0] == 1:
-        return "i"
+        # passers make the game decisive at weight zero: losing coalitions
+        # contain no first-level player at all
+        return "i", RoughCert(0, (1,) + (0,) * (m - 1))
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
     if m == 2:
         if k == (2, 4) and n[0] >= 2 and n[1] >= 4:
-            return "ii"
+            return "ii", RoughCert(1, (half, quarter))
         if k[1] == k[0] + 2 and k[0] > 2 and n[0] >= k[0] and n[1] == 4:
-            return "iii"
+            return "iii", RoughCert(1, (Fraction(1, k[0]), Fraction(1, 2 * k[0])))
         return None
     if m == 3:
         if k == (2, 3, 4):
             # n3=1 would be a dummy level, handled by the (vii) route
-            return "iv" if (n[1] == 2 or n[2] == 2) else None
-        if k[1] == k[0] + 1 and k[2] == k[0] + 2 and k[0] > 2 and n[0] >= k[0] and n[2] == 2:
-            return "v"
-        if k[1] == k[0] + 1 and k[0] >= 2 and n[0] >= k[0] and n[2] == k[2] - k[0] >= 3:
-            return "vi"
+            if n[2] == 2:
+                return "iv", RoughCert(1, (half, half, 0))
+            if n[1] == 2:
+                return "iv", RoughCert(1, (half, quarter, quarter))
+            return None
+        if k[1] == k[0] + 1 and n[0] >= k[0]:
+            v = k[2] == k[0] + 2 and k[0] > 2 and n[2] == 2
+            vi = k[0] >= 2 and n[2] == k[2] - k[0] >= 3
+            if v or vi:
+                cert = RoughCert(1, (Fraction(1, k[0]), Fraction(1, k[0]), 0))
+                return ("v" if v else "vi"), cert
     return None
 
 
-def _route_rough_disj(n: tuple[int, ...], k: tuple[int, ...]) -> Optional[str]:
-    m = len(n)
-    if m >= 2 and k[-1] == k[-2] + n[-1]:
-        sub = _rough_case_disj(n[:-1], k[:-1])
-        return None if sub is None else "vii"
-    return _rough_case_disj(n, k)
+def _route_rough_disj(n: tuple[int, ...], k: tuple[int, ...]) -> Optional[tuple[str, RoughCert]]:
+    if len(n) >= 2 and k[-1] == k[-2] + n[-1]:
+        inner = _rough_disj(n[:-1], k[:-1])
+        if inner is None:
+            return None
+        return "vii", RoughCert(inner[1].quota, inner[1].weights + (0,))
+    return _rough_disj(n, k)
 
 
-def _rough_cert_disj(n: tuple[int, ...], k: tuple[int, ...], case: str) -> RoughCert:
-    m = len(n)
-    if case == "vii":
-        inner_case = _rough_case_disj(n[:-1], k[:-1])
-        if inner_case is None:
-            raise ValueError(f"case vii does not apply to n={n} k={k}")
-        inner = _rough_cert_disj(n[:-1], k[:-1], inner_case)
-        return RoughCert(inner.quota, inner.weights + (Fraction(0),))
-    if case == "i":
-        # passers make the game decisive at weight zero: losing coalitions
-        # contain no first-level player at all
-        return RoughCert(Fraction(0), (Fraction(1),) + (Fraction(0),) * (m - 1))
-    if case == "ii":
-        return RoughCert(Fraction(1), (Fraction(1, 2), Fraction(1, 4)))
-    if case == "iii":
-        return RoughCert(Fraction(1), (Fraction(1, k[0]), Fraction(1, 2 * k[0])))
-    if case == "iv":
-        if n[2] == 2:
-            weights = (Fraction(1, 2), Fraction(1, 2), Fraction(0))
-        else:
-            weights = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
-        return RoughCert(Fraction(1), weights)
-    if case in ("v", "vi"):
-        return RoughCert(
-            Fraction(1), (Fraction(1, k[0]), Fraction(1, k[0]), Fraction(0))
-        )
-    raise ValueError(f"unknown rough case {case!r}")
+def _across_duality(cert: RoughCert, n: tuple[int, ...], gap: int) -> RoughCert:
+    """The dual spec's certificate carried to the spec on level sizes n.
+
+    X wins iff its complement loses in the dual game, so the dual's losing
+    bound w(P - X) <= quota - gap turns into w(X) >= w(P) - quota + gap:
+    gap 1 for weighted (Thm5) certificates, 0 for rough (Thm13) ones.
+    """
+    total = sum(w * c for w, c in zip(cert.weights, n))
+    return RoughCert(total - cert.quota + gap, cert.weights)
 
 
 # literal reading of the published conjunctive case list, kept for
@@ -274,76 +249,48 @@ def classify_rough(spec: HierSpec) -> Verdict:
     """Full structural verdict for a canonical spec.
 
     Runs the weighted case law first; nonweighted specs then go through the
-    rough case law (conjunctive ones via their dual). Certificates are
-    attached for weighted and rough classes; not_rough has none.
+    rough case law (conjunctive ones via their dual). Each case returns its
+    certificate with its tag; not_rough has none.
     """
     _require_canonical(spec)
-    wtag = classify_weighted(spec)
-    if wtag is not None:
-        return Verdict(WEIGHTED, wtag, synthesize_certificate(spec, wtag))
-
     if spec.kind == DISJUNCTIVE:
-        case = _route_rough_disj(spec.n, spec.k)
-        if case is None:
+        weighted = _weighted_disj(spec.n, spec.k)
+        if weighted is not None:
+            return Verdict(WEIGHTED, f"Thm4({weighted[0]})", weighted[1])
+        rough = _route_rough_disj(spec.n, spec.k)
+        if rough is None:
             return Verdict(NOT_ROUGH, "none", None)
-        tag = f"Thm12({case})"
-        return Verdict(ROUGH_NOT_WEIGHTED, tag, synthesize_certificate(spec, tag))
+        return Verdict(ROUGH_NOT_WEIGHTED, f"Thm12({rough[0]})", rough[1])
 
     dual = dual_spec(spec)
-    if _weighted_case_disj(dual.n, dual.k) is not None:
-        # weightedness is self-dual; classify_weighted above must agree
-        raise RuntimeError(f"dual of nonweighted {spec} classified weighted")
-    case = _route_rough_disj(dual.n, dual.k)
+    weighted = _weighted_disj(dual.n, dual.k)
+    case = _weighted_case_conj(spec.n, spec.k)
+    if (weighted is None) != (case is None):
+        # weightedness is self-dual, so the Thm5 list and the dual's Thm4
+        # list must agree
+        raise RuntimeError(f"{spec} and its dual disagree on weightedness")
+    if weighted is not None:
+        return Verdict(WEIGHTED, f"Thm5({case})", _across_duality(weighted[1], spec.n, 1))
+    rough = _route_rough_disj(dual.n, dual.k)
     notes: tuple[str, ...] = ()
     literal = _literal_conj_case(spec.n, spec.k)
-    if (literal is None) != (case is None):
-        derived = "no match" if case is None else f"dual match {case}"
+    if (literal is None) != (rough is None):
+        derived = "no match" if rough is None else f"dual match {rough[0]}"
         printed = "no match" if literal is None else f"case {literal}"
         notes = (
             f"literal Thm13 reading gives {printed} but duality gives {derived}; "
             "verdict follows duality",
         )
-    if case is None:
+    if rough is None:
         return Verdict(NOT_ROUGH, "none", None, notes)
-    if case == "v":
-        case = "va" if spec.n[1] == spec.n[2] == 2 else "vb"
-    tag = f"Thm13({case})"
-    return Verdict(ROUGH_NOT_WEIGHTED, tag, synthesize_certificate(spec, tag), notes)
+    tag = rough[0]
+    if tag == "v":
+        tag = "va" if spec.n[1] == spec.n[2] == 2 else "vb"
+    return Verdict(
+        ROUGH_NOT_WEIGHTED, f"Thm13({tag})", _across_duality(rough[1], spec.n, 0), notes
+    )
 
 
 def classify(spec: HierSpec) -> Verdict:
     """Alias for classify_rough: the one-call entry point."""
     return classify_rough(spec)
-
-
-def synthesize_certificate(spec: HierSpec, case_tag: str) -> RoughCert:
-    """Exact certificate for a spec under a given decision-law tag.
-
-    Thm4 and Thm12 tags: closed forms on the disjunctive thresholds; Thm4
-    ones are integer with a gap of 1.
-    Thm5 and Thm13 tags: the dual spec's Thm4 or Thm12 certificate carried
-    across duality (quota' = w(P) - quota, plus the gap of 1 for Thm5).
-    A weighted tag must be the one classify_weighted gives the spec; unknown
-    or inapplicable tags raise ValueError.
-    """
-    family, _, rest = case_tag.partition("(")
-    case = rest.rstrip(")")
-    kinds = {"Thm4": DISJUNCTIVE, "Thm12": DISJUNCTIVE, "Thm5": CONJUNCTIVE, "Thm13": CONJUNCTIVE}
-    if family not in kinds or not case:
-        raise ValueError(f"unknown case tag {case_tag!r}")
-    if spec.kind != kinds[family]:
-        raise ValueError(f"{case_tag} does not apply to a {spec.kind} spec")
-    weighted = family in ("Thm4", "Thm5")
-    if weighted and classify_weighted(spec) != case_tag:
-        raise ValueError(f"{spec} does not fall under {case_tag}")
-    disj = spec if spec.kind == DISJUNCTIVE else dual_spec(spec)
-    if weighted:
-        inner = _weighted_cert_disj(disj.n, disj.k)
-    else:
-        inner = _rough_cert_disj(disj.n, disj.k, "v" if case in ("va", "vb") else case)
-    if disj is spec:
-        return inner
-    # X wins iff its complement loses in the dual game, so the dual's losing
-    # bound w(P - X) <= quota - gap turns into w(X) >= w(P) - quota + gap
-    gap = 1 if weighted else 0
-    return RoughCert(inner.weight_of(disj.universe().full()) - inner.quota + gap, inner.weights)

@@ -23,10 +23,12 @@ class TestRationalText:
         assert parse_rational(text) == value
 
     def test_decimal_forms_rejected(self):
-        with pytest.raises(ValueError):
-            parse_rational("0.5")
-        with pytest.raises(ValueError):
-            parse_rational("1e3")
+        # only what rational_str prints: no '+', '_' or non-ASCII digit (an
+        # Arabic-Indic three here), no sign on the denominator, and no zero one
+        for text in ("0.5", "1e3", "1_0", "+5", "\u0663", "1/-2", "1/+2", "1/0", "0/0",
+                     "", "-", "/2", "1/", "1//2", "1 / 2", "- 1", "1/2/3"):
+            with pytest.raises(ValueError):
+                parse_rational(text)
 
     @pytest.mark.parametrize(
         "value", [Fraction(3, 4), Fraction(-1, 2), Fraction(5), Fraction(0), Fraction(22, 7)]

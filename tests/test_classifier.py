@@ -174,6 +174,28 @@ class TestGridAgreement:
         assert total == 100
 
 
+class TestDeepCertificates:
+    def test_four_and_five_level_certificates_verify(self):
+        # the case-5 and (vii) recursions, and their carry across duality,
+        # on every spec of the 4-level n <= 3 and 5-level n <= 2 grids
+        seen = {WEIGHTED: 0, ROUGH_NOT_WEIGHTED: 0, NOT_ROUGH: 0}
+        for kind in (DISJUNCTIVE, CONJUNCTIVE):
+            for levels, nmax in ((4, 3), (5, 2)):
+                for spec in sweep_specs(kind, levels, nmax):
+                    v = classify(spec)
+                    seen[v.game_class] += 1
+                    if v.game_class == NOT_ROUGH:
+                        assert v.certificate is None, spec
+                        continue
+                    g = realize(spec)
+                    if v.game_class == WEIGHTED:
+                        assert verify_representation(g, v.certificate, "weighted"), spec
+                    else:
+                        assert verify_representation(g, v.certificate, "rough"), spec
+                        assert not verify_representation(g, v.certificate, "weighted"), spec
+        assert seen == {WEIGHTED: 162, ROUGH_NOT_WEIGHTED: 258, NOT_ROUGH: 246}
+
+
 class TestOffLattice:
     def test_classify_never_touches_the_lattice(self, monkeypatch):
         specs = [

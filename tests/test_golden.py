@@ -14,7 +14,11 @@ of w . (1, ..., m) over the quota-1 rough polytope. level_order.golden.txt
 pins the level desirability order: canonicalize_semantic (canonical spec and
 level mapping, or the name of the exception) on every valid spec of both
 kinds with 1-3 levels, n_i <= 3 and k_i <= 9, then `structural --json` on
-four universes. Both are written by
+four universes. verdicts.golden.txt pins the structural classifier: one
+line per spec with str(spec), class, case tag, str(certificate) and notes,
+on every canonical spec of both kinds with 1-2 levels and n_i <= 6, 3 levels
+and n_i <= 4, 4 levels and n_i <= 3, and 5 levels and n_i <= 2, then
+H_E((100,100,100),(1,2,3)) and its dual. All three are written by
 
   PYTHONPATH=src python tests/test_golden.py
 
@@ -36,6 +40,8 @@ from hiergames import (
     HierSpec,
     Multiset,
     canonicalize_semantic,
+    classify,
+    dual_spec,
     extremal_weight,
     oracle_rough,
     oracle_weighted,
@@ -150,6 +156,32 @@ def test_level_order_matches_golden():
     assert level_order() == (DATA / LEVEL_ORDER_GOLDEN).read_text(encoding="utf-8")
 
 
+VERDICTS_GOLDEN = "verdicts.golden.txt"
+
+
+def verdicts() -> str:
+    """classify on the canonical sweep grids and on one large weighted spec."""
+    specs = [
+        spec
+        for levels, nmax in ((1, 6), (2, 6), (3, 4), (4, 3), (5, 2))
+        for kind in ("disjunctive", "conjunctive")
+        for spec in sweep_specs(kind, levels, nmax)
+    ]
+    big = HierSpec("disjunctive", (100, 100, 100), (1, 2, 3))
+    specs += [big, dual_spec(big)]
+    lines = []
+    for spec in specs:
+        v = classify(spec)
+        fields = [str(spec), v.game_class, v.matched_case, str(v.certificate), *v.notes]
+        lines.append("\t".join(fields) + "\n")
+    return "".join(lines)
+
+
+def test_verdicts_match_golden():
+    assert verdicts() == (DATA / VERDICTS_GOLDEN).read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     (DATA / ORACLE_GOLDEN).write_text(oracle_certificates(), encoding="utf-8")
     (DATA / LEVEL_ORDER_GOLDEN).write_text(level_order(), encoding="utf-8")
+    (DATA / VERDICTS_GOLDEN).write_text(verdicts(), encoding="utf-8")

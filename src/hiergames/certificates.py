@@ -43,7 +43,10 @@ def parse_rational(text: str) -> Fraction:
     """Parse what rational_str prints, 'p' or 'p/q', surrounding spaces
     allowed: an optional '-', ASCII digits, and an optional '/' with a
     positive ASCII-digit denominator. Anything else (decimals, '+', '_',
-    non-ASCII digits, a signed or zero denominator) raises ValueError."""
+    non-ASCII digits, a signed or zero denominator) raises ValueError, and
+    anything but a str raises TypeError."""
+    if not isinstance(text, str):
+        raise TypeError(f"rational text must be str, got {type(text).__name__}")
     num, slash, den = text.strip().partition("/")
     digits = num.removeprefix("-")
     if not slash:
@@ -91,9 +94,19 @@ class RoughCert:
 
     @staticmethod
     def from_dict(data: dict) -> "RoughCert":
+        """Inverse of to_dict: a dict with exactly the keys 'quota', a str,
+        and 'weights', a list of str, each in parse_rational's form. Any
+        other shape raises TypeError or ValueError."""
+        if not isinstance(data, dict):
+            raise TypeError(f"certificate must be a dict, got {type(data).__name__}")
+        if set(data) != {"quota", "weights"}:
+            raise ValueError(f"certificate needs the keys quota and weights, got {list(data)}")
+        weights = data["weights"]
+        if not isinstance(weights, list):
+            raise TypeError(f"weights must be a list, got {type(weights).__name__}")
         return RoughCert(
             quota=parse_rational(data["quota"]),
-            weights=tuple(parse_rational(w) for w in data["weights"]),
+            weights=tuple(parse_rational(w) for w in weights),
         )
 
     def __str__(self) -> str:

@@ -1,11 +1,14 @@
 """Exact linear feasibility and optimization over the rationals.
 
-Small systems of linear inequalities a.x <= b with int or Fraction coefficients,
-decided by one exact simplex on the dual cone program (below). No floating
-point anywhere: the answers here certify mathematical claims, so "feasible
-up to 1e-9" is not feasible. Rows are stored as integers, and the tableau
-stays integral through integer-preserving pivots (Edmonds 1967; Bareiss
-1968), so pivoting, pricing and the ratio test never build a Fraction.
+Small systems of linear inequalities a.x <= b with int coefficients and
+bounds, decided by one exact simplex on the dual cone program (below). No
+floating point anywhere: the answers here certify mathematical claims, so
+"feasible up to 1e-9" is not feasible. Each row is stored exactly as it was
+added (add_ge negates it), with no scaling and no dedupe, so row j is the
+j-th constraint the caller added. The tableau stays integral through
+integer-preserving pivots (Edmonds 1967; Bareiss 1968): the simplex returns
+integer numerators over one positive denominator, and a Fraction is built
+only for the values handed back to the caller.
 
 Provided verbs:
 
@@ -23,10 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Optional, Sequence
-
-from .certificates import Rational, as_rational
 
 __all__ = ["LinearSystem", "OptResult"]
 
@@ -35,14 +35,17 @@ UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
 
 # internal constraint form: (coeffs, rhs) meaning coeffs . x <= rhs, all ints,
-# normalized so gcd(coeffs, rhs) == 1 (zero rows keep rhs sign only)
+# kept as added (only add_ge's negation applied)
 _Row = tuple[tuple[int, ...], int]
 
 
-def _exact(value: Rational, what: str) -> Rational:
-    """An int passes through as it is (no Fraction per coefficient); any
-    other value must pass as_rational, which rejects bools and floats."""
-    return value if type(value) is int else as_rational(value, what)
+def _ints(values: Sequence[int], what: str) -> tuple[int, ...]:
+    """The values as a tuple; anything but an int, bools, floats and
+    Fractions included, raises TypeError."""
+    for v in values:
+        if type(v) is not int:
+            raise TypeError(f"{what} must be ints, got {type(v).__name__}")
+    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -59,57 +62,32 @@ class OptResult:
     point: Optional[tuple[Fraction, ...]]
 
 
-def _scaled(values: Sequence[Rational]) -> tuple[tuple[int, ...], int]:
-    """Integers v * scale for the least scale > 0 that clears every
-    denominator; ints (denominator 1) pass through unchanged."""
-    scale = lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (scale // v.denominator) for v in values), scale
-
-
-def _normalize(coeffs: Sequence[Rational], rhs: Rational) -> _Row:
-    *ints, b = _scaled([*coeffs, rhs])[0]
-    g = gcd(*ints, b)
-    if g > 1:
-        ints = [v // g for v in ints]
-        b //= g
-    if all(v == 0 for v in ints):
-        # constant row: only the sign of b matters (0 <= b)
-        b = 0 if b >= 0 else -1
-    return tuple(ints), b
-
-
 class LinearSystem:
-    """A mutable bag of exact linear constraints over num_vars variables."""
+    """A mutable list of exact integer linear constraints over num_vars
+    variables."""
 
     def __init__(self, num_vars: int) -> None:
         if num_vars < 0:
             raise ValueError(f"num_vars must be >= 0, got {num_vars}")
         self.num_vars = num_vars
         self._rows: list[_Row] = []
-        self._seen: set[_Row] = set()
 
-    def _add(self, coeffs: Sequence[Rational], rhs: Rational, negate: bool) -> None:
+    def _add(self, coeffs: Sequence[int], rhs: int, negate: bool) -> None:
         if len(coeffs) != self.num_vars:
             raise ValueError(f"expected {self.num_vars} coefficients, got {len(coeffs)}")
-        cs = [_exact(c, "coefficient") for c in coeffs]
-        b = _exact(rhs, "bound")
-        if negate:
-            cs = [-c for c in cs]
-            b = -b
-        row = _normalize(cs, b)
-        if row not in self._seen:
-            self._seen.add(row)
-            self._rows.append(row)
+        *cs, b = _ints((*coeffs, rhs), "coefficients and bound")
+        sign = -1 if negate else 1
+        self._rows.append((tuple(sign * c for c in cs), sign * b))
 
-    def add_le(self, coeffs: Sequence[Rational], rhs: Rational) -> None:
+    def add_le(self, coeffs: Sequence[int], rhs: int) -> None:
         """coeffs . x <= rhs"""
         self._add(coeffs, rhs, negate=False)
 
-    def add_ge(self, coeffs: Sequence[Rational], rhs: Rational) -> None:
-        """coeffs . x >= rhs"""
+    def add_ge(self, coeffs: Sequence[int], rhs: int) -> None:
+        """coeffs . x >= rhs, stored negated as -coeffs . x <= -rhs"""
         self._add(coeffs, rhs, negate=True)
 
-    def add_eq(self, coeffs: Sequence[Rational], rhs: Rational) -> None:
+    def add_eq(self, coeffs: Sequence[int], rhs: int) -> None:
         """coeffs . x = rhs (both inequalities)"""
         self._add(coeffs, rhs, negate=False)
         self._add(coeffs, rhs, negate=True)
@@ -118,34 +96,34 @@ class LinearSystem:
         """Some exact solution of the system, or None if there is none."""
         return _pivot_feasible(self._rows, self.num_vars)
 
-    def minimize(self, objective: Sequence[Rational]) -> OptResult:
+    def minimize(self, objective: Sequence[int]) -> OptResult:
         return self._optimize(objective, sense=-1)
 
-    def maximize(self, objective: Sequence[Rational]) -> OptResult:
+    def maximize(self, objective: Sequence[int]) -> OptResult:
         return self._optimize(objective, sense=+1)
 
-    def _optimize(self, objective: Sequence[Rational], sense: int) -> OptResult:
+    def _optimize(self, objective: Sequence[int], sense: int) -> OptResult:
         """Maximize sense * objective . x: by strong duality its optimum is
         that of the dual cone with target sense * objective, and the cone's
         multipliers are the witness."""
         if len(objective) != self.num_vars:
             raise ValueError(f"expected {self.num_vars} objective coefficients")
-        obj = [sense * _exact(c, "objective") for c in objective]
+        target = tuple(sense * c for c in _ints(objective, "objective"))
         if _pivot_feasible(self._rows, self.num_vars) is None:
             return OptResult(INFEASIBLE, None, None)
-        # scaling the target scales every basic solution of the cone alike,
-        # so the pivots are the same and only the value needs scaling back
-        target, scale = _scaled(obj)
-        status, value, pi = _simplex_cone(self._rows, target)
+        status, value, pi, denom = _simplex_cone(self._rows, target)
         if status == INFEASIBLE:
             # no dual multipliers at all: nothing caps the objective
             return OptResult(UNBOUNDED, None, None)
         if status != OPTIMAL:
             raise RuntimeError("dual cone unbounded although the system is feasible")
-        value /= scale
-        if sum(c * p for c, p in zip(obj, pi)) != value:
+        # run-time guard, on numerators over the one denom: the witness must
+        # attain the dual optimum
+        if sum(c * p for c, p in zip(target, pi)) != value:
             raise RuntimeError("simplex multipliers miss the dual optimum; inexact pivot")
-        return OptResult(OPTIMAL, sense * value, pi)
+        return OptResult(
+            OPTIMAL, Fraction(sense * value, denom), tuple(Fraction(p, denom) for p in pi)
+        )
 
 
 # ===== the dual-cone simplex =====
@@ -168,11 +146,13 @@ _PIVOT_SAFETY = 50_000
 
 def _simplex_cone(
     rows: list[_Row], target: tuple[int, ...]
-) -> tuple[str, Optional[Fraction], Optional[tuple[Fraction, ...]]]:
+) -> tuple[str, Optional[int], Optional[tuple[int, ...]], int]:
     """min b.y with sum_j y_j * a_j = target, y >= 0, over rows (a_j, b_j).
 
-    Returns (status, value, pi): pi are the multipliers of the final basis,
-    i.e. the unique solution of pi . a_j = b_j over basic columns."""
+    Returns (status, value, pi, denom): pi are the multipliers of the final
+    basis, i.e. the unique solution of pi . a_j = b_j over basic columns.
+    value and pi are integer numerators over denom > 0, |det| of the final
+    basis; both are None unless status is optimal."""
     d = len(target)
     n = len(rows)
     rhs_col = n + d
@@ -260,7 +240,7 @@ def _simplex_cone(
     if run(phase1, stop_at_zero=True) != OPTIMAL:
         raise RuntimeError("phase 1 unbounded although its objective is >= 0")
     if sum(phase1[b] * row[rhs_col] for b, row in zip(basis, tab)) != 0:
-        return INFEASIBLE, None, None
+        return INFEASIBLE, None, None, denom
     # An artificial still sitting in the basis (at value zero) would poison
     # phase 2: a column whose ray only inflates artificials is not a real
     # ray. Kick each one out with a degenerate pivot (its rhs is zero, so
@@ -279,27 +259,25 @@ def _simplex_cone(
     # phase 2: the real costs
     phase2 = [rhs for _, rhs in rows] + [0] * d
     if run(phase2, stop_at_zero=False) == UNBOUNDED:
-        return UNBOUNDED, None, None
+        return UNBOUNDED, None, None, denom
     cost_b = [phase2[b] for b in basis]
-    value = Fraction(sum(c * row[rhs_col] for c, row in zip(cost_b, tab)), denom)
+    value = sum(c * row[rhs_col] for c, row in zip(cost_b, tab))
     # multipliers pi = cost_B . B^-1, read off the artificial columns (they
     # hold B^-1 of the flipped rows, hence the sign)
-    pi = [Fraction(0)] * d
+    pi = [0] * d
     for c in coords:
-        pi[c] = sign[c] * Fraction(
-            sum(cb * row[n + c] for cb, row in zip(cost_b, tab)), denom
-        )
-    return OPTIMAL, value, tuple(pi)
+        pi[c] = sign[c] * sum(cb * row[n + c] for cb, row in zip(cost_b, tab))
+    return OPTIMAL, value, tuple(pi), denom
 
 
 def _pivot_feasible(rows: list[_Row], num_vars: int) -> Optional[tuple[Fraction, ...]]:
-    status, value, pi = _simplex_cone(rows, (0,) * num_vars)
+    status, value, pi, denom = _simplex_cone(rows, (0,) * num_vars)
     if status != OPTIMAL:
         return None
-    # run-time guard on the exact divisions above: a witness that misses
-    # any row means a pivot went wrong
+    # run-time guard on the exact divisions above, on numerators: a witness
+    # pi / denom that misses any row means a pivot went wrong
     if value != 0 or any(
-        sum(p * c for p, c in zip(pi, coeffs)) > rhs for coeffs, rhs in rows
+        sum(p * c for p, c in zip(pi, coeffs)) > rhs * denom for coeffs, rhs in rows
     ):
         raise RuntimeError("simplex witness violates the system; inexact pivot")
-    return pi
+    return tuple(Fraction(p, denom) for p in pi)

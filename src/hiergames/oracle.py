@@ -28,7 +28,8 @@ indicator weighting. The two branches together are complete.
 
 Both systems come from one builder, _separating_system. Its rows are the
 game's own count vectors as ints (the weighted system appends -1 for the
-quota variable), so the LP engine never rescales a coalition.
+quota variable), and the LP engine keeps every row as added: row j of the
+system is the j-th row the builder adds, never rescaled or merged.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .certificates import Rational, RoughCert
+from .certificates import RoughCert
 from .core import Coalition, ExplicitGame, is_winning, maximal_losing
 from .feasibility import INFEASIBLE, UNBOUNDED, LinearSystem
 
@@ -143,14 +144,16 @@ def verify_representation(game: ExplicitGame, cert: RoughCert, mode: str) -> boo
 
 def extremal_weight(
     game: ExplicitGame,
-    objective: Sequence[Rational],
+    objective: Sequence[int],
     sense: str,
 ) -> Optional[Fraction]:
     """Exact optimum of objective . w over the quota-1 rough polytope.
 
-    sense is 'min' or 'max'. Returns None when the objective is unbounded
-    over the polytope; raises ValueError when the polytope is empty (the
-    game has no quota-1 rough representation) or on bad arguments.
+    objective holds one int per level (a count vector, say); anything else
+    raises TypeError. sense is 'min' or 'max'. Returns None when the
+    objective is unbounded over the polytope; raises ValueError when the
+    polytope is empty (the game has no quota-1 rough representation) or on
+    bad arguments.
     """
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")

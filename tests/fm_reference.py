@@ -1,10 +1,11 @@
 """Fourier-Motzkin elimination: the reference engine the simplex is checked against.
 
-Works on the normalized integer rows of a LinearSystem (coeffs . x <= rhs).
-Each elimination step combines every lower bound on a variable with every
-upper bound, so the row count can square per step; the engine is kept for
-small test systems only, where its independence from the simplex is what
-matters.
+Works on the integer rows of a LinearSystem (coeffs . x <= rhs), which
+the system keeps as they were added. Each elimination step combines every
+lower bound on a variable with every upper bound, so the row count can
+square per step; the engine is kept for small test systems only, where its
+independence from the simplex is what matters. The rows it derives are
+normalized here (_normalize), so that equal constraints compare equal.
 
 Witness construction replays the eliminations in reverse, picking for each
 variable a value inside its final interval (preferring the lower end, then
@@ -14,11 +15,24 @@ zero).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
-from hiergames.feasibility import INFEASIBLE, OPTIMAL, UNBOUNDED, _normalize
+from hiergames.feasibility import INFEASIBLE, OPTIMAL, UNBOUNDED
 
 Row = tuple[tuple[int, ...], int]
+
+
+def _normalize(coeffs: Sequence[int], rhs: int) -> Row:
+    """The row divided by the gcd of its entries; a constant row keeps only
+    the sign of its bound (0 <= rhs), so equal constraints compare equal."""
+    g = gcd(*coeffs, rhs)
+    if g > 1:
+        coeffs = [v // g for v in coeffs]
+        rhs //= g
+    if all(v == 0 for v in coeffs):
+        rhs = 0 if rhs >= 0 else -1
+    return tuple(coeffs), rhs
 
 
 def feasible_point(rows: list[Row], num_vars: int) -> Optional[tuple[Fraction, ...]]:
@@ -32,18 +46,19 @@ def feasible_point(rows: list[Row], num_vars: int) -> Optional[tuple[Fraction, .
 
 
 def optimize(
-    rows: list[Row], num_vars: int, objective: Sequence[Fraction], sense: str
+    rows: list[Row], num_vars: int, objective: Sequence[int], sense: str
 ) -> tuple[str, Optional[Fraction], Optional[tuple[Fraction, ...]]]:
-    """(status, value, point) of min/max objective . x over the rows.
+    """(status, value, point) of min/max objective . x over the rows, for an
+    int objective.
 
     Introduces z = objective . x, eliminates everything but z, reads off the
     exact interval of z, then rebuilds a witness for the optimum."""
     z = num_vars
     extended: list[Row] = []
     seen: set[Row] = set()
-    obj = [Fraction(c) for c in objective] + [Fraction(-1)]
+    obj = [*objective, -1]
     candidates = [(coeffs + (0,), rhs) for coeffs, rhs in rows]
-    candidates += [_normalize(obj, Fraction(0)), _normalize([-c for c in obj], Fraction(0))]
+    candidates += [_normalize(obj, 0), _normalize([-c for c in obj], 0)]
     for row in candidates:
         if row not in seen:
             seen.add(row)
@@ -120,8 +135,8 @@ def _eliminate(
             if bin(hist).count("1") > max_history:
                 continue
             scale_l, scale_u = uc[var], -lc[var]
-            coeffs = [Fraction(scale_l * a + scale_u * b) for a, b in zip(lc, uc)]
-            row = _normalize(coeffs, Fraction(scale_l * lb + scale_u * ub))
+            coeffs = [scale_l * a + scale_u * b for a, b in zip(lc, uc)]
+            row = _normalize(coeffs, scale_l * lb + scale_u * ub)
             if all(v == 0 for v in row[0]) and row[1] < 0:
                 return None
             keep(row, hist)

@@ -30,6 +30,11 @@ class TestRationalText:
             with pytest.raises(ValueError):
                 parse_rational(text)
 
+    @pytest.mark.parametrize("value", [1, Fraction(1, 2), 0.5, None, b"1", ["1"]])
+    def test_non_text_rejected(self, value):
+        with pytest.raises(TypeError):
+            parse_rational(value)
+
     @pytest.mark.parametrize(
         "value", [Fraction(3, 4), Fraction(-1, 2), Fraction(5), Fraction(0), Fraction(22, 7)]
     )
@@ -91,6 +96,27 @@ class TestRoughCert:
         data = cert.to_dict()
         assert data == {"quota": "1", "weights": ["1/2", "1/4", "0"]}
         assert RoughCert.from_dict(data) == cert
+
+    @pytest.mark.parametrize(
+        "data,error",
+        [
+            ({"quota": 1, "weights": ["1"]}, TypeError),
+            ({"quota": "1", "weights": "12"}, TypeError),
+            ({"quota": "1", "weights": [1]}, TypeError),
+            ({"quota": "1", "weights": ("1",)}, TypeError),
+            ({"quota": None, "weights": ["1"]}, TypeError),
+            ([("quota", "1"), ("weights", ["1"])], TypeError),
+            ("[q=1; w=(1)]", TypeError),
+            ({"quota": "1"}, ValueError),
+            ({"weights": ["1"]}, ValueError),
+            ({"quota": "1", "weights": ["1"], "extra": 0}, ValueError),
+            ({"quota": "1", "weights": ["0.5"]}, ValueError),
+            ({"quota": "1", "weights": []}, ValueError),
+        ],
+    )
+    def test_from_dict_rejects_other_shapes(self, data, error):
+        with pytest.raises(error):
+            RoughCert.from_dict(data)
 
     def test_str(self):
         assert str(RoughCert(Fraction(6), (Fraction(3), Fraction(2)))) == "[q=6; w=(3, 2)]"

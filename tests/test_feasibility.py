@@ -1,12 +1,16 @@
 """Exact linear feasibility/optimization: the dual-cone simplex, and its
 agreement with the Fourier-Motzkin reference engine in fm_reference."""
 
+import ast
 import random
 from fractions import Fraction
+from math import lcm
+from pathlib import Path
 
 import pytest
 
 import fm_reference
+from hiergames import feasibility
 from hiergames.feasibility import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearSystem
 
 
@@ -48,10 +52,9 @@ class TestFeasiblePoint:
 
     def test_exactness_no_float_drift(self):
         sys = LinearSystem(1)
-        third = Fraction(1, 3)
-        sys.add_ge([1], third)
-        sys.add_le([1], third)
-        assert sys.feasible_point() == (third,)
+        sys.add_ge([3], 1)
+        sys.add_le([3], 1)
+        assert sys.feasible_point() == (Fraction(1, 3),)
 
 
 class TestOptimize:
@@ -97,23 +100,119 @@ class TestOptimize:
 
 
 class TestExactBoundary:
-    """Only ints and Fractions enter a system; bools and floats raise
+    """Only ints enter a system; bools, floats and Fractions raise
     TypeError, which the CLI reports as an input error."""
 
-    @pytest.mark.parametrize("bad", [0.5, 1.0, True], ids=["float", "float-int", "bool"])
-    @pytest.mark.parametrize("verb", ["add_le", "add_ge", "add_eq"])
-    def test_rows_reject_non_rationals(self, verb, bad):
+    VERBS = pytest.mark.parametrize("verb", ["add_le", "add_ge", "add_eq"])
+
+    @staticmethod
+    def assert_rows_reject(verb, bad):
         sys = LinearSystem(2)
         with pytest.raises(TypeError):
             getattr(sys, verb)([1, bad], 1)
         with pytest.raises(TypeError):
             getattr(sys, verb)([1, 1], bad)
+        assert sys._rows == []
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True], ids=["float", "float-int", "bool"])
+    @VERBS
+    def test_rows_reject_non_rationals(self, verb, bad):
+        self.assert_rows_reject(verb, bad)
+
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(1)], ids=["half", "one"])
+    @VERBS
+    def test_rows_reject_fractions(self, verb, bad):
+        self.assert_rows_reject(verb, bad)
 
     def test_objective_rejects_float(self):
         sys = LinearSystem(2)
         sys.add_le([1, 1], 1)
         with pytest.raises(TypeError):
             sys.maximize([1, 0.5])
+
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(1)], ids=["half", "one"])
+    @pytest.mark.parametrize("verb", ["minimize", "maximize"])
+    def test_objective_rejects_fractions(self, verb, bad):
+        sys = LinearSystem(2)
+        sys.add_le([1, 1], 1)
+        with pytest.raises(TypeError):
+            getattr(sys, verb)([1, bad])
+
+
+class TestRowsKeptAsGiven:
+    """Row j of a system is the j-th constraint added, unscaled: a Farkas
+    ray read off the tableau indexes the caller's own rows."""
+
+    def test_duplicates_and_common_factors_stay(self):
+        sys = LinearSystem(2)
+        sys.add_le([2, 4], 6)
+        sys.add_le([2, 4], 6)
+        sys.add_ge([3, 0], 3)
+        sys.add_le([0, 0], 5)
+        sys.add_eq([1, -1], 2)
+        assert sys._rows == [
+            ((2, 4), 6),
+            ((2, 4), 6),
+            ((-3, 0), -3),
+            ((0, 0), 5),
+            ((1, -1), 2),
+            ((-1, 1), -2),
+        ]
+        assert all(type(v) is int for coeffs, rhs in sys._rows for v in (*coeffs, rhs))
+        assert satisfies(sys._rows, sys.feasible_point())
+
+
+class TestRuntimeGuards:
+    """Both guards on the simplex's output fire, and still under -O: they
+    are checks that raise, not asserts."""
+
+    def test_witness_that_breaks_a_row(self, monkeypatch):
+        sys = LinearSystem(1)
+        sys.add_ge([1], 1)
+
+        def fake(rows, target):
+            # x = 1/2 breaks x >= 1, which only the bound scaled by denom
+            # shows: -1 > -1 * 2
+            return OPTIMAL, 0, (1,), 2
+
+        monkeypatch.setattr(feasibility, "_simplex_cone", fake)
+        with pytest.raises(RuntimeError, match="violates"):
+            sys.feasible_point()
+        with pytest.raises(RuntimeError, match="violates"):
+            sys.maximize([1])
+
+    def test_value_off_the_dual_optimum(self, monkeypatch):
+        sys = LinearSystem(1)
+        sys.add_ge([1], 1)
+        sys.add_le([1], 3)
+
+        def fake(rows, target):
+            # a true witness x = 4/2 for feasibility, then the value 7/2
+            # where pi . target is 4/2
+            return (OPTIMAL, 0 if target == (0,) else 7, (4,), 2)
+
+        monkeypatch.setattr(feasibility, "_simplex_cone", fake)
+        assert sys.feasible_point() == (Fraction(2),)
+        with pytest.raises(RuntimeError, match="dual optimum"):
+            sys.maximize([1])
+
+
+class TestStandsAlone:
+    def test_no_package_imports_and_no_fraction_in_the_simplex(self):
+        tree = ast.parse(Path(feasibility.__file__).read_text(encoding="utf-8"))
+        modules = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                modules.append("." * node.level + (node.module or ""))
+            elif isinstance(node, ast.Import):
+                modules += [alias.name for alias in node.names]
+        assert not [m for m in modules if m.startswith(".") or m.split(".")[0] == "hiergames"]
+        simplex = next(
+            node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "_simplex_cone"
+        )
+        names = {node.id for node in ast.walk(simplex) if isinstance(node, ast.Name)}
+        assert "Fraction" not in names
 
 
 class TestPivotEngine:
@@ -141,14 +240,14 @@ class TestPivotEngine:
         sys.add_ge([0, 1], 0)
         sys.add_le([1, 2], 4)
         sys.add_le([3, 1], 6)
-        res = sys.maximize([Fraction(1), Fraction(1)])
+        res = sys.maximize([1, 1])
         assert res.status == OPTIMAL
         assert res.value == Fraction(14, 5)
 
     def test_unbounded_ray(self):
         sys = LinearSystem(2)
         sys.add_ge([1, -1], 0)
-        res = sys.maximize([Fraction(1), Fraction(0)])
+        res = sys.maximize([1, 0])
         assert res.status == UNBOUNDED
 
     def test_redundant_equalities_survive_phase_one(self):
@@ -159,7 +258,7 @@ class TestPivotEngine:
             sys.add_eq([1, 1], 2)
         sys.add_ge([1, 0], 0)
         sys.add_ge([0, 1], 0)
-        res = sys.maximize([Fraction(1), Fraction(0)])
+        res = sys.maximize([1, 0])
         assert res.status == OPTIMAL
         assert res.value == Fraction(2)
         assert res.point == (Fraction(2), Fraction(0))
@@ -183,8 +282,8 @@ class TestEnginesAgree:
     def random_system(self, rng, num_vars):
         sys = LinearSystem(num_vars)
         for _ in range(rng.randrange(1, 14)):
-            coeffs = [Fraction(rng.randrange(-3, 4)) for _ in range(num_vars)]
-            rhs = Fraction(rng.randrange(-4, 7))
+            coeffs = [rng.randrange(-3, 4) for _ in range(num_vars)]
+            rhs = rng.randrange(-4, 7)
             if rng.random() < 0.15:
                 sys.add_eq(coeffs, rhs)
             else:
@@ -207,7 +306,11 @@ class TestEnginesAgree:
         for trial in range(300):
             num_vars = rng.randrange(1, 6)
             sys = self.random_system(rng, num_vars)
-            obj = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(num_vars)]
+            drawn = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(num_vars)]
+            # a rational objective cleared to ints, the only objectives the
+            # engine takes
+            scale = lcm(*(c.denominator for c in drawn))
+            obj = [int(c * scale) for c in drawn]
             sense = rng.choice(["min", "max"])
             res = sys.minimize(obj) if sense == "min" else sys.maximize(obj)
             status, value, _ = fm_reference.optimize(sys._rows, num_vars, obj, sense)

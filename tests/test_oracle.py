@@ -14,12 +14,14 @@ from hiergames import (
     Multiset,
     RoughCert,
     extremal_weight,
+    maximal_losing,
     oracle_classify,
     oracle_rough,
     oracle_weighted,
     realize,
     verify_representation,
 )
+from hiergames.oracle import _separating_system
 
 
 def game(counts, winning):
@@ -139,3 +141,54 @@ class TestExtremalWeight:
             extremal_weight(g, (1, 0, 0), "sup")
         with pytest.raises(ValueError):
             extremal_weight(g, (1, 0), "max")
+
+    @pytest.mark.parametrize("bad", [Fraction(1), Fraction(1, 2), 0.5, True])
+    def test_objective_must_be_ints(self, bad):
+        with pytest.raises(TypeError):
+            extremal_weight(realize(EXAMPLE), (bad, 0, 0), "max")
+
+
+class TestSeparatingSystemRows:
+    """Row j of an oracle system is the j-th row the builder added, unscaled
+    and never merged: sorted minimal winning, sorted maximal losing, then the
+    unit rows w_i >= 0 (add_ge rows stored negated). A Farkas ray read off
+    the simplex indexes coalitions in this order."""
+
+    @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "rough"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            EXAMPLE,
+            HierSpec(CONJUNCTIVE, (5, 10), (5, 9)),
+            HierSpec(DISJUNCTIVE, (1, 2, 4), (1, 2, 4)),
+            HierSpec(DISJUNCTIVE, (2, 2, 2, 2, 2), (2, 3, 4, 5, 6)),
+        ],
+        ids=str,
+    )
+    def test_rows_in_builder_order(self, spec, weighted):
+        g = realize(spec)
+        m = g.universe.m
+        tail, win, lose = ((-1,), 0, -1) if weighted else ((), 1, 1)
+        wins = sorted(w.counts for w in g.min_winning)
+        losses = sorted(x.counts for x in maximal_losing(g))
+        units = [tuple(-int(j == i) for j in range(m + len(tail))) for i in range(m)]
+        rows = _separating_system(g, weighted)._rows
+        assert len(rows) == len(wins) + len(losses) + m
+        assert rows == (
+            [(tuple(-c for c in w + tail), -win) for w in wins]
+            + [(x + tail, lose) for x in losses]
+            + [(u, 0) for u in units]
+        )
+
+    def test_constant_row_of_the_empty_losing_coalition(self):
+        # every single player wins alone, so the only maximal losing
+        # coalition is the empty one: its rough row reads 0 <= 1 as given
+        g = game((1, 1), [(1, 0), (0, 1)])
+        assert maximal_losing(g) == {Coalition((0, 0))}
+        assert _separating_system(g, False)._rows == [
+            ((0, -1), -1), ((-1, 0), -1), ((0, 0), 1), ((-1, 0), 0), ((0, -1), 0),
+        ]
+        assert _separating_system(g, True)._rows == [
+            ((0, -1, 1), 0), ((-1, 0, 1), 0), ((0, 0, -1), -1),
+            ((-1, 0, 0), 0), ((0, -1, 0), 0),
+        ]

@@ -222,8 +222,9 @@ class ExplicitGame:
     {empty coalition} (everything wins) are representable; most derived
     operations treat them as edge cases rather than rejecting them.
 
-    maximal_losing memoizes its antichain on the instance (outside the
-    dataclass fields, so equality and hashing do not see it).
+    Two derived values are memoized on the instance, outside the dataclass
+    fields, so equality and hashing do not see them: maximal_losing's
+    antichain and level_classes' desirability classes (or None).
     """
 
     universe: Multiset
@@ -317,12 +318,14 @@ class LevelRelation(Enum):
 def _at_least(wmin: list[tuple[int, ...]], i: int, j: int, n_i: int) -> bool:
     """Level i >= level j: every minimal winning w with w_j > 0 and w_i < n_i
     still wins with one j-unit traded for an i-unit."""
-    traded = (
-        tuple(x + (k == i) - (k == j) for k, x in enumerate(w))
-        for w in wmin
-        if w[j] and w[i] < n_i
-    )
-    return all(any(_covers(t, v) for v in wmin) for t in traded)
+    for w in wmin:
+        if w[j] and w[i] < n_i:
+            traded = list(w)
+            traded[i] += 1
+            traded[j] -= 1
+            if not any(_covers(traded, v) for v in wmin):
+                return False
+    return True
 
 
 def level_relation(game: ExplicitGame, i: int, j: int) -> LevelRelation:
@@ -352,7 +355,18 @@ def level_classes(game: ExplicitGame) -> list[list[int]] | None:
     """Levels grouped by desirability: classes of equivalent levels, most
     desirable class first, each level inserted in turn before the first
     class it beats. None when two levels are incomparable; as the preorder
-    is transitive, the insertions meet such a pair if there is one."""
+    is transitive, the insertions meet such a pair if there is one.
+
+    The order is derived once per game and memoized on it (None included);
+    every call returns fresh lists.
+    """
+    if "_level_classes" not in game.__dict__:
+        object.__setattr__(game, "_level_classes", _order_levels(game))
+    memo = game.__dict__["_level_classes"]
+    return None if memo is None else [list(cls) for cls in memo]
+
+
+def _order_levels(game: ExplicitGame) -> list[list[int]] | None:
     classes: list[list[int]] = []
     for lvl in range(game.universe.m):
         for idx, cls in enumerate(classes):

@@ -15,6 +15,13 @@ equivalences on the complete ones:
 
 after reordering levels by desirability and merging equivalent levels, which
 is what "hierarchical" means for a game rather than a spec.
+
+The antichains come from a skip-or-take walk over the lattice points in
+lexicographic order. Each point has an int bitmask of the points comparable
+to it; the walk ORs in the mask of every point it takes, and takes a point
+only while its bit is clear. Every yielded set is thus an antichain of
+lattice members, already the minimal winning coalitions of its game, so the
+scan builds each game without validating or minimizing it again.
 """
 
 from __future__ import annotations
@@ -28,8 +35,9 @@ from .classifier import WEIGHTED, Verdict, classify_rough
 from .core import (
     Coalition,
     EnumerationCapError,
-    ExplicitGame,
     Multiset,
+    _covers,
+    _explicit_game,
     is_complete,
     iter_coalitions,
     level_classes,
@@ -215,22 +223,25 @@ class StructuralReport:
 
 def _antichains(coalitions: list[Coalition]) -> Iterator[frozenset[Coalition]]:
     items = sorted(coalitions, key=lambda c: c.counts)
+    points = [c.counts for c in items]
+    comparable = [
+        sum(1 << k for k, y in enumerate(points) if _covers(x, y) or _covers(y, x))
+        for x in points
+    ]
+    end = len(items)
 
-    def rec(idx: int, chosen: list[Coalition]) -> Iterator[frozenset[Coalition]]:
-        if idx == len(items):
+    def rec(idx: int, chosen: list[Coalition], blocked: int) -> Iterator[frozenset[Coalition]]:
+        if idx == end:
             if chosen:
                 yield frozenset(chosen)
             return
-        yield from rec(idx + 1, chosen)
-        cand = items[idx]
-        if all(
-            not cand.contains(other) and not other.contains(cand) for other in chosen
-        ):
-            chosen.append(cand)
-            yield from rec(idx + 1, chosen)
+        yield from rec(idx + 1, chosen, blocked)
+        if not blocked >> idx & 1:
+            chosen.append(items[idx])
+            yield from rec(idx + 1, chosen, blocked | comparable[idx])
             chosen.pop()
 
-    yield from rec(0, [])
+    yield from rec(0, [], 0)
 
 
 def structural_scan(universe: Multiset) -> StructuralReport:
@@ -251,7 +262,7 @@ def structural_scan(universe: Multiset) -> StructuralReport:
     mismatches: list[str] = []
     for members in _antichains(coalitions):
         total += 1
-        game = ExplicitGame(universe, members)
+        game = _explicit_game(universe, members)
         if not is_complete(game):
             continue
         complete += 1

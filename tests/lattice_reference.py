@@ -8,13 +8,15 @@ Coalition.contains against each minimal winning coalition. Slow, but each
 step reads straight off a definition. level_relation is the sub-lattice
 walk the library used before it read desirability off the minimal winning
 coalitions. shift_extremal is the shift test the library used before it
-tested shifted count tuples against the minimal winning counts.
+tested shifted count tuples against the minimal winning counts. antichains
+is the enumeration structural_scan used before it carried a bitmask of the
+points comparable to those taken.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from hiergames.core import (
     Coalition,
@@ -130,3 +132,26 @@ def shift_extremal(game: ExplicitGame) -> ShiftExtremal:
         if all(is_winning(game, y) for y in shifts(x, weakening=False))
     )
     return ShiftExtremal(shift_min_winning=smw, shift_max_losing=sml)
+
+
+def antichains(coalitions: list[Coalition]) -> Iterator[frozenset[Coalition]]:
+    """Every nonempty antichain of the coalitions: skip or take each one in
+    count order, taking it only when Coalition.contains relates it to none
+    of those already taken."""
+    items = sorted(coalitions, key=lambda c: c.counts)
+
+    def rec(idx: int, chosen: list[Coalition]) -> Iterator[frozenset[Coalition]]:
+        if idx == len(items):
+            if chosen:
+                yield frozenset(chosen)
+            return
+        yield from rec(idx + 1, chosen)
+        cand = items[idx]
+        if all(
+            not cand.contains(other) and not other.contains(cand) for other in chosen
+        ):
+            chosen.append(cand)
+            yield from rec(idx + 1, chosen)
+            chosen.pop()
+
+    yield from rec(0, [])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from hiergames import core
 from hiergames.core import (
     Coalition,
     EnumerationCapError,
@@ -12,6 +13,7 @@ from hiergames.core import (
     is_complete,
     is_winning,
     iter_coalitions,
+    level_classes,
     level_relation,
     maximal_losing,
     special_players,
@@ -156,6 +158,52 @@ class TestLevelStructure:
     def test_is_complete(self):
         assert is_complete(game((2, 2), [(2, 0), (1, 2)]))
         assert is_complete(game((3,), [(2,)]))
+
+
+class TestLevelClassesMemo:
+    @pytest.fixture
+    def relations(self, monkeypatch):
+        calls = []
+        real = core.level_relation
+
+        def counting(game, i, j):
+            calls.append((i, j))
+            return real(game, i, j)
+
+        monkeypatch.setattr(core, "level_relation", counting)
+        return calls
+
+    def test_is_complete_then_level_classes_orders_once(self, relations):
+        g = game((2, 2), [(2, 0), (1, 2)])
+        assert is_complete(g)
+        assert relations
+        relations.clear()
+        assert level_classes(g) == [[0], [1]]
+        assert relations == []
+
+    def test_returns_fresh_lists(self):
+        g = game((2, 3), [(2, 0), (1, 1), (0, 2)])
+        classes = level_classes(g)
+        assert classes == [[0, 1]]
+        classes[0].append(5)
+        classes.append([2])
+        assert level_classes(g) == [[0, 1]]
+
+    def test_incomparable_memoizes_none(self, relations):
+        g = game((1, 1, 1, 1), [(1, 1, 0, 0), (0, 0, 1, 1)])
+        assert level_classes(g) is None
+        relations.clear()
+        assert level_classes(g) is None
+        assert not is_complete(g)
+        assert relations == []
+
+    def test_memo_outside_equality_and_hash(self):
+        g = game((2, 2), [(2, 0), (1, 2)])
+        before = hash(g)
+        level_classes(g)
+        fresh = ExplicitGame(g.universe, g.min_winning)
+        assert g == fresh
+        assert hash(g) == before == hash(fresh)
 
 
 class TestSpecialPlayers:

@@ -14,7 +14,7 @@ of w . (1, ..., m) over the quota-1 rough polytope. level_order.golden.txt
 pins the level desirability order: canonicalize_semantic (canonical spec and
 level mapping, or the name of the exception) on every valid spec of both
 kinds with 1-3 levels, n_i <= 3 and k_i <= 9, then `structural --json` on
-four universes. verdicts.golden.txt pins the structural classifier: one
+six universes. verdicts.golden.txt pins the structural classifier: one
 line per spec with str(spec), class, case tag, str(certificate) and notes,
 on every canonical spec of both kinds with 1-2 levels and n_i <= 6, 3 levels
 and n_i <= 4, 4 levels and n_i <= 3, and 5 levels and n_i <= 2, then
@@ -144,7 +144,7 @@ def level_order() -> str:
             lines.append(f"{spec}\t{type(exc).__name__}\n")
         else:
             lines.append(f"{spec}\t{canonical}\t{mapping}\n")
-    for universe in ("2,2,2", "1,2,3", "3,3", "4,2"):
+    for universe in ("2,2,2", "1,2,3", "3,3", "4,2", "2,3,2", "1,1,1,1"):
         out = io.StringIO()
         with redirect_stdout(out):
             assert main(["structural", "--universe", universe, "--json"]) == 0

@@ -19,6 +19,7 @@ from hiergames import (
     HierSpec,
     Multiset,
     canon_check,
+    harness,
     parse_document,
     run_sweep,
     structural_scan,
@@ -91,6 +92,21 @@ class TestStructuralScan:
         assert rep.unique_shift_min_winning == conj
         assert rep.conjunctive_hierarchical == conj
         assert rep.holds
+
+    def test_is_complete_called_once_per_game(self, monkeypatch):
+        # perfbench times each game by wrapping harness.is_complete, so the
+        # scan must make exactly one such call per enumerated game
+        calls = []
+        real = harness.is_complete
+
+        def counting(game):
+            calls.append(game)
+            return real(game)
+
+        monkeypatch.setattr(harness, "is_complete", counting)
+        rep = structural_scan(Multiset((2, 2, 2)))
+        assert rep.total_games == 978
+        assert len(calls) == rep.total_games
 
 
 def write_doc(tmp_path, data, name="doc.json"):
@@ -332,6 +348,10 @@ class TestOptimizedMode:
     def test_classify_oracle_same_under_dash_O(self, tmp_path):
         path = write_doc(tmp_path, {"kind": "disjunctive", "n": [3, 3, 3], "k": [1, 2, 3]})
         assert self.run_both("classify", path, "--oracle", "--json")["class"] == "weighted"
+
+    def test_structural_same_under_dash_O(self):
+        payload = self.run_both("structural", "--universe", "2,2", "--json")
+        assert payload["total_games"] == 18 and payload["holds"]
 
     def test_conjunctive_sweep_same_under_dash_O(self):
         # the harness's checks and the Thm5 duality route

@@ -93,6 +93,17 @@ class TestAgainstReference:
             assert shift_extremal(ordered) == ref.shift_extremal(ordered), members
         assert complete > 100
 
+    @pytest.mark.parametrize("counts", [(2, 2, 2), (1, 2, 3), (3, 3), (2, 1, 2)], ids=str)
+    def test_antichains(self, counts):
+        # structural_scan builds its games from these sets unvalidated, so
+        # each must already be an antichain of nonempty coalitions
+        coalitions = [c for c in iter_coalitions(Multiset(counts)) if c.size > 0]
+        got = list(_antichains(coalitions))
+        assert got == list(ref.antichains(coalitions))
+        for members in got:
+            assert members and all(c.size > 0 for c in members)
+            assert ref.minimal_antichain(members) == members
+
     def test_returned_coalitions_are_plain_values(self):
         game = realize(HierSpec(DISJUNCTIVE, (3, 3, 3), (2, 3, 5)))
         for c in game.min_winning | maximal_losing(game):

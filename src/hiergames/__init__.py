@@ -27,6 +27,7 @@ from .core import (
     is_complete,
     is_winning,
     iter_coalitions,
+    level_classes,
     level_relation,
     maximal_losing,
     special_players,

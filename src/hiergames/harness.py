@@ -40,7 +40,6 @@ from .core import (
     _explicit_game,
     is_complete,
     iter_coalitions,
-    level_classes,
 )
 from .hierarchy import (
     CONJUNCTIVE,
@@ -266,7 +265,7 @@ def structural_scan(universe: Multiset) -> StructuralReport:
         if not is_complete(game):
             continue
         complete += 1
-        ordered = merge_levels(game, level_classes(game))
+        ordered = merge_levels(game)
         extremal = shift_extremal(ordered)
         d = recover_disjunctive(ordered)
         c = recover_conjunctive(ordered)

@@ -212,21 +212,25 @@ def truncate(spec: HierSpec) -> HierSpec:
     return HierSpec(spec.kind, spec.n[:-1], spec.k[:-1])
 
 
-def merge_levels(game: ExplicitGame, classes: list[list[int]]) -> ExplicitGame:
-    """Collapse each listed class of equally desirable levels into one level.
+def merge_levels(game: ExplicitGame) -> ExplicitGame:
+    """Collapse each class of equally desirable levels (core.level_classes,
+    most desirable first) into one level; ValueError on incomparable levels.
 
-    Sound only when the levels inside each class really are interchangeable;
-    then a merged coalition wins iff any (equivalently every) way of spreading
-    it over the original levels wins, and summing the minimal winning
-    coalitions classwise generates exactly the merged game.
+    Levels in one class are interchangeable, so a merged coalition wins iff
+    any spread of it over the class's levels wins, and the classwise sums of
+    the minimal winning coalitions, duplicates dropped, are the merged game's
+    minimal winning antichain: were sum(w) >= sum(v) and unequal, spreading
+    sum(v) inside w would give a smaller winning coalition than w.
     """
+    classes = level_classes(game)
+    if classes is None:
+        raise ValueError(f"game on {game.universe} has incomparable levels")
 
     def squash(counts: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(sum(counts[i] for i in cls) for cls in classes)
 
-    merged_universe = Multiset(squash(game.universe.counts))
-    merged_wmin = frozenset(Coalition(squash(w.counts)) for w in game.min_winning)
-    return ExplicitGame(merged_universe, merged_wmin)
+    merged_wmin = frozenset(_coalition(squash(w.counts)) for w in game.min_winning)
+    return _explicit_game(Multiset(squash(game.universe.counts)), merged_wmin)
 
 
 def canonicalize_semantic(spec: HierSpec) -> tuple[HierSpec, tuple[int, ...]]:
@@ -234,15 +238,16 @@ def canonicalize_semantic(spec: HierSpec) -> tuple[HierSpec, tuple[int, ...]]:
 
     Realizes the game, merges equivalence classes of levels, and recovers the
     thresholds from the game itself (largest losing prefixes for disjunctive,
-    smallest winning prefixes for conjunctive). The recovered spec is verified
-    against the merged game coalition by coalition, so the result provably
-    describes the same game. mapping[i] is the class index of original level i.
+    smallest winning prefixes for conjunctive). The recovered spec is checked on
+    the merged game's minimal winning and maximal losing coalitions, which fix
+    the game, so it provably describes the same game. mapping[i] is the class
+    index of original level i.
     """
     game = realize(spec)
     classes = level_classes(game)
     if classes is None:
         raise RuntimeError(f"realized game of {spec} has incomparable levels")
-    merged = merge_levels(game, classes)
+    merged = merge_levels(game)
     recover = recover_disjunctive if spec.kind == DISJUNCTIVE else recover_conjunctive
     canonical = recover(merged)
     if canonical is None:
@@ -258,9 +263,9 @@ def recover_disjunctive(game: ExplicitGame) -> Optional[HierSpec]:
     """Canonical disjunctive spec describing `game`, or None.
 
     Candidate thresholds: k_i = 1 + (largest i-prefix among losing
-    coalitions). The candidate is then checked against the game on the whole
-    lattice; any mismatch, or a candidate violating spec validation, means the
-    game is not disjunctive-hierarchical on this universe.
+    coalitions). It must be a valid canonical spec under which every minimal
+    winning coalition wins and every maximal losing one loses (the two
+    antichains fix a monotone game); else the game is not hierarchical.
     """
     return _recover(game, DISJUNCTIVE)
 
@@ -276,12 +281,12 @@ def recover_conjunctive(game: ExplicitGame) -> Optional[HierSpec]:
 def _recover(game: ExplicitGame, kind: str) -> Optional[HierSpec]:
     if not game.min_winning or any(w.size == 0 for w in game.min_winning):
         return None
-    _lattice(game.universe.counts)  # the cap error comes before any verdict
+    losing = maximal_losing(game)  # the cap error comes before any threshold
     # prefix counts only grow with the coalition, so the extreme prefixes of
     # all losing (winning) coalitions are those of the maximal losing
     # (minimal winning) ones
     if kind == DISJUNCTIVE:
-        prefixes = zip(*(accumulate(x.counts) for x in maximal_losing(game)))
+        prefixes = zip(*(accumulate(x.counts) for x in losing))
         k = tuple(1 + max(p) for p in prefixes)
     else:
         prefixes = zip(*(accumulate(w.counts) for w in game.min_winning))
@@ -290,9 +295,10 @@ def _recover(game: ExplicitGame, kind: str) -> Optional[HierSpec]:
         spec = HierSpec(kind, game.universe.counts, k)
     except ValueError:
         return None
-    if not canon_check(spec).canonical or realize(spec) != game:
+    if not canon_check(spec).canonical:
         return None
-    return spec
+    winning = all(hier_is_winning(spec, w) for w in game.min_winning)
+    return spec if winning and not any(hier_is_winning(spec, x) for x in losing) else None
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,18 @@ walk the library used before it read desirability off the minimal winning
 coalitions. shift_extremal is the shift test the library used before it
 tested shifted count tuples against the minimal winning counts. antichains
 is the enumeration structural_scan used before it carried a bitmask of the
-points comparable to those taken.
+points comparable to those taken. merge_levels is the merge the library used
+before it read the classes off the game itself: it takes them from the caller
+and rebuilds the merged game through the validating constructors. recover is
+the threshold recovery the library used before it checked a candidate on the
+game's two antichains: it realizes the candidate and compares whole games
+(here with the scans above).
 """
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Iterable, Iterator
+from itertools import accumulate, product
+from typing import Iterable, Iterator, Optional
 
 from hiergames.core import (
     Coalition,
@@ -26,7 +31,13 @@ from hiergames.core import (
     is_winning,
     level_classes,
 )
-from hiergames.hierarchy import HierSpec, ShiftExtremal, hier_is_winning
+from hiergames.hierarchy import (
+    DISJUNCTIVE,
+    HierSpec,
+    ShiftExtremal,
+    canon_check,
+    hier_is_winning,
+)
 
 
 def lattice(universe: Multiset) -> list[Coalition]:
@@ -155,3 +166,37 @@ def antichains(coalitions: list[Coalition]) -> Iterator[frozenset[Coalition]]:
             chosen.pop()
 
     yield from rec(0, [])
+
+
+def merge_levels(game: ExplicitGame, classes: list[list[int]]) -> ExplicitGame:
+    """Collapse each listed class of levels into one level by summing the
+    minimal winning coalitions classwise. Sound only when the levels inside
+    each class really are interchangeable."""
+
+    def squash(counts: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(sum(counts[i] for i in cls) for cls in classes)
+
+    merged_universe = Multiset(squash(game.universe.counts))
+    merged_wmin = frozenset(Coalition(squash(w.counts)) for w in game.min_winning)
+    return ExplicitGame(merged_universe, merged_wmin)
+
+
+def recover(game: ExplicitGame, kind: str) -> Optional[HierSpec]:
+    """Canonical spec of the kind describing `game`, or None: thresholds read
+    off the maximal losing (disjunctive) or minimal winning (conjunctive)
+    prefixes, then the candidate realized and compared with the game."""
+    if not game.min_winning or any(w.size == 0 for w in game.min_winning):
+        return None
+    if kind == DISJUNCTIVE:
+        prefixes = zip(*(accumulate(x.counts) for x in maximal_losing(game)))
+        k = tuple(1 + max(p) for p in prefixes)
+    else:
+        prefixes = zip(*(accumulate(w.counts) for w in game.min_winning))
+        k = tuple(min(p) for p in prefixes)
+    try:
+        spec = HierSpec(kind, game.universe.counts, k)
+    except ValueError:
+        return None
+    if not canon_check(spec).canonical or realize(spec) != game:
+        return None
+    return spec

@@ -2,6 +2,7 @@
 
 import pytest
 
+import hiergames
 from hiergames import core
 from hiergames.core import (
     Coalition,
@@ -180,6 +181,9 @@ class TestLevelClassesMemo:
         relations.clear()
         assert level_classes(g) == [[0], [1]]
         assert relations == []
+
+    def test_exported_from_the_package(self):
+        assert hiergames.level_classes is core.level_classes
 
     def test_returns_fresh_lists(self):
         g = game((2, 3), [(2, 0), (1, 1), (0, 2)])

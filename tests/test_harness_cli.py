@@ -353,6 +353,13 @@ class TestOptimizedMode:
         payload = self.run_both("structural", "--universe", "2,2", "--json")
         assert payload["total_games"] == 18 and payload["holds"]
 
+    def test_canon_merge_and_recovery_same_under_dash_O(self, tmp_path):
+        # merge_levels and threshold recovery guard with raises, not asserts
+        path = write_doc(tmp_path, {"kind": "conjunctive", "n": [2, 2], "k": [2, 4]})
+        payload = self.run_both("canon", path, "--json")
+        assert payload["canonical_spec"] == {"kind": "conjunctive", "n": [4], "k": [4]}
+        assert payload["level_classes"] == [0, 0]
+
     def test_conjunctive_sweep_same_under_dash_O(self):
         # the harness's checks and the Thm5 duality route
         payload = self.run_both(

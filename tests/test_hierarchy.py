@@ -2,7 +2,7 @@
 
 import pytest
 
-from hiergames.core import Coalition, Multiset, is_winning, iter_coalitions
+from hiergames.core import Coalition, ExplicitGame, Multiset, is_winning, iter_coalitions
 from hiergames.hierarchy import (
     CONJUNCTIVE,
     DISJUNCTIVE,
@@ -146,9 +146,18 @@ class TestTransformsOfLevels:
 
     def test_merge_levels(self):
         g = realize(HierSpec(CONJUNCTIVE, (2, 2), (2, 4)))
-        merged = merge_levels(g, [[0, 1]])
+        merged = merge_levels(g)
         assert merged.universe == Multiset((4,))
         assert {c.counts for c in merged.min_winning} == {(4,)}
+        # two disjoint pairs win: levels 0 and 2 are incomparable
+        pairs = ExplicitGame(
+            Multiset((1, 1, 1, 1)), frozenset({Coalition((1, 1, 0, 0)), Coalition((0, 0, 1, 1))})
+        )
+        with pytest.raises(ValueError, match="incomparable"):
+            merge_levels(pairs)
+        # strictly ordered levels: nothing to merge
+        strict = realize(HierSpec(DISJUNCTIVE, (3, 3, 3), (2, 3, 5)))
+        assert merge_levels(strict) == strict
 
     def test_canonicalize_semantic_clamps_dummy(self):
         spec = HierSpec(DISJUNCTIVE, (2, 2), (2, 5))

@@ -1,6 +1,7 @@
-"""The lean lattice layer and the level desirability order against the
-coalition-by-coalition reference scans, the enumeration cap, and how often
-the oracle paths scan a game's lattice."""
+"""The lean lattice layer, the level desirability order, level merging and
+threshold recovery against the coalition-by-coalition reference scans, the
+enumeration cap, how often the oracle paths scan a game's lattice, and how
+often recognition realizes a spec."""
 
 import importlib
 import inspect
@@ -22,19 +23,23 @@ from hiergames import (
     HierSpec,
     Multiset,
     LevelRelation,
+    canonicalize_semantic,
     classify,
     is_complete,
     iter_coalitions,
+    level_classes,
     level_relation,
     maximal_losing,
     merge_levels,
     realize,
+    recover_conjunctive,
+    recover_disjunctive,
     run_sweep,
     shift_extremal,
+    structural_scan,
     sweep_specs,
 )
 from hiergames.cli import main
-from hiergames.core import level_classes
 from hiergames.feasibility import LinearSystem
 from hiergames.harness import _antichains
 
@@ -50,6 +55,12 @@ def assert_same_level_order(game):
     wins = ref.winning(game)
     assert got == [ref.level_relation(game, i, j, wins) for i, j in pairs], game
     assert is_complete(game) == (LevelRelation.INCOMPARABLE not in got), game
+
+
+def assert_same_recovery(game):
+    """Both threshold recoveries equal the realize-and-compare reference."""
+    assert recover_disjunctive(game) == ref.recover(game, DISJUNCTIVE), game
+    assert recover_conjunctive(game) == ref.recover(game, CONJUNCTIVE), game
 
 
 class TestAgainstReference:
@@ -77,6 +88,7 @@ class TestAgainstReference:
         assert maximal_losing(game) == ref.maximal_losing(game)
         assert maximal_losing(game) == ref.maximal_losing(game)  # memoized copy
         assert_same_level_order(game)
+        assert_same_recovery(game)
 
     @pytest.mark.parametrize("counts", [(2, 2, 2), (1, 2, 3)], ids=str)
     def test_shift_extremal_on_every_complete_game(self, counts):
@@ -89,9 +101,26 @@ class TestAgainstReference:
             if classes is None:
                 continue
             complete += 1
-            ordered = merge_levels(game, classes)
+            ordered = merge_levels(game)
+            assert ordered == ref.merge_levels(game, classes), members
             assert shift_extremal(ordered) == ref.shift_extremal(ordered), members
         assert complete > 100
+
+    @pytest.mark.parametrize("counts", [(2, 2, 2), (1, 2, 3), (3, 3), (2, 1, 2)], ids=str)
+    def test_recovery_on_every_game(self, counts):
+        # complete or not, and for the complete ones also after the merge
+        # structural_scan applies before it recovers
+        universe = Multiset(counts)
+        coalitions = [c for c in iter_coalitions(universe) if c.size > 0]
+        recovered = 0
+        for members in _antichains(coalitions):
+            game = ExplicitGame(universe, members)
+            assert_same_recovery(game)
+            if is_complete(game):
+                merged = merge_levels(game)
+                assert_same_recovery(merged)
+                recovered += recover_disjunctive(merged) is not None
+        assert recovered > 10
 
     @pytest.mark.parametrize("counts", [(2, 2, 2), (1, 2, 3), (3, 3), (2, 1, 2)], ids=str)
     def test_antichains(self, counts):
@@ -130,6 +159,12 @@ class TestCap:
         monkeypatch.setenv("HIERGAME_ENUM_CAP", "63")
         with pytest.raises(EnumerationCapError):
             maximal_losing(game)
+        # threshold recovery reads the game's maximal losing antichain, and
+        # with it the cap
+        with pytest.raises(EnumerationCapError):
+            recover_disjunctive(game)
+        with pytest.raises(EnumerationCapError):
+            recover_conjunctive(game)
 
     def test_realize_and_maximal_losing_honour_env_cap(self, monkeypatch):
         game = realize(self.SPEC)
@@ -214,7 +249,31 @@ def scanned(monkeypatch):
     return log
 
 
+@pytest.fixture
+def realized(monkeypatch):
+    """Every spec hierarchy.realize builds a game for."""
+    log = []
+    real = hiergames.hierarchy.realize
+
+    def counting(spec):
+        log.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(hiergames.hierarchy, "realize", counting)
+    return log
+
+
 class TestScanCounts:
+    def test_recognition_realizes_no_candidate(self, realized):
+        # a recovered candidate is checked on the game's two antichains,
+        # never rebuilt as a whole game
+        report = structural_scan(Multiset((2, 2, 2)))
+        assert report.complete_games == 378 and report.holds
+        assert realized == []
+        spec = HierSpec(CONJUNCTIVE, (2, 2), (2, 4))
+        assert canonicalize_semantic(spec) == (HierSpec(CONJUNCTIVE, (4,), (4,)), (0, 0))
+        assert realized == [spec]
+
     def test_run_sweep_scans_each_game_once(self, scanned):
         report = run_sweep(DISJUNCTIVE, 2, 3)
         assert len(report.records) == 36 and report.all_agree

@@ -12,9 +12,13 @@ The decision law is a finite case list over (kind, n, k):
         under (2) or (3);
     (5) m in {2,3,4}, k_m=k_{m-1}+n_m, and the subgame falls under (1)-(4).
 
-  weighted, conjunctive (tags Thm5(1)..Thm5(5)): the dual list; (4) reads
-    k1=n1 with the first-level-reduced game under (2) or (3), (5) reads
-    k_m=k_{m-1}.
+  weighted, conjunctive (tags Thm5(1)..Thm5(5)): decided through the dual
+    disjunctive spec, k*_i = N_i - k_i + 1, since weightedness survives
+    duality. Cases 1, 4 and 5 keep the dual's number. Cases 2 and 3 swap:
+    the dual's (2), k*2=k*1+1, reads n2=k2-k1+1 here, which is Thm5(3), and
+    the dual's (3), n2=k*2-k*1+1, reads k2=k1+1, which is Thm5(2). When
+    both hold (n2=2), Thm5 matches (2) first, so the tag is Thm5(2) iff
+    k2=k1+1.
 
   roughly weighted, disjunctive, for nonweighted specs (tags Thm12(i)..(vii)):
     (i)   k1=1;
@@ -92,7 +96,7 @@ def _require_canonical(spec: HierSpec) -> None:
         )
 
 
-# ===== weighted case law =====
+# ===== weighted case law (disjunctive; conjunctive goes through duality) =====
 
 
 def _weighted_disj(n: tuple[int, ...], k: tuple[int, ...]) -> Optional[tuple[int, RoughCert]]:
@@ -121,26 +125,6 @@ def _weighted_disj(n: tuple[int, ...], k: tuple[int, ...]) -> Optional[tuple[int
         if inner is not None and inner[0] != 5:
             # dummy last level
             return 5, RoughCert(inner[1].quota, inner[1].weights + (0,))
-    return None
-
-
-def _weighted_case_conj(n: tuple[int, ...], k: tuple[int, ...]) -> Optional[int]:
-    m = len(n)
-    if m == 1:
-        return 1
-    if m == 2 and k[1] == k[0] + 1:
-        return 2
-    if m == 2 and n[1] == k[1] - k[0] + 1:
-        return 3
-    if m in (2, 3) and k[0] == n[0]:
-        if m == 2:
-            return 4
-        # reduced game on levels 2..3 after handing level 1's seats out
-        if _weighted_case_conj(n[1:], (k[1] - k[0], k[2] - k[0])) is not None:
-            return 4
-    if m in (2, 3, 4) and k[-1] == k[-2]:
-        if _weighted_case_conj(n[:-1], k[:-1]) in (1, 2, 3, 4):
-            return 5
     return None
 
 
@@ -249,8 +233,9 @@ def classify_rough(spec: HierSpec) -> Verdict:
     """Full structural verdict for a canonical spec.
 
     Runs the weighted case law first; nonweighted specs then go through the
-    rough case law (conjunctive ones via their dual). Each case returns its
-    certificate with its tag; not_rough has none.
+    rough case law. Both laws are disjunctive: a conjunctive spec is decided
+    on its dual. Each case returns its certificate with its tag; not_rough
+    has none.
     """
     _require_canonical(spec)
     if spec.kind == DISJUNCTIVE:
@@ -264,12 +249,10 @@ def classify_rough(spec: HierSpec) -> Verdict:
 
     dual = dual_spec(spec)
     weighted = _weighted_disj(dual.n, dual.k)
-    case = _weighted_case_conj(spec.n, spec.k)
-    if (weighted is None) != (case is None):
-        # weightedness is self-dual, so the Thm5 list and the dual's Thm4
-        # list must agree
-        raise RuntimeError(f"{spec} and its dual disagree on weightedness")
     if weighted is not None:
+        case = weighted[0]
+        if case in (2, 3):
+            case = 2 if spec.k[1] == spec.k[0] + 1 else 3
         return Verdict(WEIGHTED, f"Thm5({case})", _across_duality(weighted[1], spec.n, 1))
     rough = _route_rough_disj(dual.n, dual.k)
     notes: tuple[str, ...] = ()

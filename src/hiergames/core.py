@@ -224,7 +224,9 @@ class ExplicitGame:
 
     Two derived values are memoized on the instance, outside the dataclass
     fields, so equality and hashing do not see them: maximal_losing's
-    antichain and level_classes' desirability classes (or None).
+    antichain and level_classes' desirability classes (or None). A builder
+    that knows its game's levels to be strictly ordered presets the classes
+    with _strictly_ordered.
     """
 
     universe: Multiset
@@ -364,6 +366,13 @@ def level_classes(game: ExplicitGame) -> list[list[int]] | None:
         object.__setattr__(game, "_level_classes", _order_levels(game))
     memo = game.__dict__["_level_classes"]
     return None if memo is None else [list(cls) for cls in memo]
+
+
+def _strictly_ordered(game: ExplicitGame) -> ExplicitGame:
+    """Preset level_classes' memo on a game its builder knows to have every
+    level strictly more desirable than the next; returns the game."""
+    object.__setattr__(game, "_level_classes", [[i] for i in range(game.universe.m)])
+    return game
 
 
 def _order_levels(game: ExplicitGame) -> list[list[int]] | None:

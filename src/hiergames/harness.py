@@ -26,7 +26,6 @@ scan builds each game without validating or minimizing it again.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional
@@ -73,8 +72,6 @@ class SweepRecord:
     verdict: Verdict
     oracle_class: Optional[str]
     cert_verified: Optional[bool]
-    classify_seconds: float
-    oracle_seconds: float
     skipped: Optional[str] = None
 
     @property
@@ -175,30 +172,16 @@ def run_sweep(
     """
     records = []
     for spec in sweep_specs(kind, levels, nmax, kmax):
-        t0 = time.perf_counter()
         verdict = classify_rough(spec)
-        t1 = time.perf_counter()
         oracle_class: Optional[str] = None
         cert_verified: Optional[bool] = None
         skipped: Optional[str] = None
-        t2 = t1
         if oracle:
             try:
                 oracle_class, cert_verified = cross_check(spec, verdict)
             except EnumerationCapError as exc:
                 skipped = str(exc)
-            t2 = time.perf_counter()
-        records.append(
-            SweepRecord(
-                spec=spec,
-                verdict=verdict,
-                oracle_class=oracle_class,
-                cert_verified=cert_verified,
-                classify_seconds=t1 - t0,
-                oracle_seconds=t2 - t1,
-                skipped=skipped,
-            )
-        )
+        records.append(SweepRecord(spec, verdict, oracle_class, cert_verified, skipped))
     return SweepReport(kind, levels, nmax, kmax, tuple(records))
 
 

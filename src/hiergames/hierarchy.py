@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import ge
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .core import (
     Coalition,
@@ -29,6 +29,7 @@ from .core import (
     _int_tuple,
     _lattice,
     _strides,
+    _strictly_ordered,
     level_classes,
     maximal_losing,
 )
@@ -83,13 +84,7 @@ class HierSpec:
             strict = self.kind == DISJUNCTIVE or i < m - 1
             if k[i] < k[i - 1] or (strict and k[i] == k[i - 1]):
                 raise ValueError(f"thresholds must increase ({self.kind}), got {k}")
-        prefixes = Multiset(n).prefix_totals()
-        ok = (
-            any(prefixes[i] >= k[i] for i in range(m))
-            if self.kind == DISJUNCTIVE
-            else all(prefixes[i] >= k[i] for i in range(m))
-        )
-        if not ok:
+        if not _prefix_wins(self.kind, k, n):
             raise ValueError(f"degenerate spec, full coalition loses: n={n} k={k}")
 
     @property
@@ -108,17 +103,17 @@ class HierSpec:
         return f"H_{tag}(n={self.n}, k={self.k})"
 
 
+def _prefix_wins(kind: str, k: tuple[int, ...], counts: Iterable[int]) -> bool:
+    """The prefix-threshold rule on a count vector of len(k) levels, O(m)."""
+    test = any if kind == DISJUNCTIVE else all
+    return test(map(ge, accumulate(counts), k))
+
+
 def hier_is_winning(spec: HierSpec, coalition: Coalition) -> bool:
     """Prefix-threshold test, O(m)."""
     if not spec.universe().fits(coalition):
         raise ValueError(f"{coalition} does not fit in universe {spec.universe()}")
-    acc = 0
-    hits = 0
-    for x, k in zip(coalition.counts, spec.k):
-        acc += x
-        if acc >= k:
-            hits += 1
-    return hits > 0 if spec.kind == DISJUNCTIVE else hits == spec.m
+    return _prefix_wins(spec.kind, spec.k, coalition.counts)
 
 
 def realize(spec: HierSpec) -> ExplicitGame:
@@ -137,6 +132,7 @@ def realize(spec: HierSpec) -> ExplicitGame:
     win = bytearray(universe.coalition_count())
     minimal = []
     for idx, x in enumerate(points):
+        # the _prefix_wins rule, inlined: a call per lattice point costs 10-20%
         if test(map(ge, accumulate(x), k)):
             win[idx] = 1
             if not any(x[i] and win[idx - s] for i, s in levels):
@@ -156,9 +152,11 @@ class CanonReport:
         (equality there collapses the last two levels into one class).
     canonical: condition_a and all of condition_b. Exactly then the m levels
         of the realized game are strictly ordered by desirability.
-    dummy_last_level / passer_first_level / blocker_first_level: formula-level
-        flags; passer means a single top-level player wins alone, blocker
-        means every first-level player is a vetoer.
+    dummy_last_level: k_m >= k_{m-1} + n_m (disjunctive) or k_m = k_{m-1}
+        (conjunctive), a formula that is exact on canonical specs.
+    passer_first_level: a lone first-level player wins.
+    blocker_first_level: the full coalition less one first-level player
+        loses, so every first-level player is a vetoer.
     normalized_spec: same game, with an out-of-range disjunctive k_m clamped
         to k_{m-1} + n_m; other specs pass through unchanged.
     """
@@ -184,13 +182,10 @@ def canon_check(spec: HierSpec) -> CanonReport:
             cond_b.append(k[i] < bound)
     if spec.kind == DISJUNCTIVE:
         dummy = m >= 2 and k[-1] >= k[-2] + n[-1]
-        passer = k[0] == 1
-        prefixes = spec.universe().prefix_totals()
-        blocker = all(k[i] >= prefixes[i] for i in range(m))
     else:
         dummy = m >= 2 and k[-1] == k[-2]
-        passer = m == 1 and k[0] == 1
-        blocker = k[0] == n[0]
+    passer = _prefix_wins(spec.kind, k, (1,) + (0,) * (m - 1))
+    blocker = not _prefix_wins(spec.kind, k, (n[0] - 1,) + n[1:])
     normalized = spec
     if spec.kind == DISJUNCTIVE and m >= 2 and k[-1] > k[-2] + n[-1]:
         normalized = HierSpec(spec.kind, n, k[:-1] + (k[-2] + n[-1],))
@@ -217,10 +212,19 @@ def merge_levels(game: ExplicitGame) -> ExplicitGame:
     most desirable first) into one level; ValueError on incomparable levels.
 
     Levels in one class are interchangeable, so a merged coalition wins iff
-    any spread of it over the class's levels wins, and the classwise sums of
-    the minimal winning coalitions, duplicates dropped, are the merged game's
-    minimal winning antichain: were sum(w) >= sum(v) and unequal, spreading
-    sum(v) inside w would give a smaller winning coalition than w.
+    any (equally, every) spread of it over the class's levels wins, and the
+    classwise sums of the minimal winning coalitions, duplicates dropped, are
+    the merged game's minimal winning antichain: were sum(w) >= sum(v) and
+    unequal, spreading sum(v) inside w would give a smaller winning
+    coalition than w.
+
+    The merged game is born with its level order (class c is level c, each
+    strictly above the next), so shift_extremal need not derive it again.
+    Merged levels inherit the class order: trading a lower-class unit for a
+    higher-class one inside a winning spread keeps it winning. The order is
+    strict: where that trade's reverse makes a winning spread lose, the
+    merged trade makes its squash lose, as all spreads of one merged
+    coalition win or lose together.
     """
     classes = level_classes(game)
     if classes is None:
@@ -230,7 +234,7 @@ def merge_levels(game: ExplicitGame) -> ExplicitGame:
         return tuple(sum(counts[i] for i in cls) for cls in classes)
 
     merged_wmin = frozenset(_coalition(squash(w.counts)) for w in game.min_winning)
-    return _explicit_game(Multiset(squash(game.universe.counts)), merged_wmin)
+    return _strictly_ordered(_explicit_game(Multiset(squash(game.universe.counts)), merged_wmin))
 
 
 def canonicalize_semantic(spec: HierSpec) -> tuple[HierSpec, tuple[int, ...]]:
@@ -297,8 +301,9 @@ def _recover(game: ExplicitGame, kind: str) -> Optional[HierSpec]:
         return None
     if not canon_check(spec).canonical:
         return None
-    winning = all(hier_is_winning(spec, w) for w in game.min_winning)
-    return spec if winning and not any(hier_is_winning(spec, x) for x in losing) else None
+    # the game's own coalitions fit its universe: no fit check per coalition
+    winning = all(_prefix_wins(kind, k, w.counts) for w in game.min_winning)
+    return spec if winning and not any(_prefix_wins(kind, k, x.counts) for x in losing) else None
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import case_law_reference
 import hiergames.classifier
 import hiergames.core
 import hiergames.hierarchy
@@ -139,6 +140,25 @@ class TestEntryPoints:
             classify(HierSpec(DISJUNCTIVE, (2, 4), (3, 4)))
         with pytest.raises(ValueError):
             classify_weighted(HierSpec(DISJUNCTIVE, (2, 2), (2, 5)))
+
+
+class TestThm5Reference:
+    def test_duality_tags_match_the_printed_thm5_list(self):
+        # the classifier tags a weighted conjunctive spec by renaming its
+        # dual's Thm4 case; the reference reads the Thm5 list as printed
+        total = 0
+        fired = set()
+        for levels, nmax in ((1, 8), (2, 8), (3, 6), (4, 4), (5, 3)):
+            for spec in sweep_specs(CONJUNCTIVE, levels, nmax):
+                v = classify(spec)
+                case = case_law_reference.weighted_case_conj(spec.n, spec.k)
+                assert (v.game_class == WEIGHTED) == (case is not None), spec
+                if case is not None:
+                    assert v.matched_case == f"Thm5({case})", spec
+                    fired.add(case)
+                total += 1
+        assert total == 12519
+        assert fired == {1, 2, 3, 4, 5}
 
 
 class TestCertificateShape:

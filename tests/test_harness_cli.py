@@ -349,6 +349,15 @@ class TestOptimizedMode:
         path = write_doc(tmp_path, {"kind": "disjunctive", "n": [3, 3, 3], "k": [1, 2, 3]})
         assert self.run_both("classify", path, "--oracle", "--json")["class"] == "weighted"
 
+    @pytest.mark.parametrize(
+        "k, case", [([2, 3], "Thm5(2)"), ([2, 4], "Thm5(3)")], ids=["case2", "case3"]
+    )
+    def test_thm5_tags_same_under_dash_O(self, tmp_path, k, case):
+        # the Thm5 tag is the dual's Thm4 case renamed, with (2) and (3) swapped
+        path = write_doc(tmp_path, {"kind": "conjunctive", "n": [3, 3], "k": k})
+        payload = self.run_both("classify", path, "--json")
+        assert (payload["class"], payload["case"]) == ("weighted", case)
+
     def test_structural_same_under_dash_O(self):
         payload = self.run_both("structural", "--universe", "2,2", "--json")
         assert payload["total_games"] == 18 and payload["holds"]

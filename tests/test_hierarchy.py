@@ -1,8 +1,17 @@
 """Hierarchical specs: validation, realization, canonicity, recovery, shifts."""
 
+from itertools import product
+
 import pytest
 
-from hiergames.core import Coalition, ExplicitGame, Multiset, is_winning, iter_coalitions
+from hiergames.core import (
+    Coalition,
+    ExplicitGame,
+    Multiset,
+    is_winning,
+    iter_coalitions,
+    special_players,
+)
 from hiergames.hierarchy import (
     CONJUNCTIVE,
     DISJUNCTIVE,
@@ -135,6 +144,32 @@ class TestCanonicity:
     def test_flags(self):
         assert canon_check(HierSpec(DISJUNCTIVE, (3, 3), (1, 3))).passer_first_level
         assert canon_check(HierSpec(CONJUNCTIVE, (3, 3), (3, 4))).blocker_first_level
+        # a lone top player meets both thresholds of k = (1, 1)
+        assert canon_check(HierSpec(CONJUNCTIVE, (2, 3), (1, 1))).passer_first_level
+
+    def test_flags_against_the_realized_game(self):
+        # passer and blocker on every valid spec; the dummy formula on the
+        # canonical ones, beyond which a disjunctive k_m can overshoot
+        valid = 0
+        for kind in (DISJUNCTIVE, CONJUNCTIVE):
+            for m in (1, 2, 3):
+                for n in product(range(1, 4), repeat=m):
+                    for k in product(range(1, 10), repeat=m):
+                        try:
+                            spec = HierSpec(kind, n, k)
+                        except ValueError:
+                            continue
+                        valid += 1
+                        rep = canon_check(spec)
+                        game = realize(spec)
+                        lone = Coalition((1,) + (0,) * (m - 1))
+                        less_one = Coalition((n[0] - 1,) + n[1:])
+                        assert rep.passer_first_level == is_winning(game, lone), spec
+                        assert rep.blocker_first_level != is_winning(game, less_one), spec
+                        if rep.canonical:
+                            dummy = m >= 2 and m - 1 in special_players(game).dummies
+                            assert rep.dummy_last_level == dummy, spec
+        assert valid == 2319
 
 
 class TestTransformsOfLevels:
@@ -218,6 +253,16 @@ class TestShifts:
         spec = HierSpec(CONJUNCTIVE, (3, 3), (2, 4))
         ext = shift_extremal(realize(spec))
         assert len(ext.shift_min_winning) == 1
+
+    def test_levels_must_be_strictly_ordered(self):
+        # a game not built by merge_levels has its order derived and checked
+        collapsed = realize(HierSpec(CONJUNCTIVE, (2, 2), (2, 4)))
+        upside_down = ExplicitGame(Multiset((2, 2)), frozenset({Coalition((0, 1))}))
+        for game in (collapsed, upside_down):
+            with pytest.raises(ValueError):
+                shift_extremal(game)
+            merged = shift_extremal(merge_levels(game))
+            assert len(merged.shift_min_winning) == 1
 
     def test_closed_form_guards(self):
         with pytest.raises(ValueError):

@@ -40,6 +40,7 @@ from hiergames import (
     sweep_specs,
 )
 from hiergames.cli import main
+from hiergames.core import _order_levels
 from hiergames.feasibility import LinearSystem
 from hiergames.harness import _antichains
 
@@ -103,6 +104,8 @@ class TestAgainstReference:
             complete += 1
             ordered = merge_levels(game)
             assert ordered == ref.merge_levels(game, classes), members
+            # the merge hands its order over; shift_extremal reads it
+            assert level_classes(ordered) == _order_levels(ordered), members
             assert shift_extremal(ordered) == ref.shift_extremal(ordered), members
         assert complete > 100
 

@@ -8,8 +8,9 @@ A spec (kind, n, k) describes a game on the universe {1^n1, ..., m^nm}:
 with k strictly increasing (conjunctive: the last pair may be equal). Distinct
 specs can describe the same game; canon_check tests the canonical-form
 conditions under which the m levels are strictly ordered by desirability, and
-canonicalize_semantic rebuilds the canonical spec of any spec's game from the
-game itself, merging the equivalent levels that core.level_classes finds.
+canonicalize_semantic computes the one canonical spec of any spec's game from
+(n, k) alone, dropping the thresholds that never decide the game and merging
+the levels they separated, without realizing the game.
 """
 
 from __future__ import annotations
@@ -152,8 +153,8 @@ class CanonReport:
         (equality there collapses the last two levels into one class).
     canonical: condition_a and all of condition_b. Exactly then the m levels
         of the realized game are strictly ordered by desirability.
-    dummy_last_level: k_m >= k_{m-1} + n_m (disjunctive) or k_m = k_{m-1}
-        (conjunctive), a formula that is exact on canonical specs.
+    dummy_last_level: level m is a dummy, read off the canonical form, where
+        that is m >= 2 and k_m = k_{m-1} + n_m (disjunctive) or k_m = k_{m-1}.
     passer_first_level: a lone first-level player wins.
     blocker_first_level: the full coalition less one first-level player
         loses, so every first-level player is a vetoer.
@@ -180,17 +181,18 @@ def canon_check(spec: HierSpec) -> CanonReport:
             cond_b.append(k[i] <= bound)
         else:
             cond_b.append(k[i] < bound)
-    if spec.kind == DISJUNCTIVE:
-        dummy = m >= 2 and k[-1] >= k[-2] + n[-1]
-    else:
-        dummy = m >= 2 and k[-1] == k[-2]
+    canonical = cond_a and all(cond_b)
+    # level m is a dummy iff its class is; in canonical form k_m is then on its bound
+    form = spec if canonical else canonicalize_semantic(spec)[0]
+    slack = form.n[-1] if form.kind == DISJUNCTIVE else 0
+    dummy = form.m >= 2 and form.k[-1] == form.k[-2] + slack
     passer = _prefix_wins(spec.kind, k, (1,) + (0,) * (m - 1))
     blocker = not _prefix_wins(spec.kind, k, (n[0] - 1,) + n[1:])
     normalized = spec
     if spec.kind == DISJUNCTIVE and m >= 2 and k[-1] > k[-2] + n[-1]:
         normalized = HierSpec(spec.kind, n, k[:-1] + (k[-2] + n[-1],))
     return CanonReport(
-        canonical=cond_a and all(cond_b),
+        canonical=canonical,
         condition_a=cond_a,
         condition_b=tuple(cond_b),
         dummy_last_level=dummy,
@@ -240,27 +242,35 @@ def merge_levels(game: ExplicitGame) -> ExplicitGame:
 def canonicalize_semantic(spec: HierSpec) -> tuple[HierSpec, tuple[int, ...]]:
     """Canonical spec of the game described by `spec`, plus the level mapping.
 
-    Realizes the game, merges equivalence classes of levels, and recovers the
-    thresholds from the game itself (largest losing prefixes for disjunctive,
-    smallest winning prefixes for conjunctive). The recovered spec is checked on
-    the merged game's minimal winning and maximal losing coalitions, which fix
-    the game, so it provably describes the same game. mapping[i] is the class
-    index of original level i.
+    O(m^2) arithmetic on (n, k), at any size. With X_i = x_1 + ... + x_i,
+    k_i >= k_{i-1} + n_i makes X_i >= k_i imply X_{i-1} >= k_{i-1}. So a
+    disjunctive condition i < m implied by condition i-1 adds no winner (nor
+    does the first when k_1 > n_1: it never holds), and a conjunctive
+    condition i-1 implied by condition i excludes none. Each such condition
+    is dropped and the two levels it separated merge into one of n_i +
+    n_{i+1} players: every remaining prefix counts both or neither. Then a
+    disjunctive k_m above k_{m-1} + n_m (a dummy last level) is clamped to
+    it. The result meets canon_check's conditions, so it is the game's one
+    canonical spec. mapping[i] is the class index of level i.
     """
-    game = realize(spec)
-    classes = level_classes(game)
-    if classes is None:
-        raise RuntimeError(f"realized game of {spec} has incomparable levels")
-    merged = merge_levels(game)
-    recover = recover_disjunctive if spec.kind == DISJUNCTIVE else recover_conjunctive
-    canonical = recover(merged)
-    if canonical is None:
-        raise RuntimeError(f"merged game of {spec} failed threshold recovery")
-    mapping = [0] * spec.m
-    for cls_index, cls in enumerate(classes):
-        for lvl in cls:
-            mapping[lvl] = cls_index
-    return canonical, tuple(mapping)
+    n, k, width = list(spec.n), list(spec.k), [1] * spec.m
+    while True:
+        if spec.kind == DISJUNCTIVE:
+            # the sentinel k_0 = 1, which the empty prefix never reaches,
+            # turns k_1 > n_1 into the middle rule
+            drops = (i for i in range(len(k) - 1) if k[i] >= (k[i - 1] if i else 1) + n[i])
+        else:
+            drops = (i - 1 for i in range(1, len(k)) if k[i] >= k[i - 1] + n[i])
+        i = next(drops, None)
+        if i is None:
+            break
+        del k[i]
+        n[i : i + 2] = [n[i] + n[i + 1]]
+        width[i : i + 2] = [width[i] + width[i + 1]]
+    if spec.kind == DISJUNCTIVE and len(k) > 1:
+        k[-1] = min(k[-1], k[-2] + n[-1])
+    mapping = tuple(c for c, w in enumerate(width) for _ in range(w))
+    return HierSpec(spec.kind, tuple(n), tuple(k)), mapping
 
 
 def recover_disjunctive(game: ExplicitGame) -> Optional[HierSpec]:

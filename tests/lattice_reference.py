@@ -15,7 +15,9 @@ before it read the classes off the game itself: it takes them from the caller
 and rebuilds the merged game through the validating constructors. recover is
 the threshold recovery the library used before it checked a candidate on the
 game's two antichains: it realizes the candidate and compares whole games
-(here with the scans above).
+(here with the scans above). canonicalize is the canonical form the library
+computed before it read it off (n, k): it realizes the spec, merges the
+level classes of the game and recovers the thresholds of the merged game.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from hiergames.core import (
     is_winning,
     level_classes,
 )
+import hiergames.hierarchy as hierarchy
 from hiergames.hierarchy import (
     DISJUNCTIVE,
     HierSpec,
@@ -200,3 +203,23 @@ def recover(game: ExplicitGame, kind: str) -> Optional[HierSpec]:
     if not canon_check(spec).canonical or realize(spec) != game:
         return None
     return spec
+
+
+def canonicalize(spec: HierSpec) -> tuple[HierSpec, tuple[int, ...]]:
+    """Canonical spec of the spec's game and the class index of each level:
+    the library's realize, level_classes, merge_levels and threshold recovery."""
+    game = hierarchy.realize(spec)
+    classes = level_classes(game)
+    if classes is None:
+        raise RuntimeError(f"realized game of {spec} has incomparable levels")
+    if spec.kind == DISJUNCTIVE:
+        canonical = hierarchy.recover_disjunctive(hierarchy.merge_levels(game))
+    else:
+        canonical = hierarchy.recover_conjunctive(hierarchy.merge_levels(game))
+    if canonical is None:
+        raise RuntimeError(f"merged game of {spec} failed threshold recovery")
+    mapping = [0] * spec.m
+    for cls_index, cls in enumerate(classes):
+        for lvl in cls:
+            mapping[lvl] = cls_index
+    return canonical, tuple(mapping)

@@ -3,16 +3,12 @@ agreement with the LP oracle on a small exhaustive grid, and independence
 from the coalition lattice and the oracle."""
 
 import ast
-import importlib
-import pkgutil
 from pathlib import Path
 
 import pytest
 
 import case_law_reference
 import hiergames.classifier
-import hiergames.core
-import hiergames.hierarchy
 from hiergames import (
     CONJUNCTIVE,
     DISJUNCTIVE,
@@ -217,7 +213,7 @@ class TestDeepCertificates:
 
 
 class TestOffLattice:
-    def test_classify_never_touches_the_lattice(self, monkeypatch):
+    def test_classify_never_touches_the_lattice(self, off_lattice):
         specs = [
             spec
             for kind in (DISJUNCTIVE, CONJUNCTIVE)
@@ -225,22 +221,6 @@ class TestOffLattice:
             for spec in sweep_specs(kind, levels, 3)
         ]
         big = HierSpec(DISJUNCTIVE, (100, 100, 100), (1, 2, 3))
-
-        def lattice(*args, **kwargs):
-            raise AssertionError("the classifier walked the coalition lattice")
-
-        # every lattice scan goes through the one walker core._lattice;
-        # replace it wherever a hiergames module binds it
-        walker = hiergames.core._lattice
-        patched = []
-        for info in pkgutil.iter_modules(hiergames.__path__):
-            module = importlib.import_module(f"hiergames.{info.name}")
-            for name, value in list(vars(module).items()):
-                if value is walker:
-                    monkeypatch.setattr(module, name, lattice)
-                    patched.append(info.name)
-        assert {"core", "hierarchy"} <= set(patched)
-        monkeypatch.setattr(hiergames.hierarchy, "realize", lattice)
         for spec in specs:
             v = classify(spec)
             assert (v.certificate is None) == (v.game_class == NOT_ROUGH), spec

@@ -28,6 +28,9 @@ from hiergames import (
 from hiergames.cli import main
 
 EXAMPLE_DOC = {"kind": "disjunctive", "n": [3, 3, 3], "k": [2, 3, 5]}
+# 10^18 coalitions, far past the enumeration cap; levels 1 and 2 merge
+BIG_DOC = {"kind": "disjunctive", "n": [10**6] * 3, "k": [10**6 + 5, 2 * 10**6, 3 * 10**6 + 7]}
+BIG_CANONICAL = {"kind": "disjunctive", "n": [2 * 10**6, 10**6], "k": [2 * 10**6, 3 * 10**6]}
 
 
 class TestSweepSpecs:
@@ -155,6 +158,12 @@ class TestCliClassify:
         assert payload["spec"] == {"kind": "disjunctive", "n": [2, 2], "k": [2, 4]}
         assert any("canonicalized" in note for note in payload["notes"])
 
+    def test_canonicalize_at_any_size(self, tmp_path, capsys):
+        assert main(["classify", write_doc(tmp_path, BIG_DOC), "--canonicalize", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["spec"] == BIG_CANONICAL
+        assert "level_classes=[0, 0, 1]" in payload["notes"][0]
+
     def test_stdin_dash(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(EXAMPLE_DOC)))
         assert main(["classify", "-"]) == 0
@@ -189,6 +198,13 @@ class TestCliCanon:
             "k": [2, 4],
         }
         assert payload["level_classes"] == [0, 1]
+
+    def test_any_size(self, tmp_path, capsys):
+        assert main(["canon", write_doc(tmp_path, BIG_DOC), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["canonical_spec"] == BIG_CANONICAL
+        assert payload["level_classes"] == [0, 0, 1]
+        assert payload["dummy_last_level"] is True
 
     def test_needs_spec_document(self, tmp_path, capsys):
         doc = {"universe": [2], "min_winning": [[1]]}
@@ -363,11 +379,19 @@ class TestOptimizedMode:
         assert payload["total_games"] == 18 and payload["holds"]
 
     def test_canon_merge_and_recovery_same_under_dash_O(self, tmp_path):
-        # merge_levels and threshold recovery guard with raises, not asserts
+        # the canonical form is validated by HierSpec, which raises, not asserts
         path = write_doc(tmp_path, {"kind": "conjunctive", "n": [2, 2], "k": [2, 4]})
         payload = self.run_both("canon", path, "--json")
         assert payload["canonical_spec"] == {"kind": "conjunctive", "n": [4], "k": [4]}
         assert payload["level_classes"] == [0, 0]
+
+    def test_canon_dummy_same_under_dash_O(self, tmp_path):
+        # a non-canonical spec whose dummy is read off its canonical form
+        path = write_doc(tmp_path, {"kind": "disjunctive", "n": [1, 1, 2], "k": [1, 3, 4]})
+        payload = self.run_both("canon", path, "--json")
+        assert payload["canonical_spec"] == {"kind": "disjunctive", "n": [1, 3], "k": [1, 4]}
+        assert payload["level_classes"] == [0, 1, 1]
+        assert payload["dummy_last_level"] is True
 
     def test_conjunctive_sweep_same_under_dash_O(self):
         # the harness's checks and the Thm5 duality route

@@ -141,6 +141,13 @@ class TestCanonicity:
         assert rep.canonical
         assert rep.dummy_last_level
 
+    def test_dummy_read_off_the_canonical_form(self):
+        # k_2 = 3 >= k_1 + n_2 makes the second condition idle; levels 2 and 3
+        # merge into H_E((1,3),(1,4)), whose last class is a dummy
+        rep = canon_check(HierSpec(DISJUNCTIVE, (1, 1, 2), (1, 3, 4)))
+        assert not rep.canonical
+        assert rep.dummy_last_level
+
     def test_flags(self):
         assert canon_check(HierSpec(DISJUNCTIVE, (3, 3), (1, 3))).passer_first_level
         assert canon_check(HierSpec(CONJUNCTIVE, (3, 3), (3, 4))).blocker_first_level
@@ -148,8 +155,7 @@ class TestCanonicity:
         assert canon_check(HierSpec(CONJUNCTIVE, (2, 3), (1, 1))).passer_first_level
 
     def test_flags_against_the_realized_game(self):
-        # passer and blocker on every valid spec; the dummy formula on the
-        # canonical ones, beyond which a disjunctive k_m can overshoot
+        # passer, blocker and dummy on every valid spec, canonical or not
         valid = 0
         for kind in (DISJUNCTIVE, CONJUNCTIVE):
             for m in (1, 2, 3):
@@ -166,9 +172,8 @@ class TestCanonicity:
                         less_one = Coalition((n[0] - 1,) + n[1:])
                         assert rep.passer_first_level == is_winning(game, lone), spec
                         assert rep.blocker_first_level != is_winning(game, less_one), spec
-                        if rep.canonical:
-                            dummy = m >= 2 and m - 1 in special_players(game).dummies
-                            assert rep.dummy_last_level == dummy, spec
+                        dummy = m >= 2 and m - 1 in special_players(game).dummies
+                        assert rep.dummy_last_level == dummy, spec
         assert valid == 2319
 
 

@@ -1,13 +1,14 @@
-"""The lean lattice layer, the level desirability order, level merging and
-threshold recovery against the coalition-by-coalition reference scans, the
-enumeration cap, how often the oracle paths scan a game's lattice, and how
-often recognition realizes a spec."""
+"""The lean lattice layer, the level desirability order, level merging,
+threshold recovery and the canonical form against the coalition-by-coalition
+reference scans, the enumeration cap, how often the oracle paths scan a game's
+lattice, and how often recognition realizes a spec."""
 
 import importlib
 import inspect
 import json
 import pkgutil
 import tracemalloc
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,7 @@ from hiergames import (
     HierSpec,
     Multiset,
     LevelRelation,
+    canon_check,
     canonicalize_semantic,
     classify,
     is_complete,
@@ -45,6 +47,25 @@ from hiergames.feasibility import LinearSystem
 from hiergames.harness import _antichains
 
 GRIDS = [(levels, 3) for levels in (1, 2, 3, 4)] + [(5, 2)]
+
+
+def valid_specs(levels, nmax, kmax):
+    """Every spec HierSpec accepts, of both kinds, with the given number of
+    levels, n_i <= nmax and k_i <= kmax."""
+    for kind in (DISJUNCTIVE, CONJUNCTIVE):
+        ks = list(combinations(range(1, kmax + 1), levels))
+        if kind == CONJUNCTIVE and levels > 1:  # the last pair may tie
+            ks += [k + k[-1:] for k in combinations(range(1, kmax + 1), levels - 1)]
+        for n in product(range(1, nmax + 1), repeat=levels):
+            for k in ks:
+                try:
+                    yield HierSpec(kind, n, k)
+                except ValueError:  # degenerate: the full coalition loses
+                    pass
+
+
+# the level_order golden grid: 1-3 levels, n_i <= 3, k_i <= 9
+GOLDEN_SPECS = [spec for levels in (1, 2, 3) for spec in valid_specs(levels, 3, 9)]
 
 
 def assert_same_level_order(game):
@@ -136,12 +157,38 @@ class TestAgainstReference:
             assert members and all(c.size > 0 for c in members)
             assert ref.minimal_antichain(members) == members
 
+    @pytest.mark.parametrize(
+        "levels,nmax,kmax,count", [(4, 2, 8, 1127), (2, 6, 12, 2163), (5, 2, 10, 7345)]
+    )
+    def test_canonical_form(self, levels, nmax, kmax, count):
+        # the arithmetic canonical form equals realize -> merge -> recover
+        specs = list(valid_specs(levels, nmax, kmax))
+        assert len(specs) == count
+        for spec in specs:
+            assert canonicalize_semantic(spec) == ref.canonicalize(spec), spec
+
     def test_returned_coalitions_are_plain_values(self):
         game = realize(HierSpec(DISJUNCTIVE, (3, 3, 3), (2, 3, 5)))
         for c in game.min_winning | maximal_losing(game):
             assert type(c) is Coalition and type(c.counts) is tuple
             assert all(type(v) is int for v in c.counts)
             assert c == Coalition(c.counts) and hash(c) == hash(Coalition(c.counts))
+
+
+class TestCanonicalFormOffLattice:
+    def test_canonical_form_never_touches_the_lattice(self, off_lattice):
+        assert len(GOLDEN_SPECS) == 2319
+        for spec in GOLDEN_SPECS:
+            canonical, _ = canonicalize_semantic(spec)
+            rep = canon_check(spec)
+            assert canon_check(canonical).canonical, spec
+            assert rep.dummy_last_level == canon_check(canonical).dummy_last_level, spec
+        big = HierSpec(DISJUNCTIVE, (10**6,) * 3, (10**6 + 5, 2 * 10**6, 3 * 10**6 + 7))
+        assert canonicalize_semantic(big) == (
+            HierSpec(DISJUNCTIVE, (2 * 10**6, 10**6), (2 * 10**6, 3 * 10**6)),
+            (0, 0, 1),
+        )
+        assert canon_check(big).dummy_last_level
 
 
 class TestCap:
@@ -269,13 +316,13 @@ def realized(monkeypatch):
 class TestScanCounts:
     def test_recognition_realizes_no_candidate(self, realized):
         # a recovered candidate is checked on the game's two antichains,
-        # never rebuilt as a whole game
+        # never rebuilt as a whole game, and the canonical form is arithmetic
         report = structural_scan(Multiset((2, 2, 2)))
         assert report.complete_games == 378 and report.holds
         assert realized == []
         spec = HierSpec(CONJUNCTIVE, (2, 2), (2, 4))
         assert canonicalize_semantic(spec) == (HierSpec(CONJUNCTIVE, (4,), (4,)), (0, 0))
-        assert realized == [spec]
+        assert realized == []
 
     def test_run_sweep_scans_each_game_once(self, scanned):
         report = run_sweep(DISJUNCTIVE, 2, 3)

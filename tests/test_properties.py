@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hiergames import (
     CONJUNCTIVE,
@@ -13,6 +13,7 @@ from hiergames import (
     Multiset,
     RoughCert,
     canon_check,
+    canonicalize_semantic,
     classify,
     dual_explicit,
     dual_spec,
@@ -63,6 +64,53 @@ def canonical_specs(draw, max_levels=3, max_count=4):
             delta = draw(st.integers(0, n[i] - 1))
         k.append(k[-1] + delta)
     return HierSpec(kind, tuple(n), tuple(k))
+
+
+@st.composite
+def large_specs(draw):
+    # any valid spec, canonical or not, with up to 12 levels and n_i up to
+    # 10^6: each step of k is drawn on its level's scale, often right at
+    # k_{i-1} + n_i, where a condition turns idle
+    kind = draw(kinds)
+    m = draw(st.integers(1, 12))
+    n = [draw(st.integers(1, 10**6)) for _ in range(m)]
+    k, prefix = [0], 0
+    for i, count in enumerate(n):
+        prefix += count
+        low = 0 if kind == CONJUNCTIVE and 0 < i == m - 1 else 1
+        # conjunctive: k_i <= n_1 + ... + n_i keeps the full coalition winning
+        high = 2 * count if kind == DISJUNCTIVE else prefix - k[-1]
+        edge = [d for d in (count - 1, count, count + 1) if low <= d <= high]
+        k.append(k[-1] + draw(st.integers(low, high) | st.sampled_from(edge)))
+    try:
+        return HierSpec(kind, tuple(n), tuple(k[1:]))
+    except ValueError:  # a disjunctive spec whose every threshold overshoots
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(large_specs(), st.data())
+def test_canonical_form_at_any_size(spec, data):
+    canon, mapping = canonicalize_semantic(spec)
+    assert canon_check(canon).canonical
+    assert canonicalize_semantic(canon) == (canon, tuple(range(canon.m)))
+    # a nondecreasing map onto the classes; each class holds its levels' players
+    assert mapping[0] == 0 and mapping[-1] == canon.m - 1
+    assert all(b - a in (0, 1) for a, b in zip(mapping, mapping[1:]))
+    members = [[i for i, c in enumerate(mapping) if c == cls] for cls in range(canon.m)]
+    assert canon.n == tuple(sum(spec.n[i] for i in cls) for cls in members)
+    # each class keeps the threshold of its last level, but for a clamped
+    # disjunctive k_m
+    kept = tuple(spec.k[cls[-1]] for cls in members)
+    if spec.kind == DISJUNCTIVE and canon.m > 1:
+        assert canon.k[:-1] == kept[:-1]
+        assert canon.k[-1] == min(kept[-1], canon.k[-2] + canon.n[-1])
+    else:
+        assert canon.k == kept
+    # the same game: a coalition wins iff its classwise sums win
+    x = tuple(data.draw(st.integers(0, c)) for c in spec.n)
+    squashed = tuple(sum(x[i] for i in cls) for cls in members)
+    assert hier_is_winning(spec, Coalition(x)) == hier_is_winning(canon, Coalition(squashed))
 
 
 @settings(max_examples=60, deadline=None)

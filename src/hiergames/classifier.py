@@ -53,7 +53,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .certificates import RoughCert
-from .hierarchy import DISJUNCTIVE, HierSpec, canon_check
+from .hierarchy import DISJUNCTIVE, HierSpec, _is_canonical
 from .transforms import dual_spec
 
 __all__ = [
@@ -90,7 +90,7 @@ class Verdict:
 
 
 def _require_canonical(spec: HierSpec) -> None:
-    if not canon_check(spec).canonical:
+    if not _is_canonical(spec):
         raise ValueError(
             f"{spec} is not canonical; canonicalize before classification"
         )

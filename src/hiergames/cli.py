@@ -33,7 +33,7 @@ from .documents import (
     load_document,
 )
 from .harness import SweepReport, cross_check, run_sweep, structural_scan
-from .hierarchy import canon_check, canonicalize_semantic
+from .hierarchy import _is_canonical, canon_check, canonicalize_semantic
 from .oracle import oracle_rough, oracle_weighted, verify_representation
 from .transforms import (
     REDUCED,
@@ -75,7 +75,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
     if doc.spec is not None:
         spec = doc.spec
-        if not canon_check(spec).canonical:
+        if not _is_canonical(spec):
             if not args.canonicalize:
                 raise ValueError(
                     f"{spec} is not canonical; pass --canonicalize to rewrite it"

@@ -9,14 +9,18 @@ The desirability order (level_relation, level_classes, is_complete) never
 walks the coalition lattice.
 
 Inputs are validated at the public boundary (Multiset, Coalition,
-ExplicitGame, is_winning). Inside, lattice scans run on plain count tuples
-from one private walker, _lattice, in mixed-radix index order, so a scan can
-keep a flat table indexed by position; only the coalitions a scan returns
-are wrapped, unvalidated, by _coalition.
+ExplicitGame, is_winning). Inside, a set of lattice points is one Python
+int, bit j standing for the point of index j in mixed-radix order (see
+_strides), so maximal_losing and hierarchy.realize work on the whole
+lattice with a few shift/AND operations and never build a tuple per
+point; only the coalitions they return are decoded and wrapped,
+unvalidated, by _coalition.
 
-Everything here is exact and deterministic. _lattice enforces a
-configurable cap (HIERGAME_ENUM_CAP) on every enumeration, so that a typo in
-a universe cannot silently turn into a billion-element loop.
+Everything here is exact and deterministic. _lattice, the one walker
+(iter_coalitions) and the one place the enumeration cap (HIERGAME_ENUM_CAP)
+is read, is called by every lattice operation before it allocates
+anything, so that a typo in a universe cannot silently turn into a
+billion-element loop or a billion-bit int.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from operator import ge
+from operator import ge, mul
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -168,7 +172,10 @@ def _coalition(counts: tuple[int, ...]) -> Coalition:
 
 def _strides(counts: Sequence[int]) -> tuple[int, ...]:
     """Mixed-radix place values: stride_i is the product of (n_j + 1), j > i."""
-    return tuple(math.prod(c + 1 for c in counts[i + 1 :]) for i in range(len(counts)))
+    out = [1] * len(counts)
+    for i in range(len(counts) - 1, 0, -1):
+        out[i - 1] = out[i] * (counts[i] + 1)
+    return tuple(out)
 
 
 def _lattice(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -177,7 +184,8 @@ def _lattice(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
     That is index order: the j-th vector is the x with sum(x_i * stride_i)
     == j (see _strides). Raises EnumerationCapError at the call, before
     anything is built, when there are more vectors than the enumeration cap.
-    This is the one place the cap is read and checked.
+    This is the one place the cap is read and checked; the bitset kernels
+    call it for the check alone and drop the lazy iterator.
     """
     limit = enumeration_cap()
     total = math.prod(c + 1 for c in counts)
@@ -267,45 +275,111 @@ def is_winning(game: ExplicitGame, coalition: Coalition) -> bool:
 def maximal_losing(game: ExplicitGame) -> frozenset[Coalition]:
     """Antichain of losing coalitions all of whose strict supersets win.
 
-    Scans the full coalition lattice once per game: the cap is checked on
-    every call, and the antichain is memoized on the game.
+    The cap is checked on every call, and the antichain is memoized on the
+    game (hierarchy.realize presets it). Computing it costs O(m) per minimal
+    winning coalition to set its bit in a lattice bitset, then
+    O(sum(log n_i) + m) whole-lattice shift/AND operations on
+    product(n_i + 1) bits, then O(m) per member decoded. No tuple lattice
+    is built.
     """
-    points = _lattice(game.universe.counts)
+    _lattice(game.universe.counts)  # the cap, checked before any allocation
     memo = game.__dict__.get("_maximal_losing")
     if memo is None:
-        memo = frozenset(map(_coalition, _scan_maximal_losing(game, list(points))))
+        memo = _scan_maximal_losing(game)
         object.__setattr__(game, "_maximal_losing", memo)
     return memo
 
 
-def _scan_maximal_losing(
-    game: ExplicitGame, points: list[tuple[int, ...]]
-) -> list[tuple[int, ...]]:
-    """Maximal losing count vectors from a flat winning table over `points`
-    (the whole lattice, in index order).
+# ===== the lattice as a bitset =====
+#
+# A set of lattice points is one int whose bit j is the point of index j
+# (see _strides). The points with x_i = a form a periodic mask: a run of s_i
+# ones at offset a * s_i in every block of s_i * (n_i + 1) bits. Shifting a
+# bitset left by s_i moves every point x to x + e_i, so whole-lattice
+# questions about neighbours become a few big-int shifts and ANDs.
 
-    First pass: x wins iff it is minimal winning or x - e_i wins for some
-    level i. Second pass: x is maximal losing iff it loses and x + e_i wins
-    for every level i with x_i < n_i (by monotonicity, every strict superset
-    then wins).
+
+def _bit_levels(
+    counts: Sequence[int], strides: tuple[int, ...]
+) -> tuple[tuple[int, int, int], ...]:
+    """(n_i, s_i, rep_i) per level. rep_i has bit 0 of every
+    s_i * (n_i + 1)-bit block set, so it marks the points with x_i = 0 and
+    every later level at 0, and (rep_i << c * s_i) - rep_i marks the points
+    with x_i < c. It is built by doubling, O(size) word operations; the
+    division (2^size - 1) // (2^(s_i * (n_i + 1)) - 1) is quadratic."""
+    size = strides[0] * (counts[0] + 1)
+    out = []
+    for n, s in zip(counts, strides):
+        rep, span = 1, s * (n + 1)
+        while span < size:
+            rep |= rep << span
+            span *= 2
+        out.append((n, s, rep & ((1 << size) - 1)))
+    return tuple(out)
+
+
+def _decode(bits: int, strides: tuple[int, ...]) -> frozenset[Coalition]:
+    """The coalitions at the set bits of a lattice bitset."""
+    out = []
+    digits = bin(bits)[:1:-1]  # least significant first: digits[j] is bit j
+    j = digits.find("1")
+    while j >= 0:
+        x, rest = [], j
+        for s in strides:
+            a, rest = divmod(rest, s)
+            x.append(a)
+        out.append(_coalition(tuple(x)))
+        j = digits.find("1", j + 1)
+    return frozenset(out)
+
+
+def _antichain_bits(levels: tuple[tuple[int, int, int], ...], win: int) -> tuple[int, int]:
+    """Minimal winning and maximal losing bits of the up-set `win`.
+
+    x is minimal winning iff it wins and x - e_i loses for every level with
+    x_i > 0; x is maximal losing iff it loses and x + e_i wins for every
+    level with x_i < n_i (by monotonicity every strict superset then wins).
+    Both are m whole-lattice shifts of win.
     """
+    n_0, s_0, _ = levels[0]
+    minimal, losing = win, ((1 << s_0 * (n_0 + 1)) - 1) ^ win
+    for n_i, s, rep in levels:
+        zero = (rep << s) - rep
+        minimal &= ~(win << s) | zero
+        losing &= (win >> s) | zero << n_i * s
+    return minimal, losing
+
+
+def _game_of_bits(universe: Multiset, win: int) -> ExplicitGame:
+    """The game whose winning coalitions are the set bits of `win`, an
+    up-set of the lattice, with maximal_losing's memo preset."""
+    n = universe.counts
+    strides = _strides(n)
+    minimal, losing = _antichain_bits(_bit_levels(n, strides), win)
+    game = _explicit_game(universe, _decode(minimal, strides))
+    object.__setattr__(game, "_maximal_losing", _decode(losing, strides))
+    return game
+
+
+def _scan_maximal_losing(game: ExplicitGame) -> frozenset[Coalition]:
+    """Maximal losing antichain of any explicit game: set the minimal
+    winning bits, close them upward level by level (shifts by 1, 2, 4, ...
+    units of s_i, each restricted to the points that stay inside the
+    lattice), and read the maximal losing bits off the winning set."""
     n = game.universe.counts
     strides = _strides(n)
-    levels = tuple(enumerate(strides))
-    win = bytearray(len(points))
+    levels = _bit_levels(n, strides)
+    table = bytearray(game.universe.coalition_count() // 8 + 1)
     for w in game.min_winning:
-        win[sum(a * s for a, s in zip(w.counts, strides))] = 1
-    for idx, x in enumerate(points):
-        if not win[idx]:
-            for i, s in levels:
-                if x[i] and win[idx - s]:
-                    win[idx] = 1
-                    break
-    return [
-        x
-        for idx, x in enumerate(points)
-        if not win[idx] and all(x[i] == n[i] or win[idx + s] for i, s in levels)
-    ]
+        j = sum(map(mul, w.counts, strides))
+        table[j >> 3] |= 1 << (j & 7)
+    win = int.from_bytes(table, "little")
+    for n_i, s, rep in levels:
+        d = 1
+        while d <= n_i:
+            win |= (win & ((rep << (n_i - d + 1) * s) - rep)) << d * s
+            d *= 2
+    return _decode(_antichain_bits(levels, win)[1], strides)
 
 
 class LevelRelation(Enum):

@@ -75,9 +75,12 @@ class LinearSystem:
     def _add(self, coeffs: Sequence[int], rhs: int, negate: bool) -> None:
         if len(coeffs) != self.num_vars:
             raise ValueError(f"expected {self.num_vars} coefficients, got {len(coeffs)}")
-        *cs, b = _ints((*coeffs, rhs), "coefficients and bound")
-        sign = -1 if negate else 1
-        self._rows.append((tuple(sign * c for c in cs), sign * b))
+        row = (*coeffs, rhs)
+        if {*map(type, row)} != {int}:
+            _ints(row, "coefficients and bound")  # raises the TypeError
+        if negate:
+            row = tuple([-v for v in row])
+        self._rows.append((row[:-1], row[-1]))
 
     def add_le(self, coeffs: Sequence[int], rhs: int) -> None:
         """coeffs . x <= rhs"""
@@ -168,7 +171,6 @@ def _simplex_cone(
         row.append(sign[i] * target[i])
         tab.append(row)
     basis = list(range(n, n + d))
-    in_basis = set(basis)
     denom = 1
     pivots = 0
 
@@ -181,14 +183,16 @@ def _simplex_cone(
         piv = prow[entering]
         div = denom if piv > 0 else -denom
         for i, row in enumerate(tab):
-            if i != leave:
-                f = row[entering]
+            if i == leave:
+                continue
+            f = row[entering]
+            if f:
                 tab[i] = [(piv * a - f * b) // div for a, b in zip(row, prow)]
+            elif piv != div:  # f == 0: the row is only rescaled
+                tab[i] = [piv * a // div for a in row]
         if piv < 0:
             tab[leave] = [-v for v in prow]
         denom = abs(piv)
-        in_basis.discard(basis[leave])
-        in_basis.add(entering)
         basis[leave] = entering
         pivots += 1
         if pivots > _PIVOT_SAFETY:
@@ -201,22 +205,20 @@ def _simplex_cone(
                 y * row[rhs_col] for y, row in zip(ybar, tab)
             ) == 0:
                 return OPTIMAL
-            # Dantzig entering normally, Bland entering once the pivot count
-            # looks cyclic; artificials never re-enter. Reduced costs are
-            # compared scaled by denom.
-            bland = pivots >= 4 * (n + d)
-            priced = [(y, row) for y, row in zip(ybar, tab) if y != 0]
-            entering = -1
-            best = 0
-            for j in range(n):
-                if j in in_basis:
-                    continue
-                red = cost[j] * denom - sum(y * row[j] for y, row in priced)
-                if red < best:
-                    entering = j
-                    best = red
-                    if bland:
-                        break
+            # Dantzig entering normally (the first most negative reduced
+            # cost), Bland entering (the first negative one) once the pivot
+            # count looks cyclic; artificials never re-enter. Reduced costs
+            # are scaled by denom, one row for all real columns; a basic
+            # column prices exactly 0, so it never enters.
+            red = [c * denom for c in cost[:n]]
+            for y, row in zip(ybar, tab):
+                if y:
+                    red = [r - y * a for r, a in zip(red, row)]
+            if pivots >= 4 * (n + d):
+                entering = next((j for j, r in enumerate(red) if r < 0), -1)
+            else:
+                best = min(red, default=0)
+                entering = red.index(best) if best < 0 else -1
             if entering < 0:
                 return OPTIMAL
             # ratio test by cross-multiplying: rhs_i / t_i < rhs_l / t_l
@@ -254,7 +256,6 @@ def _simplex_cone(
         if entering is not None:
             pivot(i, entering)
         else:
-            in_basis.discard(basis[i])
             del tab[i], basis[i], coords[i]
     # phase 2: the real costs
     phase2 = [rhs for _, rhs in rows] + [0] * d

@@ -44,7 +44,7 @@ from .hierarchy import (
     CONJUNCTIVE,
     DISJUNCTIVE,
     HierSpec,
-    canon_check,
+    _is_canonical,
     merge_levels,
     realize,
     recover_conjunctive,
@@ -139,7 +139,7 @@ def sweep_specs(
             if kmax is not None and k[-1] > kmax:
                 continue
             spec = HierSpec(kind, n, tuple(k))
-            if not canon_check(spec).canonical:
+            if not _is_canonical(spec):
                 raise RuntimeError(f"sweep grid produced non-canonical {spec}")
             yield spec
 

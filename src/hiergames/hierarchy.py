@@ -16,6 +16,7 @@ the levels they separated, without realizing the game.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 from operator import ge
 from typing import Iterable, Iterator, Optional
@@ -27,6 +28,7 @@ from .core import (
     _coalition,
     _covers,
     _explicit_game,
+    _game_of_bits,
     _int_tuple,
     _lattice,
     _strides,
@@ -118,27 +120,37 @@ def hier_is_winning(spec: HierSpec, coalition: Coalition) -> bool:
 
 
 def realize(spec: HierSpec) -> ExplicitGame:
-    """Explicit game of a spec: minimal winning coalitions by lattice scan.
+    """Explicit game of a spec, with its maximal losing antichain memoized.
 
-    One pass in index order: the prefix thresholds decide whether x wins,
-    and a winning x is minimal iff x - e_i loses for every level i with
-    x_i > 0 (those points come earlier, so their flags are already set).
-    Cost O(product(n_i + 1) * m), guarded by the enumeration cap.
+    The winning set is a lattice bitset (see core), written out as a binary
+    string from memoized blocks: the bits of the sub-lattice of levels i..m
+    depend only on the prefix sum p the levels before i leave, so
+    block(i, p) joins block(i + 1, p + a) over the level's counts a, while
+    the counts that decide the rule give a run of ones (disjunctive, won)
+    or zeros (conjunctive, lost); on the last level they decide it all.
+    Joining strings keeps the work linear in the bits written, at most
+    product(n_i + 1) per level, in at most (N + 1) * (N + m) block calls,
+    N = n_1 + ... + n_m. core._game_of_bits then reads both antichains off
+    with 2m whole-lattice shift/AND operations and decodes their members,
+    O(m) each. No tuple lattice is built. Guarded by the enumeration cap.
     """
-    points = _lattice(spec.n)  # the cap is checked before any allocation
-    test = any if spec.kind == DISJUNCTIVE else all
-    k = spec.k
-    levels = tuple(enumerate(_strides(spec.n)))
-    universe = spec.universe()
-    win = bytearray(universe.coalition_count())
-    minimal = []
-    for idx, x in enumerate(points):
-        # the _prefix_wins rule, inlined: a call per lattice point costs 10-20%
-        if test(map(ge, accumulate(x), k)):
-            win[idx] = 1
-            if not any(x[i] and win[idx - s] for i, s in levels):
-                minimal.append(_coalition(x))
-    return _explicit_game(universe, frozenset(minimal))
+    _lattice(spec.n)  # the cap, checked before any allocation
+    n, k, strides = spec.n, spec.k, _strides(spec.n)
+    disjunctive = spec.kind == DISJUNCTIVE
+
+    @cache
+    def block(i: int, p: int) -> str:
+        # the _prefix_wins rule, one level at a time; bits highest index first
+        s = strides[i]
+        cut = min(max(k[i] - p, 0), n[i] + 1)  # x_i < cut leaves X_i below k_i
+        if i == len(n) - 1:  # s == 1, and the last condition decides
+            return "1" * (n[i] + 1 - cut) + "0" * cut
+        if disjunctive:
+            below = "".join([block(i + 1, p + a) for a in range(cut - 1, -1, -1)])
+            return "1" * ((n[i] + 1 - cut) * s) + below
+        return "".join([block(i + 1, p + a) for a in range(n[i], cut - 1, -1)]) + "0" * (cut * s)
+
+    return _game_of_bits(spec.universe(), int(block(0, 0), 2))
 
 
 @dataclass(frozen=True)
@@ -171,16 +183,24 @@ class CanonReport:
     normalized_spec: HierSpec
 
 
+def _condition_b(spec: HierSpec) -> Iterator[bool]:
+    """canon_check's condition b, one flag per level 2..m."""
+    n, k, last = spec.n, spec.k, spec.m - 1
+    tie = spec.kind == DISJUNCTIVE  # a disjunctive last level may meet its bound
+    for i in range(1, last + 1):
+        bound = k[i - 1] + n[i]
+        yield k[i] <= bound if tie and i == last else k[i] < bound
+
+
+def _is_canonical(spec: HierSpec) -> bool:
+    """canon_check(spec).canonical, without the rest of the report."""
+    return spec.k[0] <= spec.n[0] and all(_condition_b(spec))
+
+
 def canon_check(spec: HierSpec) -> CanonReport:
     n, k, m = spec.n, spec.k, spec.m
     cond_a = k[0] <= n[0]
-    cond_b = []
-    for i in range(1, m):
-        bound = k[i - 1] + n[i]
-        if i == m - 1 and spec.kind == DISJUNCTIVE:
-            cond_b.append(k[i] <= bound)
-        else:
-            cond_b.append(k[i] < bound)
+    cond_b = tuple(_condition_b(spec))
     canonical = cond_a and all(cond_b)
     # level m is a dummy iff its class is; in canonical form k_m is then on its bound
     form = spec if canonical else canonicalize_semantic(spec)[0]
@@ -194,7 +214,7 @@ def canon_check(spec: HierSpec) -> CanonReport:
     return CanonReport(
         canonical=canonical,
         condition_a=cond_a,
-        condition_b=tuple(cond_b),
+        condition_b=cond_b,
         dummy_last_level=dummy,
         passer_first_level=passer,
         blocker_first_level=blocker,
@@ -309,7 +329,7 @@ def _recover(game: ExplicitGame, kind: str) -> Optional[HierSpec]:
         spec = HierSpec(kind, game.universe.counts, k)
     except ValueError:
         return None
-    if not canon_check(spec).canonical:
+    if not _is_canonical(spec):
         return None
     # the game's own coalitions fit its universe: no fit check per coalition
     winning = all(_prefix_wins(kind, k, w.counts) for w in game.min_winning)

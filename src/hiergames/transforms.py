@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Coalition, ExplicitGame, Multiset, maximal_losing
-from .hierarchy import DISJUNCTIVE, HierSpec, canon_check, truncate
+from .hierarchy import DISJUNCTIVE, HierSpec, _is_canonical, truncate
 
 __all__ = [
     "MinorStep",
@@ -137,7 +137,7 @@ def named_minors(spec: HierSpec) -> tuple[NamedMinor, ...]:
     """
     if spec.kind != DISJUNCTIVE:
         raise ValueError("named minors are defined for disjunctive specs")
-    if not canon_check(spec).canonical:
+    if not _is_canonical(spec):
         raise ValueError(f"{spec} is not canonical")
     n, k, m = spec.n, spec.k, spec.m
     out: list[NamedMinor] = []

@@ -27,6 +27,7 @@ from hiergames import (
     canon_check,
     canonicalize_semantic,
     classify,
+    hier_is_winning,
     is_complete,
     iter_coalitions,
     level_classes,
@@ -167,6 +168,44 @@ class TestAgainstReference:
         for spec in specs:
             assert canonicalize_semantic(spec) == ref.canonicalize(spec), spec
 
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_realize_on_valid_specs(self, levels):
+        # canonical or not, both kinds: n_i <= 3 and k_i up to N + 1, one
+        # past the largest total; realize's preset antichain and a scan of
+        # the same game rebuilt from its minimal winning coalitions included
+        specs = list(valid_specs(levels, 3, 3 * levels + 1))
+        assert len(specs) == {1: 12, 2: 174, 3: 2529}[levels]
+        for spec in specs:
+            game = realize(spec)
+            expected = ref.realize(spec)
+            assert game.min_winning == expected.min_winning, spec
+            assert maximal_losing(game) == ref.maximal_losing(expected), spec
+            rebuilt = ExplicitGame(game.universe, game.min_winning)
+            assert maximal_losing(rebuilt) == maximal_losing(game), spec
+
+    def test_realize_at_any_size(self):
+        # 101^3 = 1,030,301 lattice points; each coalition of both antichains
+        # is checked against the prefix rule on its unit neighbours
+        spec = HierSpec(CONJUNCTIVE, (100, 100, 100), (50, 150, 250))
+        game = realize(spec)
+        losing = maximal_losing(game)
+        assert (len(game.min_winning), len(losing)) == (1326, 1378)
+
+        def wins(counts):
+            return hier_is_winning(spec, Coalition(counts))
+
+        def moved(x, i, delta):
+            return x[:i] + (x[i] + delta,) + x[i + 1 :]
+
+        for w in game.min_winning:
+            x = w.counts
+            assert wins(x) and not any(wins(moved(x, i, -1)) for i in range(3) if x[i]), x
+        for c in losing:
+            x = c.counts
+            assert not wins(x) and all(wins(moved(x, i, 1)) for i in range(3) if x[i] < 100), x
+        # the scan of an explicit game closes the same winning set upward
+        assert maximal_losing(ExplicitGame(game.universe, game.min_winning)) == losing
+
     def test_returned_coalitions_are_plain_values(self):
         game = realize(HierSpec(DISJUNCTIVE, (3, 3, 3), (2, 3, 5)))
         for c in game.min_winning | maximal_losing(game):
@@ -291,9 +330,9 @@ def scanned(monkeypatch):
     log = []
     scan = hiergames.core._scan_maximal_losing
 
-    def counting(game, points):
+    def counting(game):
         log.append(game)
-        return scan(game, points)
+        return scan(game)
 
     monkeypatch.setattr(hiergames.core, "_scan_maximal_losing", counting)
     return log
@@ -301,16 +340,29 @@ def scanned(monkeypatch):
 
 @pytest.fixture
 def realized(monkeypatch):
-    """Every spec hierarchy.realize builds a game for."""
+    """(game, its maximal losing memo) for every game realize returns, with
+    realize replaced in every hiergames module that binds it."""
     log = []
     real = hiergames.hierarchy.realize
 
-    def counting(spec):
-        log.append(spec)
-        return real(spec)
+    def logging(spec):
+        game = real(spec)
+        log.append((game, game.__dict__.get("_maximal_losing")))
+        return game
 
-    monkeypatch.setattr(hiergames.hierarchy, "realize", counting)
+    for info in pkgutil.iter_modules(hiergames.__path__):
+        module = importlib.import_module(f"hiergames.{info.name}")
+        for name, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, name, logging)
     return log
+
+
+def assert_memo_kept(realized):
+    """realize set each game's maximal losing antichain, and every later
+    read got that same object."""
+    for game, memo in realized:
+        assert memo is not None and maximal_losing(game) is memo
 
 
 class TestScanCounts:
@@ -324,18 +376,22 @@ class TestScanCounts:
         assert canonicalize_semantic(spec) == (HierSpec(CONJUNCTIVE, (4,), (4,)), (0, 0))
         assert realized == []
 
-    def test_run_sweep_scans_each_game_once(self, scanned):
+    def test_run_sweep_scans_each_game_once(self, scanned, realized):
+        # realize hands its game over with the maximal losing antichain
+        # already set, so the oracle scans no realized game at all
         report = run_sweep(DISJUNCTIVE, 2, 3)
         assert len(report.records) == 36 and report.all_agree
-        assert [g.universe.counts for g in scanned] == [r.spec.n for r in report.records]
-        assert len({id(g) for g in scanned}) == 36
+        assert [g.universe.counts for g, _ in realized] == [r.spec.n for r in report.records]
+        assert scanned == []
+        assert_memo_kept(realized)
 
-    def test_classify_oracle_scans_once(self, scanned, tmp_path, capsys):
+    def test_classify_oracle_scans_once(self, scanned, realized, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"kind": DISJUNCTIVE, "n": [3, 3, 3], "k": [2, 3, 5]}))
         assert main(["classify", str(path), "--oracle", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["agree"] is True
-        assert len(scanned) == 1
+        assert len(realized) == 1 and scanned == []
+        assert_memo_kept(realized)
 
     @pytest.mark.parametrize(
         "doc,game_class,solves",

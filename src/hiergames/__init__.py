@@ -14,7 +14,6 @@ from .classifier import (
     Verdict,
     classify,
     classify_rough,
-    classify_weighted,
 )
 from .core import (
     Coalition,
@@ -72,6 +71,7 @@ from .oracle import (
     oracle_classify,
     oracle_rough,
     oracle_weighted,
+    oracle_witness,
     verify_representation,
 )
 from .transforms import (

@@ -28,7 +28,8 @@ The decision law is a finite case list over (kind, n, k):
     (v)   k=(k,k+1,k+2), k>2, n3=2;
     (vi)  k=(k,k+1,k3), n3=k3-k>=3;
     (vii) k_m=k_{m-1}+n_m and the subgame matches (i)-(vi).
-    Dummy specs route to (vii) first; within (i)-(vi) the first match wins.
+    Dummy specs route to (vii) first and never fall through; within (i)-(vi)
+    the first match wins.
 
   roughly weighted, conjunctive (tags Thm13(i)..(vii)): decided through the
     dual disjunctive spec, with the certificate carried across duality as
@@ -61,7 +62,6 @@ __all__ = [
     "ROUGH_NOT_WEIGHTED",
     "NOT_ROUGH",
     "Verdict",
-    "classify_weighted",
     "classify_rough",
     "classify",
 ]
@@ -87,13 +87,6 @@ class Verdict:
     matched_case: str
     certificate: Optional[RoughCert]
     notes: tuple[str, ...] = field(default=())
-
-
-def _require_canonical(spec: HierSpec) -> None:
-    if not _is_canonical(spec):
-        raise ValueError(
-            f"{spec} is not canonical; canonicalize before classification"
-        )
 
 
 # ===== weighted case law (disjunctive; conjunctive goes through duality) =====
@@ -128,24 +121,22 @@ def _weighted_disj(n: tuple[int, ...], k: tuple[int, ...]) -> Optional[tuple[int
     return None
 
 
-def classify_weighted(spec: HierSpec) -> Optional[str]:
-    """Matched weighted-case tag ('Thm4(2)', 'Thm5(4)', ...) or None.
-
-    Requires a canonical spec. Truthiness of the result answers "is the
-    game weighted".
-    """
-    verdict = classify_rough(spec)
-    return verdict.matched_case if verdict.game_class == WEIGHTED else None
-
-
 # ===== rough case law (disjunctive; conjunctive goes through duality) =====
 
 
 def _rough_disj(n: tuple[int, ...], k: tuple[int, ...]) -> Optional[tuple[str, RoughCert]]:
-    """Thm12 case (i)-(vi) of a canonical nonweighted dummy-free disjunctive
-    (n, k) and its quota-1 certificate (quota 0 for (i)); None when none
-    matches. _route_rough_disj handles the dummy route (vii)."""
+    """Thm12 case of a canonical nonweighted disjunctive (n, k) and its
+    quota-1 certificate (quota 0 for (i)); None when none matches.
+
+    A dummy last level routes to (vii) and never falls through to (i)-(vi).
+    Canonical middle levels are strict, so the subgame has no dummy level.
+    """
     m = len(n)
+    if m >= 2 and k[-1] == k[-2] + n[-1]:
+        inner = _rough_disj(n[:-1], k[:-1])
+        if inner is None:
+            return None
+        return "vii", RoughCert(inner[1].quota, inner[1].weights + (0,))
     if k[0] == 1:
         # passers make the game decisive at weight zero: losing coalitions
         # contain no first-level player at all
@@ -172,15 +163,6 @@ def _rough_disj(n: tuple[int, ...], k: tuple[int, ...]) -> Optional[tuple[str, R
                 cert = RoughCert(1, (Fraction(1, k[0]), Fraction(1, k[0]), 0))
                 return ("v" if v else "vi"), cert
     return None
-
-
-def _route_rough_disj(n: tuple[int, ...], k: tuple[int, ...]) -> Optional[tuple[str, RoughCert]]:
-    if len(n) >= 2 and k[-1] == k[-2] + n[-1]:
-        inner = _rough_disj(n[:-1], k[:-1])
-        if inner is None:
-            return None
-        return "vii", RoughCert(inner[1].quota, inner[1].weights + (0,))
-    return _rough_disj(n, k)
 
 
 def _across_duality(cert: RoughCert, n: tuple[int, ...], gap: int) -> RoughCert:
@@ -237,27 +219,22 @@ def classify_rough(spec: HierSpec) -> Verdict:
     on its dual. Each case returns its certificate with its tag; not_rough
     has none.
     """
-    _require_canonical(spec)
-    if spec.kind == DISJUNCTIVE:
-        weighted = _weighted_disj(spec.n, spec.k)
-        if weighted is not None:
-            return Verdict(WEIGHTED, f"Thm4({weighted[0]})", weighted[1])
-        rough = _route_rough_disj(spec.n, spec.k)
-        if rough is None:
-            return Verdict(NOT_ROUGH, "none", None)
-        return Verdict(ROUGH_NOT_WEIGHTED, f"Thm12({rough[0]})", rough[1])
-
-    dual = dual_spec(spec)
-    weighted = _weighted_disj(dual.n, dual.k)
+    if not _is_canonical(spec):
+        raise ValueError(f"{spec} is not canonical; canonicalize before classification")
+    conj = spec.kind != DISJUNCTIVE
+    law = dual_spec(spec) if conj else spec
+    weighted = _weighted_disj(law.n, law.k)
     if weighted is not None:
-        case = weighted[0]
+        case, cert = weighted
+        if not conj:
+            return Verdict(WEIGHTED, f"Thm4({case})", cert)
         if case in (2, 3):
             case = 2 if spec.k[1] == spec.k[0] + 1 else 3
-        return Verdict(WEIGHTED, f"Thm5({case})", _across_duality(weighted[1], spec.n, 1))
-    rough = _route_rough_disj(dual.n, dual.k)
+        return Verdict(WEIGHTED, f"Thm5({case})", _across_duality(cert, spec.n, 1))
+    rough = _rough_disj(law.n, law.k)
     notes: tuple[str, ...] = ()
-    literal = _literal_conj_case(spec.n, spec.k)
-    if (literal is None) != (rough is None):
+    literal = _literal_conj_case(spec.n, spec.k) if conj else None
+    if conj and (literal is None) != (rough is None):
         derived = "no match" if rough is None else f"dual match {rough[0]}"
         printed = "no match" if literal is None else f"case {literal}"
         notes = (
@@ -266,11 +243,13 @@ def classify_rough(spec: HierSpec) -> Verdict:
         )
     if rough is None:
         return Verdict(NOT_ROUGH, "none", None, notes)
-    tag = rough[0]
+    tag, cert = rough
+    if not conj:
+        return Verdict(ROUGH_NOT_WEIGHTED, f"Thm12({tag})", cert)
     if tag == "v":
         tag = "va" if spec.n[1] == spec.n[2] == 2 else "vb"
     return Verdict(
-        ROUGH_NOT_WEIGHTED, f"Thm13({tag})", _across_duality(rough[1], spec.n, 0), notes
+        ROUGH_NOT_WEIGHTED, f"Thm13({tag})", _across_duality(cert, spec.n, 0), notes
     )
 
 

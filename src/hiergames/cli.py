@@ -2,10 +2,10 @@
 
 Subcommands:
 
-  classify FILE    structural verdict for a spec document (oracle-only for
-                   explicit documents); --oracle cross-validates, exit 1 on
-                   any disagreement; --canonicalize first rewrites the spec
-  dual FILE        dual game document (spec or explicit)
+  classify FILE    verdict of a spec document (--oracle cross-validates it,
+                   --canonicalize rewrites it first), or the oracle's class
+                   and witness for an explicit one; exit 1 on disagreement
+  dual FILE        dual game document (explicit, or a canonical spec)
   canon FILE       canonical-form report plus the semantic canonical spec
   minor FILE       named or custom minors
   sweep            classify a canonical grid against the oracle
@@ -23,7 +23,7 @@ import sys
 from typing import Any, Optional
 
 from .certificates import RoughCert
-from .classifier import NOT_ROUGH, ROUGH_NOT_WEIGHTED, Verdict, WEIGHTED, classify_rough
+from .classifier import ROUGH_NOT_WEIGHTED, Verdict, classify_rough
 from .core import Coalition, EnumerationCapError, Multiset
 from .documents import (
     GameDocument,
@@ -32,9 +32,16 @@ from .documents import (
     document_to_dict,
     load_document,
 )
-from .harness import SweepReport, cross_check, run_sweep, structural_scan
+from .harness import (
+    SweepReport,
+    agrees,
+    certificate_holds,
+    cross_check,
+    run_sweep,
+    structural_scan,
+)
 from .hierarchy import _is_canonical, canon_check, canonicalize_semantic
-from .oracle import oracle_rough, oracle_weighted, verify_representation
+from .oracle import oracle_witness
 from .transforms import (
     REDUCED,
     SUBGAME,
@@ -87,22 +94,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
             )
         verdict = classify_rough(spec)
         payload["spec"] = document_to_dict(document_from_spec(spec))
-        oracle_class: Optional[str] = None
-        cert_ok: Optional[bool] = None
-        if args.oracle:
-            oracle_class, cert_ok = cross_check(spec, verdict)
+        oracle_class, cert_ok = cross_check(spec, verdict) if args.oracle else (None, None)
     else:
         game = doc.to_game()
-        oracle_class = WEIGHTED
-        cert = oracle_weighted(game)
-        if cert is None:
-            cert = oracle_rough(game)
-            oracle_class = NOT_ROUGH if cert is None else ROUGH_NOT_WEIGHTED
-        verdict = Verdict(oracle_class, "oracle", cert)
-        cert_ok = None
-        if cert is not None:
-            mode = "weighted" if oracle_class == WEIGHTED else "rough"
-            cert_ok = verify_representation(game, cert, mode)
+        game_class, cert = oracle_witness(game)
+        verdict = Verdict(game_class, "oracle", cert)
+        oracle_class, cert_ok = None, certificate_holds(game, verdict)
         notes.append("explicit document: verdict computed by the LP oracle")
 
     notes.extend(verdict.notes)
@@ -119,27 +116,21 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if verdict.certificate is not None:
         lines.append(f"certificate: {verdict.certificate}")
 
-    exit_code = 0
-    if oracle_class is not None and doc.spec is not None:
-        agree = oracle_class == verdict.game_class and cert_ok is not False
+    agree = agrees(verdict, oracle_class, cert_ok)
+    if oracle_class is not None:
         payload["oracle"] = {"class": oracle_class, "certificate_verified": cert_ok}
         payload["agree"] = agree
         lines.append(
             f"oracle: {oracle_class} ({'agree' if oracle_class == verdict.game_class else 'DISAGREE'})"
         )
-        if cert_ok is not None:
-            lines.append(f"certificate check: {'valid' if cert_ok else 'INVALID'}")
-        if not agree:
-            exit_code = 1
     elif cert_ok is not None:
         payload["certificate_verified"] = cert_ok
+    if cert_ok is not None:
         lines.append(f"certificate check: {'valid' if cert_ok else 'INVALID'}")
-        if not cert_ok:
-            exit_code = 1
     for note in notes:
         lines.append(f"note: {note}")
     _emit(payload, lines, args.json)
-    return exit_code
+    return 0 if agree else 1
 
 
 def cmd_dual(args: argparse.Namespace) -> int:

@@ -34,6 +34,7 @@ from .classifier import WEIGHTED, Verdict, classify_rough
 from .core import (
     Coalition,
     EnumerationCapError,
+    ExplicitGame,
     Multiset,
     _covers,
     _explicit_game,
@@ -58,6 +59,8 @@ __all__ = [
     "SweepReport",
     "StructuralReport",
     "sweep_specs",
+    "agrees",
+    "certificate_holds",
     "cross_check",
     "run_sweep",
     "structural_scan",
@@ -76,11 +79,8 @@ class SweepRecord:
 
     @property
     def agree(self) -> bool:
-        if self.skipped is not None:
-            return True  # nothing to compare
-        if self.oracle_class is not None and self.oracle_class != self.verdict.game_class:
-            return False
-        return self.cert_verified is not False
+        # a skipped spec has no oracle class and no check, so it agrees
+        return agrees(self.verdict, self.oracle_class, self.cert_verified)
 
 
 @dataclass(frozen=True)
@@ -144,6 +144,22 @@ def sweep_specs(
             yield spec
 
 
+def agrees(verdict: Verdict, oracle_class: Optional[str], cert_ok: Optional[bool]) -> bool:
+    """The agreement rule: the oracle's class, when there is one, equals the
+    verdict's, and the verdict's certificate, when checked, holds."""
+    return oracle_class in (None, verdict.game_class) and cert_ok is not False
+
+
+def certificate_holds(game: ExplicitGame, verdict: Verdict) -> Optional[bool]:
+    """Whether the verdict's certificate represents the game in its class's
+    mode ('weighted' for the weighted class, 'rough' otherwise); None when
+    the verdict has none."""
+    if verdict.certificate is None:
+        return None
+    mode = "weighted" if verdict.game_class == WEIGHTED else "rough"
+    return verify_representation(game, verdict.certificate, mode)
+
+
 def cross_check(spec: HierSpec, verdict: Verdict) -> tuple[str, Optional[bool]]:
     """The oracle's class of the realized spec, and whether the verdict's
     certificate holds on that game (None when the verdict has none).
@@ -151,11 +167,7 @@ def cross_check(spec: HierSpec, verdict: Verdict) -> tuple[str, Optional[bool]]:
     Raises EnumerationCapError when the spec's lattice exceeds the cap.
     """
     game = realize(spec)
-    oracle_class = oracle_classify(game)
-    if verdict.certificate is None:
-        return oracle_class, None
-    mode = "weighted" if verdict.game_class == WEIGHTED else "rough"
-    return oracle_class, verify_representation(game, verdict.certificate, mode)
+    return oracle_classify(game), certificate_holds(game, verdict)
 
 
 def run_sweep(

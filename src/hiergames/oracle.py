@@ -45,6 +45,7 @@ __all__ = [
     "oracle_weighted",
     "oracle_rough",
     "oracle_classify",
+    "oracle_witness",
     "verify_representation",
     "extremal_weight",
 ]
@@ -111,13 +112,19 @@ def oracle_rough(game: ExplicitGame) -> Optional[RoughCert]:
     return None
 
 
+def oracle_witness(game: ExplicitGame) -> tuple[str, Optional[RoughCert]]:
+    """The game's class by pure feasibility, the weighted LP deciding first,
+    with the witness of that class (None for 'not_rough')."""
+    cert = oracle_weighted(game)
+    if cert is not None:
+        return "weighted", cert
+    cert = oracle_rough(game)
+    return ("not_rough" if cert is None else "rough_not_weighted"), cert
+
+
 def oracle_classify(game: ExplicitGame) -> str:
-    """'weighted', 'rough_not_weighted', or 'not_rough', by pure feasibility."""
-    if oracle_weighted(game) is not None:
-        return "weighted"
-    if oracle_rough(game) is not None:
-        return "rough_not_weighted"
-    return "not_rough"
+    """'weighted', 'rough_not_weighted', or 'not_rough': oracle_witness's class."""
+    return oracle_witness(game)[0]
 
 
 def verify_representation(game: ExplicitGame, cert: RoughCert, mode: str) -> bool:

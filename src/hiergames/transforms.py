@@ -77,9 +77,15 @@ def k_star(n: tuple[int, ...], k: tuple[int, ...]) -> tuple[int, ...]:
 def dual_spec(spec: HierSpec) -> HierSpec:
     """Spec of the dual game: conjugated thresholds, opposite kind.
 
-    Total on canonical specs. A non-canonical spec can fail (for instance a
-    disjunctive k_m beyond N_m has no conjugate); normalize first.
+    Defined exactly on canonical specs: any other spec's conjugate is no
+    valid spec on its levels, so it raises ValueError. Normalizing only
+    clamps a disjunctive k_m; canonicalize_semantic gives the canonical form.
     """
+    if not _is_canonical(spec):
+        raise ValueError(
+            f"{spec} is not canonical, so it has no dual spec on its levels; "
+            "canon gives its canonical form"
+        )
     other = "conjunctive" if spec.kind == DISJUNCTIVE else "disjunctive"
     return HierSpec(other, spec.n, k_star(spec.n, spec.k))
 

@@ -9,6 +9,7 @@ import pytest
 
 import case_law_reference
 import hiergames.classifier
+import hiergames.cli
 from hiergames import (
     CONJUNCTIVE,
     DISJUNCTIVE,
@@ -18,7 +19,6 @@ from hiergames import (
     HierSpec,
     classify,
     classify_rough,
-    classify_weighted,
     dual_spec,
     oracle_classify,
     realize,
@@ -123,9 +123,11 @@ class TestBattery:
 
 
 class TestEntryPoints:
-    def test_classify_weighted_returns_tag_or_none(self):
-        assert classify_weighted(HierSpec(DISJUNCTIVE, (3, 3), (2, 3))) == "Thm4(2)"
-        assert classify_weighted(HierSpec(DISJUNCTIVE, (3, 3, 3), (2, 3, 5))) is None
+    def test_classify_tags_weighted_specs_only(self):
+        v = classify(HierSpec(DISJUNCTIVE, (3, 3), (2, 3)))
+        assert (v.game_class, v.matched_case) == (WEIGHTED, "Thm4(2)")
+        v = classify(HierSpec(DISJUNCTIVE, (3, 3, 3), (2, 3, 5)))
+        assert v.game_class != WEIGHTED and not v.matched_case.startswith("Thm4")
 
     def test_classify_rough_equals_classify_on_non_weighted(self):
         spec = HierSpec(DISJUNCTIVE, (3, 3, 3), (2, 3, 5))
@@ -135,7 +137,7 @@ class TestEntryPoints:
         with pytest.raises(ValueError):
             classify(HierSpec(DISJUNCTIVE, (2, 4), (3, 4)))
         with pytest.raises(ValueError):
-            classify_weighted(HierSpec(DISJUNCTIVE, (2, 2), (2, 5)))
+            classify(HierSpec(DISJUNCTIVE, (2, 2), (2, 5)))
 
 
 class TestThm5Reference:
@@ -249,3 +251,15 @@ class TestOffLattice:
         assert not [m for m in modules + names if "oracle" in m.split(".")]
         lattice = {"realize", "iter_coalitions", "maximal_losing", "EnumerationCapError"}
         assert not lattice & set(names)
+
+    def test_cli_imports_no_oracle_solver_or_check(self):
+        # the cascade, the certificate modes and the agreement rule live in
+        # oracle and harness; the CLI names none of their parts
+        tree = ast.parse(Path(hiergames.cli.__file__).read_text(encoding="utf-8"))
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name.split(".")[-1] for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        assert not names & {"oracle_weighted", "oracle_rough", "verify_representation"}

@@ -18,9 +18,13 @@ from hiergames import (
     DISJUNCTIVE,
     HierSpec,
     Multiset,
+    SweepRecord,
+    Verdict,
     canon_check,
+    classify,
     harness,
     parse_document,
+    realize,
     run_sweep,
     structural_scan,
     sweep_specs,
@@ -169,6 +173,50 @@ class TestCliClassify:
         assert main(["classify", "-"]) == 0
         assert "rough_not_weighted" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "doc,oracle_line",
+        [
+            (EXAMPLE_DOC, "oracle: rough_not_weighted (agree)\n"),
+            ({"universe": [2, 2], "min_winning": [[1, 1]]}, ""),
+        ],
+        ids=["spec", "explicit"],
+    )
+    def test_refuted_certificate_exits_1(self, doc, oracle_line, tmp_path, capsys, monkeypatch):
+        # the same check line and exit rule for spec and explicit documents
+        monkeypatch.setattr(harness, "verify_representation", lambda game, cert, mode: False)
+        assert main(["classify", write_doc(tmp_path, doc), "--oracle"]) == 1
+        out = capsys.readouterr().out
+        assert f"{oracle_line}certificate check: INVALID\n" in out
+
+
+class TestAgreementRule:
+    SPEC = HierSpec(DISJUNCTIVE, (3, 3, 3), (2, 3, 5))
+
+    def test_classes_equal_and_certificate_not_refuted(self):
+        verdict = classify(self.SPEC)  # rough_not_weighted, with a certificate
+        rough = "rough_not_weighted"
+        assert harness.agrees(verdict, rough, True)
+        assert harness.agrees(verdict, rough, None)
+        assert harness.agrees(verdict, None, None)
+        assert not harness.agrees(verdict, "weighted", True)
+        assert not harness.agrees(verdict, rough, False)
+        assert not harness.agrees(verdict, None, False)
+
+    def test_sweep_record_reads_the_rule(self):
+        verdict = classify(self.SPEC)
+        assert SweepRecord(self.SPEC, verdict, "rough_not_weighted", True).agree
+        assert not SweepRecord(self.SPEC, verdict, "rough_not_weighted", False).agree
+        assert not SweepRecord(self.SPEC, verdict, "not_rough", None).agree
+        assert SweepRecord(self.SPEC, verdict, None, None, "over the cap").agree
+
+    def test_certificate_checked_in_the_class_mode(self):
+        game = realize(self.SPEC)
+        verdict = classify(self.SPEC)
+        assert harness.certificate_holds(game, verdict) is True
+        as_weighted = Verdict("weighted", verdict.matched_case, verdict.certificate)
+        assert harness.certificate_holds(game, as_weighted) is False
+        assert harness.certificate_holds(game, Verdict("not_rough", "none", None)) is None
+
 
 class TestCliDual:
     def test_spec_dual(self, tmp_path, capsys):
@@ -183,6 +231,24 @@ class TestCliDual:
         assert main(["dual", write_doc(tmp_path, once, "again.json")]) == 0
         twice = json.loads(capsys.readouterr().out)
         assert twice == {"universe": [2, 2], "min_winning": [[1, 2], [2, 0]]}
+
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "conjunctive", "n": [2, 2], "k": [2, 4]},
+            {"kind": "disjunctive", "n": [2, 2], "k": [2, 5]},
+        ],
+    )
+    def test_non_canonical_spec_has_no_dual(self, doc, tmp_path, capsys):
+        assert main(["dual", write_doc(tmp_path, doc)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        spec = parse_document(doc).spec
+        assert out.err == (
+            f"error: {spec} is not canonical, so it has no dual spec on its levels; "
+            "canon gives its canonical form\n"
+        )
 
 
 class TestCliCanon:

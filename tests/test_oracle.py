@@ -1,7 +1,9 @@
 """LP-backed classification oracle: certificates, verification, and
 extremal weights."""
 
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,10 +16,12 @@ from hiergames import (
     Multiset,
     RoughCert,
     extremal_weight,
+    load_document,
     maximal_losing,
     oracle_classify,
     oracle_rough,
     oracle_weighted,
+    oracle_witness,
     realize,
     verify_representation,
 )
@@ -103,6 +107,41 @@ class TestOracleClassify:
     )
     def test_three_way(self, spec, expected):
         assert oracle_classify(realize(spec)) == expected
+
+
+class TestOracleWitness:
+    """The cascade behind oracle_classify returns the class with its witness."""
+
+    @staticmethod
+    def check(g):
+        game_class, cert = oracle_witness(g)
+        assert game_class == oracle_classify(g)
+        assert (cert is None) == (game_class == "not_rough")
+        if cert is not None:
+            mode = "weighted" if game_class == "weighted" else "rough"
+            assert verify_representation(g, cert, mode)
+        return game_class
+
+    @pytest.mark.parametrize(
+        "name,expected",
+        [("weighted", "weighted"), ("rough", "rough_not_weighted"), ("not_rough", "not_rough")],
+    )
+    def test_explicit_golden_documents(self, name, expected):
+        path = Path(__file__).parent / "data" / f"explicit_{name}.json"
+        assert self.check(load_document(str(path)).to_game()) == expected
+
+    def test_seeded_explicit_games(self):
+        # games on 1-4 levels of 1-3 players, minimal winning coalitions
+        # drawn at random (the constructor minimizes them)
+        rng = random.Random(16)
+        seen = set()
+        for _ in range(120):
+            counts = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
+            draws = [tuple(rng.randint(0, c) for c in counts) for _ in range(rng.randint(1, 4))]
+            winning = frozenset(Coalition(x) for x in draws if any(x))
+            if winning:
+                seen.add(self.check(ExplicitGame(Multiset(counts), winning)))
+        assert seen == {"weighted", "rough_not_weighted", "not_rough"}
 
 
 class TestVerifyRepresentation:

@@ -1,5 +1,7 @@
 """Duality (explicit and closed-form) and minor operations."""
 
+from itertools import product
+
 import pytest
 
 from hiergames import (
@@ -11,6 +13,7 @@ from hiergames import (
     HierSpec,
     MinorStep,
     Multiset,
+    canon_check,
     dual_explicit,
     dual_spec,
     hier_is_winning,
@@ -94,6 +97,42 @@ class TestDualSpec:
     )
     def test_matches_explicit_dual(self, spec):
         assert realize(dual_spec(spec)) == dual_explicit(realize(spec))
+
+
+    @pytest.mark.parametrize(
+        "spec",
+        [HierSpec(CONJUNCTIVE, (2, 2), (2, 4)), HierSpec(DISJUNCTIVE, (2, 2), (2, 5))],
+        ids=str,
+    )
+    def test_non_canonical_spec_names_the_cause(self, spec):
+        with pytest.raises(ValueError) as err:
+            dual_spec(spec)
+        assert str(err.value) == (
+            f"{spec} is not canonical, so it has no dual spec on its levels; "
+            "canon gives its canonical form"
+        )
+
+    def test_defined_exactly_on_canonical_specs(self):
+        valid = defined = 0
+        for m in (1, 2, 3):
+            for kind, n, k in product(
+                (DISJUNCTIVE, CONJUNCTIVE),
+                product(range(1, 4), repeat=m),
+                product(range(1, 3 * m + 2), repeat=m),
+            ):
+                try:
+                    spec = HierSpec(kind, n, k)
+                except ValueError:
+                    continue
+                valid += 1
+                try:
+                    dual_spec(spec)
+                except ValueError:
+                    assert not canon_check(spec).canonical, spec
+                else:
+                    assert canon_check(spec).canonical, spec
+                    defined += 1
+        assert (valid, defined) == (2715, 300)
 
 
 class TestKStar:

@@ -81,6 +81,14 @@ class RoughCert:
     def m(self) -> int:
         return len(self.weights)
 
+    def _with_quota(self, quota: Fraction) -> RoughCert:
+        """This certificate's weights under another quota, a Fraction >= 0
+        its caller derived: the weights are not validated again."""
+        out = object.__new__(RoughCert)
+        object.__setattr__(out, "quota", quota)
+        object.__setattr__(out, "weights", self.weights)
+        return out
+
     def weight_of(self, coalition: Coalition) -> Fraction:
         if len(coalition.counts) != self.m:
             raise ValueError(f"{coalition} has wrong dimension for {self.m} weights")

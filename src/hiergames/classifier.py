@@ -49,13 +49,14 @@ oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .certificates import RoughCert
 from .hierarchy import DISJUNCTIVE, HierSpec, _is_canonical
-from .transforms import dual_spec
+from .transforms import k_star
 
 __all__ = [
     "WEIGHTED",
@@ -170,10 +171,16 @@ def _across_duality(cert: RoughCert, n: tuple[int, ...], gap: int) -> RoughCert:
 
     X wins iff its complement loses in the dual game, so the dual's losing
     bound w(P - X) <= quota - gap turns into w(X) >= w(P) - quota + gap:
-    gap 1 for weighted (Thm5) certificates, 0 for rough (Thm13) ones.
+    gap 1 for weighted (Thm5) certificates, 0 for rough (Thm13) ones. The
+    dual's full coalition wins, so w(P) >= quota and the new quota is >= 0;
+    the weights, already validated, carry over as they are.
     """
-    total = sum(w * c for w, c in zip(cert.weights, n))
-    return RoughCert(total - cert.quota + gap, cert.weights)
+    q, ws = cert.quota, cert.weights
+    # w(P) - quota + gap over one common denominator, where Fraction
+    # arithmetic would normalize every partial sum
+    d = math.lcm(q.denominator, *(w.denominator for w in ws))
+    total = sum(w.numerator * (d // w.denominator) * c for w, c in zip(ws, n))
+    return cert._with_quota(Fraction(total - q.numerator * (d // q.denominator) + gap * d, d))
 
 
 # literal reading of the published conjunctive case list, kept for
@@ -222,8 +229,10 @@ def classify_rough(spec: HierSpec) -> Verdict:
     if not _is_canonical(spec):
         raise ValueError(f"{spec} is not canonical; canonicalize before classification")
     conj = spec.kind != DISJUNCTIVE
-    law = dual_spec(spec) if conj else spec
-    weighted = _weighted_disj(law.n, law.k)
+    # a conjunctive spec is decided on its dual's (n, k); spec is canonical,
+    # so the conjugate is the dual spec's thresholds (transforms.dual_spec)
+    n, k = spec.n, k_star(spec.n, spec.k) if conj else spec.k
+    weighted = _weighted_disj(n, k)
     if weighted is not None:
         case, cert = weighted
         if not conj:
@@ -231,7 +240,7 @@ def classify_rough(spec: HierSpec) -> Verdict:
         if case in (2, 3):
             case = 2 if spec.k[1] == spec.k[0] + 1 else 3
         return Verdict(WEIGHTED, f"Thm5({case})", _across_duality(cert, spec.n, 1))
-    rough = _rough_disj(law.n, law.k)
+    rough = _rough_disj(n, k)
     notes: tuple[str, ...] = ()
     literal = _literal_conj_case(spec.n, spec.k) if conj else None
     if conj and (literal is None) != (rough is None):

@@ -230,11 +230,10 @@ class ExplicitGame:
     {empty coalition} (everything wins) are representable; most derived
     operations treat them as edge cases rather than rejecting them.
 
-    Two derived values are memoized on the instance, outside the dataclass
-    fields, so equality and hashing do not see them: maximal_losing's
-    antichain and level_classes' desirability classes (or None). A builder
-    that knows its game's levels to be strictly ordered presets the classes
-    with _strictly_ordered.
+    Three derived values are memoized on the instance, outside the
+    dataclass fields, so equality and hashing do not see them: the win mask
+    (_win_bits), maximal_losing's antichain and level_classes'
+    desirability classes (or None).
     """
 
     universe: Multiset
@@ -276,16 +275,16 @@ def maximal_losing(game: ExplicitGame) -> frozenset[Coalition]:
     """Antichain of losing coalitions all of whose strict supersets win.
 
     The cap is checked on every call, and the antichain is memoized on the
-    game (hierarchy.realize presets it). Computing it costs O(m) per minimal
-    winning coalition to set its bit in a lattice bitset, then
-    O(sum(log n_i) + m) whole-lattice shift/AND operations on
-    product(n_i + 1) bits, then O(m) per member decoded. No tuple lattice
-    is built.
+    game. It is read off the game's win mask (_win_bits) with O(m)
+    whole-lattice shift/AND operations on product(n_i + 1) bits, then
+    decoded, O(m) per member. No tuple lattice is built.
     """
     _lattice(game.universe.counts)  # the cap, checked before any allocation
     memo = game.__dict__.get("_maximal_losing")
     if memo is None:
-        memo = _scan_maximal_losing(game)
+        n = game.universe.counts
+        strides = _strides(n)
+        memo = _decode(_antichain_bits(_bit_levels(n, strides), _win_bits(game))[1], strides)
         object.__setattr__(game, "_maximal_losing", memo)
     return memo
 
@@ -318,8 +317,9 @@ def _bit_levels(
     return tuple(out)
 
 
-def _decode(bits: int, strides: tuple[int, ...]) -> frozenset[Coalition]:
-    """The coalitions at the set bits of a lattice bitset."""
+def _points(bits: int, strides: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The count vectors at the set bits of a lattice bitset, in index
+    order, which is lexicographic order."""
     out = []
     digits = bin(bits)[:1:-1]  # least significant first: digits[j] is bit j
     j = digits.find("1")
@@ -328,9 +328,14 @@ def _decode(bits: int, strides: tuple[int, ...]) -> frozenset[Coalition]:
         for s in strides:
             a, rest = divmod(rest, s)
             x.append(a)
-        out.append(_coalition(tuple(x)))
+        out.append(tuple(x))
         j = digits.find("1", j + 1)
-    return frozenset(out)
+    return out
+
+
+def _decode(bits: int, strides: tuple[int, ...]) -> frozenset[Coalition]:
+    """The coalitions at the set bits of a lattice bitset."""
+    return frozenset(map(_coalition, _points(bits, strides)))
 
 
 def _antichain_bits(levels: tuple[tuple[int, int, int], ...], win: int) -> tuple[int, int]:
@@ -352,34 +357,89 @@ def _antichain_bits(levels: tuple[tuple[int, int, int], ...], win: int) -> tuple
 
 def _game_of_bits(universe: Multiset, win: int) -> ExplicitGame:
     """The game whose winning coalitions are the set bits of `win`, an
-    up-set of the lattice, with maximal_losing's memo preset."""
+    up-set of the lattice, with its win mask memoized (see _win_bits)."""
     n = universe.counts
     strides = _strides(n)
-    minimal, losing = _antichain_bits(_bit_levels(n, strides), win)
+    minimal, _ = _antichain_bits(_bit_levels(n, strides), win)
     game = _explicit_game(universe, _decode(minimal, strides))
-    object.__setattr__(game, "_maximal_losing", _decode(losing, strides))
+    object.__setattr__(game, "_win", win)
     return game
 
 
-def _scan_maximal_losing(game: ExplicitGame) -> frozenset[Coalition]:
-    """Maximal losing antichain of any explicit game: set the minimal
-    winning bits, close them upward level by level (shifts by 1, 2, 4, ...
-    units of s_i, each restricted to the points that stay inside the
-    lattice), and read the maximal losing bits off the winning set."""
+def _win_bits(game: ExplicitGame) -> int:
+    """The game's win mask: bit j is set iff the point of index j wins.
+    Memoized on the game; a game from _game_of_bits comes with it, any
+    other is scanned once. The caller checks the cap first."""
+    win = game.__dict__.get("_win")
+    if win is None:
+        win = _scan_win(game)
+        object.__setattr__(game, "_win", win)
+    return win
+
+
+def _scan_win(game: ExplicitGame) -> int:
+    """Win mask of any explicit game: set the minimal winning bits and
+    close them upward level by level (shifts by 1, 2, 4, ... units of s_i,
+    each restricted to the points that stay inside the lattice)."""
     n = game.universe.counts
     strides = _strides(n)
-    levels = _bit_levels(n, strides)
     table = bytearray(game.universe.coalition_count() // 8 + 1)
     for w in game.min_winning:
         j = sum(map(mul, w.counts, strides))
         table[j >> 3] |= 1 << (j & 7)
     win = int.from_bytes(table, "little")
-    for n_i, s, rep in levels:
+    for n_i, s, rep in _bit_levels(n, strides):
         d = 1
         while d <= n_i:
             win |= (win & ((rep << (n_i - d + 1) * s) - rep)) << d * s
             d *= 2
-    return _decode(_antichain_bits(levels, win)[1], strides)
+    return win
+
+
+def _shift_extremal_points(
+    game: ExplicitGame,
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]] | None:
+    """Shift-minimal winning and shift-maximal losing count vectors of the
+    game, each in index order, or None unless every level i is strictly
+    more desirable than level i + 1. The cap is checked first.
+
+    Moving a unit from level i to level j > i moves a point d = s_i - s_j
+    bits down, so each question below is one masked shift of the win mask,
+    with the level masks [x_i = 0] and [x_i = n_i] of _bit_levels.
+
+    Order: i >= i + 1 iff no winner with x_{i+1} > 0 and x_i < n_i loses
+    after a unit moves up from i + 1 to i, and strictly iff some winner with
+    x_i > 0 and x_{i+1} < n_{i+1} loses after a unit moves down. Two shifts
+    per adjacent pair decide it all: desirability is transitive, and if
+    some j > i + 1 had j >= i, then i + 1 >= ... >= j >= i, against
+    i > i + 1.
+
+    Antichains: _antichain_bits ANDed with one shift per pair i < j. A
+    minimal winning x is shift-minimal iff x - e_i + e_j loses wherever
+    x_i > 0 and x_j < n_j; a maximal losing x is shift-maximal iff
+    x + e_i - e_j wins wherever x_j > 0 and x_i < n_i. That is
+    2(m - 1) + m(m - 1) + 2m shifts in all, then O(m) per member decoded.
+    """
+    _lattice(game.universe.counts)  # the cap, checked before any allocation
+    n = game.universe.counts
+    strides = _strides(n)
+    levels = _bit_levels(n, strides)
+    win = _win_bits(game)
+    zero = [(rep << s) - rep for _, s, rep in levels]
+    full = [z << n_i * s for z, (n_i, s, _) in zip(zero, levels)]
+    for i in range(len(n) - 1):
+        d = strides[i] - strides[i + 1]
+        if (win & ~(zero[i + 1] | full[i])) << d & ~win:
+            return None  # not i >= i + 1
+        if not (win & ~(zero[i] | full[i + 1])) >> d & ~win:
+            return None  # i + 1 >= i as well: not strict
+    minimal, losing = _antichain_bits(levels, win)
+    for i in range(len(n)):
+        for j in range(i + 1, len(n)):
+            d = strides[i] - strides[j]
+            minimal &= ~(win << d) | zero[i] | full[j]
+            losing &= (win >> d) | zero[j] | full[i]
+    return _points(minimal, strides), _points(losing, strides)
 
 
 class LevelRelation(Enum):
@@ -440,13 +500,6 @@ def level_classes(game: ExplicitGame) -> list[list[int]] | None:
         object.__setattr__(game, "_level_classes", _order_levels(game))
     memo = game.__dict__["_level_classes"]
     return None if memo is None else [list(cls) for cls in memo]
-
-
-def _strictly_ordered(game: ExplicitGame) -> ExplicitGame:
-    """Preset level_classes' memo on a game its builder knows to have every
-    level strictly more desirable than the next; returns the game."""
-    object.__setattr__(game, "_level_classes", [[i] for i in range(game.universe.m)])
-    return game
 
 
 def _order_levels(game: ExplicitGame) -> list[list[int]] | None:

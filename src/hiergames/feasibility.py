@@ -72,6 +72,16 @@ class LinearSystem:
         self.num_vars = num_vars
         self._rows: list[_Row] = []
 
+    @classmethod
+    def _of_rows(cls, num_vars: int, rows: list[_Row]) -> LinearSystem:
+        """The system on `rows`, each already in the stored form (coeffs,
+        rhs), coeffs . x <= rhs, with num_vars int coefficients and an int
+        rhs: rows the library built itself, so add_le's per-row checks are
+        skipped. The list is taken over, not copied."""
+        system = cls(num_vars)
+        system._rows = rows
+        return system
+
     def _add(self, coeffs: Sequence[int], rhs: int, negate: bool) -> None:
         if len(coeffs) != self.num_vars:
             raise ValueError(f"expected {self.num_vars} coefficients, got {len(coeffs)}")

@@ -26,13 +26,12 @@ from .core import (
     ExplicitGame,
     Multiset,
     _coalition,
-    _covers,
     _explicit_game,
     _game_of_bits,
     _int_tuple,
     _lattice,
+    _shift_extremal_points,
     _strides,
-    _strictly_ordered,
     level_classes,
     maximal_losing,
 )
@@ -120,7 +119,7 @@ def hier_is_winning(spec: HierSpec, coalition: Coalition) -> bool:
 
 
 def realize(spec: HierSpec) -> ExplicitGame:
-    """Explicit game of a spec, with its maximal losing antichain memoized.
+    """Explicit game of a spec, with its win mask memoized.
 
     The winning set is a lattice bitset (see core), written out as a binary
     string from memoized blocks: the bits of the sub-lattice of levels i..m
@@ -130,9 +129,11 @@ def realize(spec: HierSpec) -> ExplicitGame:
     or zeros (conjunctive, lost); on the last level they decide it all.
     Joining strings keeps the work linear in the bits written, at most
     product(n_i + 1) per level, in at most (N + 1) * (N + m) block calls,
-    N = n_1 + ... + n_m. core._game_of_bits then reads both antichains off
-    with 2m whole-lattice shift/AND operations and decodes their members,
-    O(m) each. No tuple lattice is built. Guarded by the enumeration cap.
+    N = n_1 + ... + n_m. core._game_of_bits then reads the minimal winning
+    antichain off with m whole-lattice shift/AND operations and decodes its
+    members, O(m) each, and keeps the mask, from which maximal_losing
+    decodes its antichain on first read. No tuple lattice is built. Guarded
+    by the enumeration cap.
     """
     _lattice(spec.n)  # the cap, checked before any allocation
     n, k, strides = spec.n, spec.k, _strides(spec.n)
@@ -240,13 +241,12 @@ def merge_levels(game: ExplicitGame) -> ExplicitGame:
     unequal, spreading sum(v) inside w would give a smaller winning
     coalition than w.
 
-    The merged game is born with its level order (class c is level c, each
-    strictly above the next), so shift_extremal need not derive it again.
-    Merged levels inherit the class order: trading a lower-class unit for a
-    higher-class one inside a winning spread keeps it winning. The order is
-    strict: where that trade's reverse makes a winning spread lose, the
-    merged trade makes its squash lose, as all spreads of one merged
-    coalition win or lose together.
+    Class c becomes level c, each strictly above the next, which is what
+    shift_extremal needs. Merged levels inherit the class order: trading a
+    lower-class unit for a higher-class one inside a winning spread keeps
+    it winning. The order is strict: where that trade's reverse makes a
+    winning spread lose, the merged trade makes its squash lose, as all
+    spreads of one merged coalition win or lose together.
     """
     classes = level_classes(game)
     if classes is None:
@@ -256,7 +256,7 @@ def merge_levels(game: ExplicitGame) -> ExplicitGame:
         return tuple(sum(counts[i] for i in cls) for cls in classes)
 
     merged_wmin = frozenset(_coalition(squash(w.counts)) for w in game.min_winning)
-    return _strictly_ordered(_explicit_game(Multiset(squash(game.universe.counts)), merged_wmin))
+    return _explicit_game(Multiset(squash(game.universe.counts)), merged_wmin)
 
 
 def canonicalize_semantic(spec: HierSpec) -> tuple[HierSpec, tuple[int, ...]]:
@@ -354,32 +354,18 @@ def shift_extremal(game: ExplicitGame) -> ShiftExtremal:
 
     Raises ValueError unless level i is strictly more desirable than level j
     for every i < j (merge equivalent levels first; shifts between equally
-    desirable levels would not change the game). A shift is tested as a
-    count tuple against the minimal winning counts, as core._at_least does.
+    desirable levels would not change the game). Both the order and the
+    antichains are read off the game's win mask (core._shift_extremal_points).
     """
-    m = game.universe.m
-    n = game.universe.counts
-    if level_classes(game) != [[i] for i in range(m)]:
+    points = _shift_extremal_points(game)
+    if points is None:
+        m = game.universe.m
         raise ValueError(f"levels 0..{m - 1} are not strictly ordered by desirability")
-    wmin = [w.counts for w in game.min_winning]
-
-    def shifts(x: tuple[int, ...], weakening: bool) -> Iterator[tuple[int, ...]]:
-        for i in range(m):
-            for j in range(i + 1, m):
-                src, dst = (i, j) if weakening else (j, i)
-                if x[src] and x[dst] < n[dst]:
-                    yield tuple(c - (k == src) + (k == dst) for k, c in enumerate(x))
-
-    def wins(x: tuple[int, ...]) -> bool:
-        return any(_covers(x, w) for w in wmin)
-
-    smw = frozenset(
-        w for w in game.min_winning if not any(map(wins, shifts(w.counts, weakening=True)))
+    smw, sml = points
+    return ShiftExtremal(
+        shift_min_winning=frozenset(map(_coalition, smw)),
+        shift_max_losing=frozenset(map(_coalition, sml)),
     )
-    sml = frozenset(
-        x for x in maximal_losing(game) if all(map(wins, shifts(x.counts, weakening=False)))
-    )
-    return ShiftExtremal(shift_min_winning=smw, shift_max_losing=sml)
 
 
 def shift_maximal_losing(spec: HierSpec) -> Coalition:

@@ -26,10 +26,36 @@ losing coalitions weight zero; a positive weight on level i then forces the
 singleton {i} to win). Branch B scans for such a level and certifies with its
 indicator weighting. The two branches together are complete.
 
-Both systems come from one builder, _separating_system. Its rows are the
-game's own count vectors as ints (the weighted system appends -1 for the
-quota variable), and the LP engine keeps every row as added: row j of the
-system is the j-th row the builder adds, never rescaled or merged.
+Reduced rows. When every level i is strictly more desirable than level
+i + 1 (core._shift_extremal_points reads that order off the win mask), every
+weighted or quota-1 rough representation has w_1 >= ... >= w_m:
+
+    if w_j > w_i for some i < j, take a winner Y with y_i > 0 and y_j < n_j
+    that loses once a unit moves from i to j (i > j strictly): the loser
+    weighs more than w(Y) >= q, where every loser weighs at most q.
+
+Weights that fall along the levels never fall along a shift up or a
+superset, and every minimal winning (maximal losing) coalition lies above
+(below) a shift-minimal winning (shift-maximal losing) one in that order.
+So the system on those two antichains, the monotone rows w_i - w_{i+1} >= 0
+and w_m >= 0 has exactly the full system's solutions, the full system's
+being monotone already (Carreras & Freixas 1996, "Complete simple games",
+Math. Soc. Sci. 32; Freixas & Molinero 2009, Ann. Oper. Res. 166). The
+reduced rows decide feasibility, and extremal_weight optimizes over them;
+any other game is decided on the full rows, every minimal winning and
+maximal losing coalition with w >= 0.
+
+Witnesses come from the full rows: when the reduced system is feasible,
+oracle_weighted, oracle_rough and oracle_witness solve the full one again,
+whose vertex the golden files pin; oracle_classify never does. A Farkas ray
+of the reduced system would carry multipliers on the monotone rows, so a
+refutation (a trading transform) is read off the full rows, solved only
+when one is asked for.
+
+Both row sets come from one builder, _separating_system. Its rows are the
+game's own count vectors as ints (the weighted system appends the quota
+variable), and the LP engine keeps every row as built: row j of the system
+is the j-th row the builder writes, never rescaled or merged.
 """
 
 from __future__ import annotations
@@ -38,7 +64,13 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .certificates import RoughCert
-from .core import Coalition, ExplicitGame, is_winning, maximal_losing
+from .core import (
+    ExplicitGame,
+    _shift_extremal_points,
+    _strides,
+    _win_bits,
+    maximal_losing,
+)
 from .feasibility import INFEASIBLE, UNBOUNDED, LinearSystem
 
 __all__ = [
@@ -51,38 +83,76 @@ __all__ = [
 ]
 
 
-def _separating_system(game: ExplicitGame, weighted: bool) -> LinearSystem:
-    """The weighted system (quota as the last variable) or the quota-1 rough
-    system of `game`, with w >= 0.
+# the shift-minimal winning and shift-maximal losing count vectors of a game,
+# each sorted, as core._shift_extremal_points returns them
+_Extremal = tuple[list[tuple[int, ...]], list[tuple[int, ...]]]
 
-    Rows come in a fixed order, sorted minimal winning, sorted maximal
-    losing, then the unit rows: the order fixes the simplex's pivots, and so
-    the witnesses.
-    """
+
+def _checked(game: ExplicitGame) -> Optional[_Extremal]:
+    """The game's shift-extremal count vectors, None unless its levels are
+    strictly ordered; ValueError for a game no system here can separate."""
     if not game.min_winning:
         raise ValueError("game has no winning coalitions")
     if any(w.size == 0 for w in game.min_winning):
         raise ValueError("game declares the empty coalition winning")
-    m = game.universe.m
-    # weighted: w(W) - q >= 0 and w(L) - q <= -1; rough: w(W) >= 1, w(L) <= 1
-    tail, win, lose = ((-1,), 0, -1) if weighted else ((), 1, 1)
-    sys = LinearSystem(m + len(tail))
-    for w in sorted(x.counts for x in game.min_winning):
-        sys.add_ge(w + tail, win)
-    for x in sorted(x.counts for x in maximal_losing(game)):
-        sys.add_le(x + tail, lose)
-    for i in range(m):
-        sys.add_ge(tuple(int(j == i) for j in range(sys.num_vars)), 0)
-    return sys
+    return _shift_extremal_points(game)
 
 
-def oracle_weighted(game: ExplicitGame) -> Optional[RoughCert]:
-    """Exact weighted representation of the game, or None.
+def _separating_system(
+    game: ExplicitGame,
+    weighted: bool,
+    extremal: Optional[_Extremal] = None,
+) -> LinearSystem:
+    """The weighted system (quota as the last variable) or the quota-1 rough
+    system of `game`, with w >= 0.
 
-    The returned certificate satisfies w(W) >= q for minimal winning W and
-    w(L) <= q - 1 < q for maximal losing L.
+    Full rows (no `extremal`): sorted minimal winning, sorted maximal
+    losing, then the unit rows w_i >= 0. Reduced rows (`extremal`, the
+    shift-minimal winning and shift-maximal losing count vectors, sorted):
+    those two lists, the monotone rows w_i - w_{i+1} >= 0, then w_m >= 0.
+    The order fixes the simplex's pivots, and so the witnesses.
     """
-    point = _separating_system(game, True).feasible_point()
+    m = game.universe.m
+    v = m + 1 if weighted else m
+    if extremal is None:
+        wins = sorted(w.counts for w in game.min_winning)
+        losses = sorted(x.counts for x in maximal_losing(game))
+        signs = [(0,) * i + (-1,) + (0,) * (v - i - 1) for i in range(m)]
+    else:
+        wins, losses = extremal
+        signs = [(0,) * i + (-1, 1) + (0,) * (v - i - 2) for i in range(m - 1)]
+        signs.append((0,) * (m - 1) + (-1,) + (0,) * (v - m))
+    # stored as rows <= rhs: weighted -w(W) + q <= 0 and w(L) - q <= -1;
+    # rough -w(W) <= -1 and w(L) <= 1
+    (win_tail, lose_tail, win, lose) = ((1,), (-1,), 0, -1) if weighted else ((), (), -1, 1)
+    rows = [(tuple([-c for c in w]) + win_tail, win) for w in wins]
+    rows += [(x + lose_tail, lose) for x in losses]
+    rows += [(u, 0) for u in signs]
+    return LinearSystem._of_rows(v, rows)
+
+
+def _solve(
+    game: ExplicitGame,
+    weighted: bool,
+    extremal: Optional[_Extremal],
+    witness: bool,
+) -> Optional[tuple[Fraction, ...]]:
+    """A point of the game's weighted or quota-1 rough system, or None when
+    it has none. The reduced rows decide when `extremal` holds them; a
+    feasible reduced system is solved again on the full rows only for a
+    `witness`, whose vertex the full rows pin. Any point returned is a
+    representation of the game (see the module docstring)."""
+    if extremal is not None:
+        point = _separating_system(game, weighted, extremal).feasible_point()
+        if point is None or not witness:
+            return point
+    return _separating_system(game, weighted).feasible_point()
+
+
+def _weighted(
+    game: ExplicitGame, extremal: Optional[_Extremal], witness: bool
+) -> Optional[RoughCert]:
+    point = _solve(game, True, extremal, witness)
     if point is None:
         return None
     m = game.universe.m
@@ -93,6 +163,41 @@ def oracle_weighted(game: ExplicitGame) -> Optional[RoughCert]:
     return RoughCert(quota, weights)
 
 
+def _rough(
+    game: ExplicitGame, extremal: Optional[_Extremal], witness: bool
+) -> Optional[RoughCert]:
+    point = _solve(game, False, extremal, witness)
+    if point is not None:
+        return RoughCert(Fraction(1), point)
+    # branch B: a level whose single player wins alone, read off the win
+    # mask, where the unit vector e_i sits at bit s_i
+    win = _win_bits(game)
+    m = game.universe.m
+    for i, s in enumerate(_strides(game.universe.counts)):
+        if win >> s & 1:
+            weights = tuple(Fraction(1 if j == i else 0) for j in range(m))
+            return RoughCert(Fraction(0), weights)
+    return None
+
+
+def _cascade(game: ExplicitGame, witness: bool) -> tuple[str, Optional[RoughCert]]:
+    extremal = _checked(game)
+    cert = _weighted(game, extremal, witness)
+    if cert is not None:
+        return "weighted", cert
+    cert = _rough(game, extremal, witness)
+    return ("not_rough" if cert is None else "rough_not_weighted"), cert
+
+
+def oracle_weighted(game: ExplicitGame) -> Optional[RoughCert]:
+    """Exact weighted representation of the game, or None.
+
+    The returned certificate satisfies w(W) >= q for minimal winning W and
+    w(L) <= q - 1 < q for maximal losing L.
+    """
+    return _weighted(game, _checked(game), witness=True)
+
+
 def oracle_rough(game: ExplicitGame) -> Optional[RoughCert]:
     """Exact rough representation of the game, or None.
 
@@ -100,31 +205,20 @@ def oracle_rough(game: ExplicitGame) -> Optional[RoughCert]:
     certificates (branch B). See the module docstring for why these two
     branches are exhaustive.
     """
-    point = _separating_system(game, False).feasible_point()
-    if point is not None:
-        return RoughCert(Fraction(1), point)
-    m = game.universe.m
-    zero = Coalition((0,) * m)
-    for i in range(m):
-        if is_winning(game, zero.with_unit(i)):
-            weights = tuple(Fraction(1 if j == i else 0) for j in range(m))
-            return RoughCert(Fraction(0), weights)
-    return None
+    return _rough(game, _checked(game), witness=True)
 
 
 def oracle_witness(game: ExplicitGame) -> tuple[str, Optional[RoughCert]]:
     """The game's class by pure feasibility, the weighted LP deciding first,
     with the witness of that class (None for 'not_rough')."""
-    cert = oracle_weighted(game)
-    if cert is not None:
-        return "weighted", cert
-    cert = oracle_rough(game)
-    return ("not_rough" if cert is None else "rough_not_weighted"), cert
+    return _cascade(game, witness=True)
 
 
 def oracle_classify(game: ExplicitGame) -> str:
-    """'weighted', 'rough_not_weighted', or 'not_rough': oracle_witness's class."""
-    return oracle_witness(game)[0]
+    """'weighted', 'rough_not_weighted', or 'not_rough': oracle_witness's
+    class, decided without solving the full rows of a game whose levels are
+    strictly ordered."""
+    return _cascade(game, witness=False)[0]
 
 
 def verify_representation(game: ExplicitGame, cert: RoughCert, mode: str) -> bool:
@@ -167,7 +261,7 @@ def extremal_weight(
     m = game.universe.m
     if len(objective) != m:
         raise ValueError(f"objective needs {m} coefficients, got {len(objective)}")
-    sys = _separating_system(game, False)
+    sys = _separating_system(game, False, _checked(game))
     result = sys.minimize(objective) if sense == "min" else sys.maximize(objective)
     if result.status == INFEASIBLE:
         raise ValueError("game has no rough representation with quota 1")

@@ -34,6 +34,7 @@ from hiergames import (
     level_relation,
     maximal_losing,
     merge_levels,
+    oracle_classify,
     realize,
     recover_conjunctive,
     recover_disjunctive,
@@ -43,11 +44,20 @@ from hiergames import (
     sweep_specs,
 )
 from hiergames.cli import main
-from hiergames.core import _order_levels
+from hiergames.core import _shift_extremal_points
 from hiergames.feasibility import LinearSystem
 from hiergames.harness import _antichains
+from hiergames.oracle import _separating_system
 
 GRIDS = [(levels, 3) for levels in (1, 2, 3, 4)] + [(5, 2)]
+
+# universe -> (complete games, games whose levels are strictly ordered as given)
+COMPLETE_AND_ORDERED = {
+    (2, 2, 2): (378, 44),
+    (1, 2, 3): (278, 60),
+    (3, 3): (46, 20),
+    (2, 1, 2): (125, 4),
+}
 
 
 def valid_specs(levels, nmax, kmax):
@@ -78,6 +88,14 @@ def assert_same_level_order(game):
     wins = ref.winning(game)
     assert got == [ref.level_relation(game, i, j, wins) for i, j in pairs], game
     assert is_complete(game) == (LevelRelation.INCOMPARABLE not in got), game
+
+
+def sorted_counts(extremal):
+    """Both shift-extremal antichains as sorted count lists, the kernel's form."""
+    return (
+        sorted(c.counts for c in extremal.shift_min_winning),
+        sorted(c.counts for c in extremal.shift_max_losing),
+    )
 
 
 def assert_same_recovery(game):
@@ -113,23 +131,32 @@ class TestAgainstReference:
         assert_same_level_order(game)
         assert_same_recovery(game)
 
-    @pytest.mark.parametrize("counts", [(2, 2, 2), (1, 2, 3)], ids=str)
+    @pytest.mark.parametrize("counts", [(2, 2, 2), (1, 2, 3), (3, 3), (2, 1, 2)], ids=str)
     def test_shift_extremal_on_every_complete_game(self, counts):
+        # the kernel's order test is "level_classes is strict" on every game,
+        # and its antichains are the reference shift test's, on every game
+        # whose levels are strictly ordered as given and after every merge
         universe = Multiset(counts)
+        strict = [[i] for i in range(universe.m)]
         coalitions = [c for c in iter_coalitions(universe) if c.size > 0]
-        complete = 0
+        complete = ordered_as_given = 0
         for members in _antichains(coalitions):
             game = ExplicitGame(universe, members)
             classes = level_classes(game)
+            points = _shift_extremal_points(game)
+            assert (points is not None) == (classes == strict), members
+            if points is not None:
+                ordered_as_given += 1
+                assert points == sorted_counts(ref.shift_extremal(game)), members
             if classes is None:
                 continue
             complete += 1
             ordered = merge_levels(game)
             assert ordered == ref.merge_levels(game, classes), members
-            # the merge hands its order over; shift_extremal reads it
-            assert level_classes(ordered) == _order_levels(ordered), members
+            # the merged levels are strictly ordered as merged
+            assert level_classes(ordered) == [[i] for i in range(ordered.m)], members
             assert shift_extremal(ordered) == ref.shift_extremal(ordered), members
-        assert complete > 100
+        assert (complete, ordered_as_given) == COMPLETE_AND_ORDERED[counts]
 
     @pytest.mark.parametrize("counts", [(2, 2, 2), (1, 2, 3), (3, 3), (2, 1, 2)], ids=str)
     def test_recovery_on_every_game(self, counts):
@@ -326,28 +353,29 @@ class TestCap:
 
 @pytest.fixture
 def scanned(monkeypatch):
-    """Every game whose maximal losing antichain is computed by a lattice scan."""
+    """Every game whose win mask is computed by a lattice scan."""
     log = []
-    scan = hiergames.core._scan_maximal_losing
+    scan = hiergames.core._scan_win
 
     def counting(game):
         log.append(game)
         return scan(game)
 
-    monkeypatch.setattr(hiergames.core, "_scan_maximal_losing", counting)
+    monkeypatch.setattr(hiergames.core, "_scan_win", counting)
     return log
 
 
 @pytest.fixture
 def realized(monkeypatch):
-    """(game, its maximal losing memo) for every game realize returns, with
-    realize replaced in every hiergames module that binds it."""
+    """(game, its win mask, its maximal losing memo) for every game realize
+    returns, as realize returns it, with realize replaced in every hiergames
+    module that binds it."""
     log = []
     real = hiergames.hierarchy.realize
 
     def logging(spec):
         game = real(spec)
-        log.append((game, game.__dict__.get("_maximal_losing")))
+        log.append((game, game.__dict__.get("_win"), game.__dict__.get("_maximal_losing")))
         return game
 
     for info in pkgutil.iter_modules(hiergames.__path__):
@@ -359,10 +387,27 @@ def realized(monkeypatch):
 
 
 def assert_memo_kept(realized):
-    """realize set each game's maximal losing antichain, and every later
-    read got that same object."""
-    for game, memo in realized:
-        assert memo is not None and maximal_losing(game) is memo
+    """realize set each game's win mask and decoded no maximal losing
+    antichain; the first read decoded it from those same bits (the callers
+    assert that no scan happened), and every later read got that same
+    object."""
+    for game, win, memo in realized:
+        assert win is not None and memo is None
+        losing = maximal_losing(game)
+        assert game.__dict__["_win"] is win
+        assert losing == ref.maximal_losing(game)
+        assert maximal_losing(game) is losing
+
+
+# the systems `classify` solves on each explicit document of TestScanCounts,
+# in order: the weighted one has strictly ordered levels, so its reduced
+# weighted system decides and the full one gives the witness; the other two
+# have equivalent levels, and the full rows decide
+SOLVED_SYSTEMS = {
+    "weighted": [("weighted", "reduced"), ("weighted", "full")],
+    "rough_not_weighted": [("weighted", "full"), ("rough", "full")],
+    "not_rough": [("weighted", "full"), ("rough", "full")],
+}
 
 
 class TestScanCounts:
@@ -381,7 +426,7 @@ class TestScanCounts:
         # already set, so the oracle scans no realized game at all
         report = run_sweep(DISJUNCTIVE, 2, 3)
         assert len(report.records) == 36 and report.all_agree
-        assert [g.universe.counts for g, _ in realized] == [r.spec.n for r in report.records]
+        assert [g.universe.counts for g, *_ in realized] == [r.spec.n for r in report.records]
         assert scanned == []
         assert_memo_kept(realized)
 
@@ -396,7 +441,7 @@ class TestScanCounts:
     @pytest.mark.parametrize(
         "doc,game_class,solves",
         [
-            ({"universe": [3, 3], "min_winning": [[2, 0], [1, 2]]}, "weighted", 1),
+            ({"universe": [3, 3], "min_winning": [[2, 0], [1, 2]]}, "weighted", 2),
             ({"universe": [2, 2], "min_winning": [[1, 1]]}, "rough_not_weighted", 2),
             (
                 {"universe": [2, 2, 2], "min_winning": [[2, 0, 0], [0, 2, 0], [0, 0, 2]]},
@@ -420,4 +465,21 @@ class TestScanCounts:
         path.write_text(json.dumps(doc))
         assert main(["classify", str(path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["class"] == game_class
-        assert (len(solved), len(scanned)) == (solves, 1)
+        assert len(scanned) == 1
+        game = scanned[0]
+
+        def kind(system):
+            weighted = system.num_vars == game.universe.m + 1
+            full = system._rows == _separating_system(game, weighted)._rows
+            return ("weighted" if weighted else "rough"), ("full" if full else "reduced")
+
+        # no system solved twice, and the full rows only for a witness
+        expected = SOLVED_SYSTEMS[game_class]
+        assert len(solved) == solves == len(expected)
+        assert [kind(system) for system in solved] == expected
+        assert len({id(system) for system in solved}) == len(solved)
+        solved.clear()
+        assert oracle_classify(game) == game_class
+        reduced = [s for s in expected if s[1] == "reduced"]
+        assert [kind(system) for system in solved] == (reduced or expected)
+        assert len(scanned) == 1

@@ -1,0 +1,118 @@
+"""The oracle's reduced rows against the full-row reference: a strictly
+ordered game is decided on its shift-extremal rows, and its witness is the
+full rows' vertex, so every class and every witness equals
+oracle_reference's."""
+
+from itertools import accumulate
+from operator import ge
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import lattice_reference as ref
+import oracle_reference as oref
+from hiergames import (
+    CONJUNCTIVE,
+    DISJUNCTIVE,
+    ExplicitGame,
+    Multiset,
+    dual_explicit,
+    dual_spec,
+    level_classes,
+    oracle_classify,
+    oracle_witness,
+    realize,
+    special_players,
+    sweep_specs,
+)
+from hiergames.core import _shift_extremal_points
+from hiergames.oracle import _separating_system
+from test_lattice import valid_specs
+
+# canonical grids of both kinds, (levels, nmax): 2,790 specs in all
+GRIDS = [(1, 6), (2, 6), (3, 4), (4, 3), (5, 2)]
+
+
+def assert_same_as_reference(game):
+    """oracle_witness equals the full-row reference, class and vertex, and
+    oracle_classify its class."""
+    expected = oref.witness(game)
+    assert oracle_witness(game) == expected, game
+    assert oracle_classify(game) == expected[0], game
+
+
+def no_passers_or_dummies(spec):
+    players = special_players(realize(spec))
+    return not players.passers and not players.dummies
+
+
+def criterion_games(criterion):
+    """The games acceptance criteria 3 and 6 give the oracle. (Criterion
+    2's are those of the disjunctive (3, 4) grid.)"""
+    if criterion == 3:
+        pool = list(sweep_specs(DISJUNCTIVE, 2, 6)) + list(sweep_specs(DISJUNCTIVE, 3, 4))
+        return [dual_explicit(realize(spec)) for spec in pool]
+    return [
+        realize(side)
+        for levels in (4, 5)
+        for spec in sweep_specs(DISJUNCTIVE, levels, 3)
+        if no_passers_or_dummies(spec)
+        for side in (spec, dual_spec(spec))
+    ]
+
+
+class TestAgainstFullRows:
+    @pytest.mark.parametrize("kind", [DISJUNCTIVE, CONJUNCTIVE])
+    @pytest.mark.parametrize("levels,nmax", GRIDS)
+    def test_canonical_grids(self, kind, levels, nmax):
+        # canonical specs have strictly ordered levels: every one is decided
+        # on the reduced rows (the disjunctive (3, 4) grid is criterion 2's)
+        for spec in sweep_specs(kind, levels, nmax):
+            game = realize(spec)
+            assert _shift_extremal_points(game) is not None, spec
+            assert_same_as_reference(game)
+
+    @pytest.mark.parametrize("criterion,count", [(3, 1041), (6, 648)])
+    def test_acceptance_pools(self, criterion, count):
+        games = criterion_games(criterion)
+        assert len(games) == count
+        for game in games:
+            assert _shift_extremal_points(game) is not None, game
+            assert_same_as_reference(game)
+
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_valid_specs_canonical_or_not(self, levels):
+        # n_i <= 3, k_i up to N + 1: a spec whose canonical form merges
+        # levels has equivalent levels, and the full rows decide its game
+        ordered = 0
+        for spec in valid_specs(levels, 3, 3 * levels + 1):
+            game = realize(spec)
+            strict = level_classes(game) == [[i] for i in range(levels)]
+            assert (_shift_extremal_points(game) is not None) == strict, spec
+            ordered += strict
+            assert_same_as_reference(game)
+        assert ordered == {1: 12, 2: 132, 3: 486}[levels]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_explicit_games(self, data):
+        # 1-5 levels of 1-3 players; half the games are closed under moving
+        # a unit up a level (X wins when its prefix sums reach a member's),
+        # which orders levels 1 >= ... >= m and often strictly
+        m = data.draw(st.integers(1, 5))
+        universe = Multiset(tuple(data.draw(st.integers(1, 3)) for _ in range(m)))
+        pool = [c for c in ref.lattice(universe) if c.size > 0]
+        members = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+        if data.draw(st.booleans()):
+            prefixes = [tuple(accumulate(y.counts)) for y in members]
+            members = [
+                x for x in pool
+                if any(all(map(ge, accumulate(x.counts), p)) for p in prefixes)
+            ]
+        game = ExplicitGame(universe, frozenset(members))
+        strict = level_classes(game) == [[i] for i in range(m)]
+        assert (_shift_extremal_points(game) is not None) == strict
+        assert_same_as_reference(game)
+        for weighted in (True, False):
+            rows = _separating_system(game, weighted)._rows
+            assert rows == oref.separating_system(game, weighted)._rows

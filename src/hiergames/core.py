@@ -230,10 +230,10 @@ class ExplicitGame:
     {empty coalition} (everything wins) are representable; most derived
     operations treat them as edge cases rather than rejecting them.
 
-    Three derived values are memoized on the instance, outside the
+    Four derived values are memoized on the instance, outside the
     dataclass fields, so equality and hashing do not see them: the win mask
-    (_win_bits), maximal_losing's antichain and level_classes'
-    desirability classes (or None).
+    (_win_bits), maximal_losing's antichain, level_classes' desirability
+    classes (or None) and _shift_extremal_points' rows (or None).
     """
 
     universe: Multiset
@@ -401,7 +401,20 @@ def _shift_extremal_points(
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]] | None:
     """Shift-minimal winning and shift-maximal losing count vectors of the
     game, each in index order, or None unless every level i is strictly
-    more desirable than level i + 1. The cap is checked first.
+    more desirable than level i + 1. The cap is checked on every call, then
+    the result is memoized on the game (None included), so the oracle and
+    the certificate check share one _scan_shift_extremal per game. Callers
+    must not mutate the lists."""
+    _lattice(game.universe.counts)  # the cap, checked before any allocation
+    if "_shift_extremal" not in game.__dict__:
+        object.__setattr__(game, "_shift_extremal", _scan_shift_extremal(game))
+    return game.__dict__["_shift_extremal"]
+
+
+def _scan_shift_extremal(
+    game: ExplicitGame,
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]] | None:
+    """The body of _shift_extremal_points, read off the win mask.
 
     Moving a unit from level i to level j > i moves a point d = s_i - s_j
     bits down, so each question below is one masked shift of the win mask,
@@ -420,7 +433,6 @@ def _shift_extremal_points(
     x + e_i - e_j wins wherever x_j > 0 and x_i < n_i. That is
     2(m - 1) + m(m - 1) + 2m shifts in all, then O(m) per member decoded.
     """
-    _lattice(game.universe.counts)  # the cap, checked before any allocation
     n = game.universe.counts
     strides = _strides(n)
     levels = _bit_levels(n, strides)

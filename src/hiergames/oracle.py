@@ -45,12 +45,25 @@ reduced rows decide feasibility, and extremal_weight optimizes over them;
 any other game is decided on the full rows, every minimal winning and
 maximal losing coalition with w >= 0.
 
-Witnesses come from the full rows: when the reduced system is feasible,
-oracle_weighted, oracle_rough and oracle_witness solve the full one again,
-whose vertex the golden files pin; oracle_classify never does. A Farkas ray
+Witnesses come from the full rows alone. By the lemma the full system is
+infeasible exactly when the reduced one is, so oracle_weighted,
+oracle_rough and oracle_witness solve only the full system, whose vertex
+the golden files pin; oracle_classify never builds it for a strictly
+ordered game. A Farkas ray
 of the reduced system would carry multipliers on the monotone rows, so a
 refutation (a trading transform) is read off the full rows, solved only
 when one is asked for.
+
+Verification, a corollary. Weights w >= 0 with w_1 >= ... >= w_m lose no
+weight by adding a unit or moving one up a level. Removing a unit or
+moving one down strictly lowers sum_i (m - i) x_i, so from any winning X
+such steps through winning coalitions end at a shift-minimal winning one
+that weighs at most w(X); dually, from any losing X they end at a
+shift-maximal losing one that weighs at least w(X). For such weights on a
+strictly ordered game those two antichains decide verify_representation;
+any other certificate or game is checked on every minimal winning and
+maximal losing coalition. Either way the comparisons are made in
+integers, the quota and weights times the lcm of their denominators.
 
 Both row sets come from one builder, _separating_system. Its rows are the
 game's own count vectors as ints (the weighted system appends the quota
@@ -61,6 +74,8 @@ is the j-th row the builder writes, never rescaled or merged.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import ge, mul
 from typing import Optional, Sequence
 
 from .certificates import RoughCert
@@ -88,14 +103,15 @@ __all__ = [
 _Extremal = tuple[list[tuple[int, ...]], list[tuple[int, ...]]]
 
 
-def _checked(game: ExplicitGame) -> Optional[_Extremal]:
-    """The game's shift-extremal count vectors, None unless its levels are
-    strictly ordered; ValueError for a game no system here can separate."""
+def _checked(game: ExplicitGame, reduced: bool) -> Optional[_Extremal]:
+    """The rows to decide the game on: its shift-extremal count vectors when
+    `reduced` and its levels are strictly ordered, else None (the full
+    rows); ValueError for a game no system here can separate."""
     if not game.min_winning:
         raise ValueError("game has no winning coalitions")
     if any(w.size == 0 for w in game.min_winning):
         raise ValueError("game declares the empty coalition winning")
-    return _shift_extremal_points(game)
+    return _shift_extremal_points(game) if reduced else None
 
 
 def _separating_system(
@@ -131,28 +147,8 @@ def _separating_system(
     return LinearSystem._of_rows(v, rows)
 
 
-def _solve(
-    game: ExplicitGame,
-    weighted: bool,
-    extremal: Optional[_Extremal],
-    witness: bool,
-) -> Optional[tuple[Fraction, ...]]:
-    """A point of the game's weighted or quota-1 rough system, or None when
-    it has none. The reduced rows decide when `extremal` holds them; a
-    feasible reduced system is solved again on the full rows only for a
-    `witness`, whose vertex the full rows pin. Any point returned is a
-    representation of the game (see the module docstring)."""
-    if extremal is not None:
-        point = _separating_system(game, weighted, extremal).feasible_point()
-        if point is None or not witness:
-            return point
-    return _separating_system(game, weighted).feasible_point()
-
-
-def _weighted(
-    game: ExplicitGame, extremal: Optional[_Extremal], witness: bool
-) -> Optional[RoughCert]:
-    point = _solve(game, True, extremal, witness)
+def _weighted(game: ExplicitGame, extremal: Optional[_Extremal]) -> Optional[RoughCert]:
+    point = _separating_system(game, True, extremal).feasible_point()
     if point is None:
         return None
     m = game.universe.m
@@ -163,10 +159,8 @@ def _weighted(
     return RoughCert(quota, weights)
 
 
-def _rough(
-    game: ExplicitGame, extremal: Optional[_Extremal], witness: bool
-) -> Optional[RoughCert]:
-    point = _solve(game, False, extremal, witness)
+def _rough(game: ExplicitGame, extremal: Optional[_Extremal]) -> Optional[RoughCert]:
+    point = _separating_system(game, False, extremal).feasible_point()
     if point is not None:
         return RoughCert(Fraction(1), point)
     # branch B: a level whose single player wins alone, read off the win
@@ -181,11 +175,11 @@ def _rough(
 
 
 def _cascade(game: ExplicitGame, witness: bool) -> tuple[str, Optional[RoughCert]]:
-    extremal = _checked(game)
-    cert = _weighted(game, extremal, witness)
+    extremal = _checked(game, reduced=not witness)
+    cert = _weighted(game, extremal)
     if cert is not None:
         return "weighted", cert
-    cert = _rough(game, extremal, witness)
+    cert = _rough(game, extremal)
     return ("not_rough" if cert is None else "rough_not_weighted"), cert
 
 
@@ -195,7 +189,7 @@ def oracle_weighted(game: ExplicitGame) -> Optional[RoughCert]:
     The returned certificate satisfies w(W) >= q for minimal winning W and
     w(L) <= q - 1 < q for maximal losing L.
     """
-    return _weighted(game, _checked(game), witness=True)
+    return _weighted(game, _checked(game, reduced=False))
 
 
 def oracle_rough(game: ExplicitGame) -> Optional[RoughCert]:
@@ -205,7 +199,7 @@ def oracle_rough(game: ExplicitGame) -> Optional[RoughCert]:
     certificates (branch B). See the module docstring for why these two
     branches are exhaustive.
     """
-    return _rough(game, _checked(game), witness=True)
+    return _rough(game, _checked(game, reduced=False))
 
 
 def oracle_witness(game: ExplicitGame) -> tuple[str, Optional[RoughCert]]:
@@ -222,25 +216,37 @@ def oracle_classify(game: ExplicitGame) -> str:
 
 
 def verify_representation(game: ExplicitGame, cert: RoughCert, mode: str) -> bool:
-    """Check a certificate against the game's antichains.
+    """Check a certificate against the game's antichains, exactly.
 
     mode 'weighted': every minimal winning coalition weighs >= quota and
     every maximal losing coalition weighs strictly below it.
     mode 'rough': losing side relaxed to <= quota.
 
     Sound for monotone games because weights are nonnegative: supersets only
-    gain weight, subsets only lose it.
+    gain weight, subsets only lose it. Non-increasing weights on a strictly
+    ordered game are checked on its shift-extremal rows alone (the module
+    docstring's corollary), anything else on both antichains; a game where
+    everything wins has no losing row, one where nothing wins no winning
+    row. All arithmetic is on ints: D, the lcm of the quota's and the
+    weights' denominators, clears them, and w(X) < q iff D w(X) <= D q - 1.
+    Raises EnumerationCapError when the game's lattice exceeds the cap.
     """
     if mode not in ("weighted", "rough"):
         raise ValueError(f"mode must be 'weighted' or 'rough', got {mode!r}")
     if cert.m != game.universe.m:
         raise ValueError(f"certificate has {cert.m} weights for {game.universe}")
-    if not all(cert.weight_of(w) >= cert.quota for w in game.min_winning):
-        return False
-    lmax = maximal_losing(game)
-    if mode == "weighted":
-        return all(cert.weight_of(x) < cert.quota for x in lmax)
-    return all(cert.weight_of(x) <= cert.quota for x in lmax)
+    scale = lcm(cert.quota.denominator, *(w.denominator for w in cert.weights))
+    weights = [w.numerator * (scale // w.denominator) for w in cert.weights]
+    quota = cert.quota.numerator * (scale // cert.quota.denominator)
+    extremal = _shift_extremal_points(game) if all(map(ge, weights, weights[1:])) else None
+    wins, losses = extremal or (
+        [w.counts for w in game.min_winning],
+        [x.counts for x in maximal_losing(game)],
+    )
+    top = quota - 1 if mode == "weighted" else quota
+    return all(sum(map(mul, weights, w)) >= quota for w in wins) and all(
+        sum(map(mul, weights, x)) <= top for x in losses
+    )
 
 
 def extremal_weight(
@@ -261,7 +267,7 @@ def extremal_weight(
     m = game.universe.m
     if len(objective) != m:
         raise ValueError(f"objective needs {m} coefficients, got {len(objective)}")
-    sys = _separating_system(game, False, _checked(game))
+    sys = _separating_system(game, False, _checked(game, reduced=True))
     result = sys.minimize(objective) if sense == "min" else sys.maximize(objective)
     if result.status == INFEASIBLE:
         raise ValueError("game has no rough representation with quota 1")

@@ -7,6 +7,10 @@ with w >= 0, each row added through LinearSystem's checked add_ge/add_le,
 and the zero-quota branch tested with is_winning on each singleton. It never
 reads the win mask's order test or the shift-extremal kernel, so a wrong
 reduction shows up as a class or a witness that differs from this one.
+
+verify_representation is the certificate check as it was before it read
+the shift-extremal rows: Fraction sums on every minimal winning and every
+maximal losing coalition.
 """
 
 from __future__ import annotations
@@ -51,3 +55,14 @@ def witness(game: ExplicitGame) -> tuple[str, Optional[RoughCert]]:
             weights = tuple(Fraction(int(j == i)) for j in range(m))
             return "rough_not_weighted", RoughCert(0, weights)
     return "not_rough", None
+
+
+def verify_representation(game: ExplicitGame, cert: RoughCert, mode: str) -> bool:
+    """Every minimal winning coalition weighs >= quota, and every maximal
+    losing one < quota (mode 'weighted') or <= quota (mode 'rough')."""
+    if not all(cert.weight_of(w) >= cert.quota for w in game.min_winning):
+        return False
+    lmax = maximal_losing(game)
+    if mode == "weighted":
+        return all(cert.weight_of(x) < cert.quota for x in lmax)
+    return all(cert.weight_of(x) <= cert.quota for x in lmax)

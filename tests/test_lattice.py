@@ -366,6 +366,20 @@ def scanned(monkeypatch):
 
 
 @pytest.fixture
+def kernel_runs(monkeypatch):
+    """Every game the shift-extremal kernel body runs on."""
+    log = []
+    kernel = hiergames.core._scan_shift_extremal
+
+    def counting(game):
+        log.append(game)
+        return kernel(game)
+
+    monkeypatch.setattr(hiergames.core, "_scan_shift_extremal", counting)
+    return log
+
+
+@pytest.fixture
 def realized(monkeypatch):
     """(game, its win mask, its maximal losing memo) for every game realize
     returns, as realize returns it, with realize replaced in every hiergames
@@ -400,13 +414,15 @@ def assert_memo_kept(realized):
 
 
 # the systems `classify` solves on each explicit document of TestScanCounts,
-# in order: the weighted one has strictly ordered levels, so its reduced
-# weighted system decides and the full one gives the witness; the other two
+# in order, then those `oracle_classify` solves: a witness is read off the
+# full rows alone; the weighted document has strictly ordered levels, so
+# oracle_classify decides it on the reduced weighted system; the other two
 # have equivalent levels, and the full rows decide
+_FULL_CASCADE = [("weighted", "full"), ("rough", "full")]
 SOLVED_SYSTEMS = {
-    "weighted": [("weighted", "reduced"), ("weighted", "full")],
-    "rough_not_weighted": [("weighted", "full"), ("rough", "full")],
-    "not_rough": [("weighted", "full"), ("rough", "full")],
+    "weighted": ([("weighted", "full")], [("weighted", "reduced")]),
+    "rough_not_weighted": (_FULL_CASCADE, _FULL_CASCADE),
+    "not_rough": (_FULL_CASCADE, _FULL_CASCADE),
 }
 
 
@@ -421,13 +437,20 @@ class TestScanCounts:
         assert canonicalize_semantic(spec) == (HierSpec(CONJUNCTIVE, (4,), (4,)), (0, 0))
         assert realized == []
 
-    def test_run_sweep_scans_each_game_once(self, scanned, realized):
-        # realize hands its game over with the maximal losing antichain
-        # already set, so the oracle scans no realized game at all
+    def test_run_sweep_scans_each_game_once(self, scanned, realized, kernel_runs):
+        # realize hands its game over with the win mask already set, so the
+        # oracle scans no realized game at all; the oracle and the
+        # certificate check share one shift-extremal kernel run per game,
+        # and neither decodes a maximal losing antichain
         report = run_sweep(DISJUNCTIVE, 2, 3)
         assert len(report.records) == 36 and report.all_agree
-        assert [g.universe.counts for g, *_ in realized] == [r.spec.n for r in report.records]
+        assert sum(r.cert_verified is not None for r in report.records) > 0
+        games = [g for g, *_ in realized]
+        assert [g.universe.counts for g in games] == [r.spec.n for r in report.records]
         assert scanned == []
+        assert len(kernel_runs) == len(games)
+        assert all(ran is game for ran, game in zip(kernel_runs, games))
+        assert not any("_maximal_losing" in game.__dict__ for game in games)
         assert_memo_kept(realized)
 
     def test_classify_oracle_scans_once(self, scanned, realized, tmp_path, capsys):
@@ -441,7 +464,7 @@ class TestScanCounts:
     @pytest.mark.parametrize(
         "doc,game_class,solves",
         [
-            ({"universe": [3, 3], "min_winning": [[2, 0], [1, 2]]}, "weighted", 2),
+            ({"universe": [3, 3], "min_winning": [[2, 0], [1, 2]]}, "weighted", 1),
             ({"universe": [2, 2], "min_winning": [[1, 1]]}, "rough_not_weighted", 2),
             (
                 {"universe": [2, 2, 2], "min_winning": [[2, 0, 0], [0, 2, 0], [0, 0, 2]]},
@@ -473,13 +496,12 @@ class TestScanCounts:
             full = system._rows == _separating_system(game, weighted)._rows
             return ("weighted" if weighted else "rough"), ("full" if full else "reduced")
 
-        # no system solved twice, and the full rows only for a witness
-        expected = SOLVED_SYSTEMS[game_class]
-        assert len(solved) == solves == len(expected)
-        assert [kind(system) for system in solved] == expected
+        # no system solved twice, and only the full rows for a witness
+        witness, decide = SOLVED_SYSTEMS[game_class]
+        assert len(solved) == solves == len(witness)
+        assert [kind(system) for system in solved] == witness
         assert len({id(system) for system in solved}) == len(solved)
         solved.clear()
         assert oracle_classify(game) == game_class
-        reduced = [s for s in expected if s[1] == "reduced"]
-        assert [kind(system) for system in solved] == (reduced or expected)
+        assert [kind(system) for system in solved] == decide
         assert len(scanned) == 1

@@ -152,6 +152,34 @@ class TestVerifyRepresentation:
         with pytest.raises(ValueError):
             verify_representation(g, RoughCert(1, (1, 1)), "sharp")
 
+    @pytest.mark.parametrize(
+        "counts,winning,quota,weights,weighted,rough",
+        [
+            # everything wins: no maximal losing coalition, so the check is
+            # w({}) >= q, which only a zero quota passes; one level has
+            # shift-extremal rows, two equivalent levels have none
+            ((2,), [(0,)], 0, (1,), True, True),
+            ((2,), [(0,)], 1, (1,), False, False),
+            ((2, 1), [(0, 0)], 0, (1, 1), True, True),
+            ((2, 1), [(0, 0)], 0, (1, 2), True, True),
+            ((2, 1), [(0, 0)], Fraction(1, 2), (1, 1), False, False),
+            # nothing wins: no minimal winning coalition, so the check is
+            # the full coalition's weight against the quota
+            ((2,), [], 3, (1,), True, True),
+            ((2,), [], 2, (1,), False, True),
+            ((2,), [], 1, (1,), False, False),
+            ((2, 1), [], 4, (1, 1), True, True),
+            ((2, 1), [], 3, (1, 1), False, True),
+            ((2, 1), [], 3, (Fraction(1, 2), 2), False, True),
+            ((2, 1), [], Fraction(5, 2), (Fraction(1, 2), 2), False, False),
+        ],
+    )
+    def test_everything_or_nothing_wins(self, counts, winning, quota, weights, weighted, rough):
+        g = game(counts, winning)
+        cert = RoughCert(quota, weights)
+        assert verify_representation(g, cert, "weighted") is weighted
+        assert verify_representation(g, cert, "rough") is rough
+
     def test_near_miss_cert_fails(self):
         # third weight must be zero over this polytope; any positive slack
         # lets a maximal losing coalition tip over the quota

@@ -1,8 +1,11 @@
 """The oracle's reduced rows against the full-row reference: a strictly
 ordered game is decided on its shift-extremal rows, and its witness is the
 full rows' vertex, so every class and every witness equals
-oracle_reference's."""
+oracle_reference's. The certificate check reads the same rows when the
+weights are non-increasing, and every answer equals the reference's."""
 
+import random
+from fractions import Fraction
 from itertools import accumulate
 from operator import ge
 
@@ -16,6 +19,8 @@ from hiergames import (
     DISJUNCTIVE,
     ExplicitGame,
     Multiset,
+    RoughCert,
+    classify,
     dual_explicit,
     dual_spec,
     level_classes,
@@ -24,6 +29,7 @@ from hiergames import (
     realize,
     special_players,
     sweep_specs,
+    verify_representation,
 )
 from hiergames.core import _shift_extremal_points
 from hiergames.oracle import _separating_system
@@ -39,6 +45,52 @@ def assert_same_as_reference(game):
     expected = oref.witness(game)
     assert oracle_witness(game) == expected, game
     assert oracle_classify(game) == expected[0], game
+
+
+def draw_game(data):
+    """1-5 levels of 1-3 players; half the games are closed under moving a
+    unit up a level (X wins when its prefix sums reach a member's), which
+    orders levels 1 >= ... >= m and often strictly."""
+    m = data.draw(st.integers(1, 5))
+    universe = Multiset(tuple(data.draw(st.integers(1, 3)) for _ in range(m)))
+    pool = [c for c in ref.lattice(universe) if c.size > 0]
+    members = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+    if data.draw(st.booleans()):
+        prefixes = [tuple(accumulate(y.counts)) for y in members]
+        members = [
+            x for x in pool
+            if any(all(map(ge, accumulate(x.counts), p)) for p in prefixes)
+        ]
+    return ExplicitGame(universe, frozenset(members))
+
+
+def non_increasing(cert):
+    return all(map(ge, cert.weights, cert.weights[1:]))
+
+
+def mutants(cert, rng):
+    """Six seeded variations of a certificate, each moving the quota or one
+    weight up or down by 1, 1/2 or 1/3; a variation that would be negative
+    or identically zero is left out."""
+    out = []
+    for _ in range(6):
+        values = [cert.quota, *cert.weights]
+        at = rng.randrange(len(values))
+        values[at] += rng.choice((1, -1)) * rng.choice((1, Fraction(1, 2), Fraction(1, 3)))
+        if min(values) >= 0 and any(values):
+            out.append(RoughCert(values[0], tuple(values[1:])))
+    return out
+
+
+def assert_check_as_reference(game, cert):
+    """verify_representation equals the reference check in both modes;
+    returns the answers."""
+    answers = []
+    for mode in ("weighted", "rough"):
+        expected = oref.verify_representation(game, cert, mode)
+        assert verify_representation(game, cert, mode) == expected, (game, cert, mode)
+        answers.append(expected)
+    return answers
 
 
 def no_passers_or_dummies(spec):
@@ -96,23 +148,52 @@ class TestAgainstFullRows:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_random_explicit_games(self, data):
-        # 1-5 levels of 1-3 players; half the games are closed under moving
-        # a unit up a level (X wins when its prefix sums reach a member's),
-        # which orders levels 1 >= ... >= m and often strictly
-        m = data.draw(st.integers(1, 5))
-        universe = Multiset(tuple(data.draw(st.integers(1, 3)) for _ in range(m)))
-        pool = [c for c in ref.lattice(universe) if c.size > 0]
-        members = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
-        if data.draw(st.booleans()):
-            prefixes = [tuple(accumulate(y.counts)) for y in members]
-            members = [
-                x for x in pool
-                if any(all(map(ge, accumulate(x.counts), p)) for p in prefixes)
-            ]
-        game = ExplicitGame(universe, frozenset(members))
-        strict = level_classes(game) == [[i] for i in range(m)]
+        game = draw_game(data)
+        strict = level_classes(game) == [[i] for i in range(game.m)]
         assert (_shift_extremal_points(game) is not None) == strict
         assert_same_as_reference(game)
         for weighted in (True, False):
             rows = _separating_system(game, weighted)._rows
             assert rows == oref.separating_system(game, weighted)._rows
+
+
+class TestCertificateCheck:
+    @pytest.mark.parametrize("kind", [DISJUNCTIVE, CONJUNCTIVE])
+    @pytest.mark.parametrize("levels,nmax", GRIDS)
+    def test_canonical_grids(self, kind, levels, nmax):
+        # the classifier's certificates are non-increasing and checked on the
+        # shift-extremal rows; mutants that break the order take the full
+        # rows, and both accepting and rejecting answers occur
+        rng = random.Random(18)
+        answers, fallbacks = set(), 0
+        for spec in sweep_specs(kind, levels, nmax):
+            cert = classify(spec).certificate
+            if cert is None:
+                continue
+            assert non_increasing(cert), spec
+            game = realize(spec)
+            for checked in [cert, *mutants(cert, rng)]:
+                answers.update(assert_check_as_reference(game, checked))
+                fallbacks += not non_increasing(checked)
+        assert answers == {True, False}
+        assert (fallbacks > 0) == (levels > 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_explicit_games(self, data):
+        # the oracle's witness, its mutants and a drawn certificate, whose
+        # weights are sorted into non-increasing order half the time, on
+        # games with strictly ordered levels or not
+        game = draw_game(data)
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        cert = oracle_witness(game)[1]
+        certs = [cert, *mutants(cert, rng)] if cert is not None else []
+        den = data.draw(st.integers(1, 3))
+        weights = [Fraction(data.draw(st.integers(0, 4)), den) for _ in range(game.m)]
+        if data.draw(st.booleans()):
+            weights.sort(reverse=True)
+        quota = Fraction(data.draw(st.integers(0, 4 * game.m)), den)
+        if quota or any(weights):
+            certs.append(RoughCert(quota, tuple(weights)))
+        for checked in certs:
+            assert_check_as_reference(game, checked)

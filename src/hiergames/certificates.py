@@ -70,24 +70,17 @@ class RoughCert:
         object.__setattr__(self, "weights", weights)
         if not weights:
             raise ValueError("certificate needs at least one weight")
-        if quota < 0:
+        # a Fraction's denominator is positive: its numerator carries the sign
+        if quota.numerator < 0:
             raise ValueError(f"quota must be >= 0, got {quota}")
-        if any(w < 0 for w in weights):
+        if any(w.numerator < 0 for w in weights):
             raise ValueError(f"weights must be >= 0, got {weights}")
-        if quota == 0 and all(w == 0 for w in weights):
+        if not quota.numerator and not any(w.numerator for w in weights):
             raise ValueError("certificate must not be identically zero")
 
     @property
     def m(self) -> int:
         return len(self.weights)
-
-    def _with_quota(self, quota: Fraction) -> RoughCert:
-        """This certificate's weights under another quota, a Fraction >= 0
-        its caller derived: the weights are not validated again."""
-        out = object.__new__(RoughCert)
-        object.__setattr__(out, "quota", quota)
-        object.__setattr__(out, "weights", self.weights)
-        return out
 
     def weight_of(self, coalition: Coalition) -> Fraction:
         if len(coalition.counts) != self.m:

@@ -41,15 +41,16 @@ The decision law is a finite case list over (kind, n, k):
     disagreement is recorded in Verdict.notes.
 
 Each case returns its tag together with its certificate, so a verdict is one
-pass over the law. Certificates are closed forms in (n, k), weighted ones
-integer with a gap of 1, conjunctive ones carried over from the dual spec;
-classification is O(m) and touches neither the coalition lattice nor the LP
+pass over the law. Certificates are closed forms in (n, k), computed as
+integer numerators over one positive denominator (1 for weighted ones, whose
+gap is 1), conjunctive ones carried over from the dual spec on those
+integers; the verdict builds its one RoughCert from them at the end.
+Classification is O(m) and touches neither the coalition lattice nor the LP
 oracle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -93,41 +94,48 @@ class Verdict:
 # ===== weighted case law (disjunctive; conjunctive goes through duality) =====
 
 
-def _weighted_disj(n: tuple[int, ...], k: tuple[int, ...]) -> Optional[tuple[int, RoughCert]]:
+def _weighted_disj(
+    n: tuple[int, ...], k: tuple[int, ...]
+) -> Optional[tuple[int, int, tuple[int, ...]]]:
     """Thm4 case of a canonical disjunctive (n, k) and its integer
-    certificate, with minimal winning coalitions at >= q and maximal losing
-    ones at <= q - 1; None when the game is not weighted."""
+    certificate (case, q, w), with minimal winning coalitions at >= q and
+    maximal losing ones at <= q - 1; None when the game is not weighted."""
     m = len(n)
     if m == 1:
-        return 1, RoughCert(k[0], (1,))
+        return 1, k[0], (1,)
     if m == 2 and k[1] == k[0] + 1:
         # w(X) = k1 * (x1 + x2) + x1, and a loser has x1 < k1, x1 + x2 <= k1
-        return 2, RoughCert(k[0] * k[1], (k[1], k[0]))
+        return 2, k[0] * k[1], (k[1], k[0])
     if m == 2 and n[1] == k[1] - k[0] + 1:
         # reaching k2 without k1 first-level players takes x1 = k1 - 1, x2 = n2
-        return 3, RoughCert(k[0] * n[1], (n[1], 1))
+        return 3, k[0] * n[1], (n[1], 1)
     if m in (2, 3) and k[0] == 1:
         # one first-level player wins alone; without one, the residual game
         # on levels 2..m (thresholds unchanged) decides; for m = 2 it is
         # always case 1
         inner = _weighted_disj(n[1:], k[1:])
         if inner is not None:
-            quota = inner[1].quota
-            return 4, RoughCert(quota, (quota,) + inner[1].weights)
+            _, q, w = inner
+            return 4, q, (q,) + w
     if m in (2, 3, 4) and k[-1] == k[-2] + n[-1]:
         inner = _weighted_disj(n[:-1], k[:-1])
         if inner is not None and inner[0] != 5:
             # dummy last level
-            return 5, RoughCert(inner[1].quota, inner[1].weights + (0,))
+            _, q, w = inner
+            return 5, q, w + (0,)
     return None
 
 
 # ===== rough case law (disjunctive; conjunctive goes through duality) =====
 
 
-def _rough_disj(n: tuple[int, ...], k: tuple[int, ...]) -> Optional[tuple[str, RoughCert]]:
+def _rough_disj(
+    n: tuple[int, ...], k: tuple[int, ...]
+) -> Optional[tuple[str, int, int, tuple[int, ...]]]:
     """Thm12 case of a canonical nonweighted disjunctive (n, k) and its
-    quota-1 certificate (quota 0 for (i)); None when none matches.
+    certificate as integer numerators over one denominator d > 0, (tag, d,
+    q, w) for [q/d; w/d]: quota 1 (q = d), or quota 0 for (i); None when no
+    case matches.
 
     A dummy last level routes to (vii) and never falls through to (i)-(vi).
     Canonical middle levels are strict, so the subgame has no dummy level.
@@ -137,50 +145,51 @@ def _rough_disj(n: tuple[int, ...], k: tuple[int, ...]) -> Optional[tuple[str, R
         inner = _rough_disj(n[:-1], k[:-1])
         if inner is None:
             return None
-        return "vii", RoughCert(inner[1].quota, inner[1].weights + (0,))
+        _, d, q, w = inner
+        return "vii", d, q, w + (0,)
     if k[0] == 1:
         # passers make the game decisive at weight zero: losing coalitions
         # contain no first-level player at all
-        return "i", RoughCert(0, (1,) + (0,) * (m - 1))
-    half, quarter = Fraction(1, 2), Fraction(1, 4)
+        return "i", 1, 0, (1,) + (0,) * (m - 1)
     if m == 2:
         if k == (2, 4) and n[0] >= 2 and n[1] >= 4:
-            return "ii", RoughCert(1, (half, quarter))
+            # [1; (1/2, 1/4)]
+            return "ii", 4, 4, (2, 1)
         if k[1] == k[0] + 2 and k[0] > 2 and n[0] >= k[0] and n[1] == 4:
-            return "iii", RoughCert(1, (Fraction(1, k[0]), Fraction(1, 2 * k[0])))
+            # [1; (1/k1, 1/(2 k1))]
+            return "iii", 2 * k[0], 2 * k[0], (2, 1)
         return None
     if m == 3:
         if k == (2, 3, 4):
             # n3=1 would be a dummy level, handled by the (vii) route
             if n[2] == 2:
-                return "iv", RoughCert(1, (half, half, 0))
+                # [1; (1/2, 1/2, 0)]
+                return "iv", 2, 2, (1, 1, 0)
             if n[1] == 2:
-                return "iv", RoughCert(1, (half, quarter, quarter))
+                # [1; (1/2, 1/4, 1/4)]
+                return "iv", 4, 4, (2, 1, 1)
             return None
         if k[1] == k[0] + 1 and n[0] >= k[0]:
             v = k[2] == k[0] + 2 and k[0] > 2 and n[2] == 2
             vi = k[0] >= 2 and n[2] == k[2] - k[0] >= 3
             if v or vi:
-                cert = RoughCert(1, (Fraction(1, k[0]), Fraction(1, k[0]), 0))
-                return ("v" if v else "vi"), cert
+                # [1; (1/k1, 1/k1, 0)]
+                return ("v" if v else "vi"), k[0], k[0], (1, 1, 0)
     return None
 
 
-def _across_duality(cert: RoughCert, n: tuple[int, ...], gap: int) -> RoughCert:
-    """The dual spec's certificate carried to the spec on level sizes n.
+def _across_duality(d: int, q: int, w: tuple[int, ...], n: tuple[int, ...], gap: int) -> int:
+    """The numerator, over the same d, of the quota that carries the dual
+    spec's certificate [q/d; w/d] to the spec on level sizes n.
 
     X wins iff its complement loses in the dual game, so the dual's losing
     bound w(P - X) <= quota - gap turns into w(X) >= w(P) - quota + gap:
     gap 1 for weighted (Thm5) certificates, 0 for rough (Thm13) ones. The
     dual's full coalition wins, so w(P) >= quota and the new quota is >= 0;
-    the weights, already validated, carry over as they are.
+    the weights carry over as they are. Over d, the new numerator is
+    sum(w_i * n_i) - q + gap * d.
     """
-    q, ws = cert.quota, cert.weights
-    # w(P) - quota + gap over one common denominator, where Fraction
-    # arithmetic would normalize every partial sum
-    d = math.lcm(q.denominator, *(w.denominator for w in ws))
-    total = sum(w.numerator * (d // w.denominator) * c for w, c in zip(ws, n))
-    return cert._with_quota(Fraction(total - q.numerator * (d // q.denominator) + gap * d, d))
+    return sum(x * c for x, c in zip(w, n)) - q + gap * d
 
 
 # literal reading of the published conjunctive case list, kept for
@@ -234,12 +243,13 @@ def classify_rough(spec: HierSpec) -> Verdict:
     n, k = spec.n, k_star(spec.n, spec.k) if conj else spec.k
     weighted = _weighted_disj(n, k)
     if weighted is not None:
-        case, cert = weighted
+        case, q, w = weighted
         if not conj:
-            return Verdict(WEIGHTED, f"Thm4({case})", cert)
+            return Verdict(WEIGHTED, f"Thm4({case})", RoughCert(q, w))
         if case in (2, 3):
             case = 2 if spec.k[1] == spec.k[0] + 1 else 3
-        return Verdict(WEIGHTED, f"Thm5({case})", _across_duality(cert, spec.n, 1))
+        q = _across_duality(1, q, w, spec.n, 1)
+        return Verdict(WEIGHTED, f"Thm5({case})", RoughCert(q, w))
     rough = _rough_disj(n, k)
     notes: tuple[str, ...] = ()
     literal = _literal_conj_case(spec.n, spec.k) if conj else None
@@ -252,14 +262,13 @@ def classify_rough(spec: HierSpec) -> Verdict:
         )
     if rough is None:
         return Verdict(NOT_ROUGH, "none", None, notes)
-    tag, cert = rough
-    if not conj:
-        return Verdict(ROUGH_NOT_WEIGHTED, f"Thm12({tag})", cert)
-    if tag == "v":
-        tag = "va" if spec.n[1] == spec.n[2] == 2 else "vb"
-    return Verdict(
-        ROUGH_NOT_WEIGHTED, f"Thm13({tag})", _across_duality(cert, spec.n, 0), notes
-    )
+    tag, d, q, w = rough
+    if conj:
+        if tag == "v":
+            tag = "va" if spec.n[1] == spec.n[2] == 2 else "vb"
+        q = _across_duality(d, q, w, spec.n, 0)
+    cert = RoughCert(Fraction(q, d), tuple(Fraction(x, d) for x in w))
+    return Verdict(ROUGH_NOT_WEIGHTED, f"Thm{13 if conj else 12}({tag})", cert, notes)
 
 
 def classify(spec: HierSpec) -> Verdict:

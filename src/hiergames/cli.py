@@ -212,8 +212,9 @@ def cmd_minor(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     report = run_sweep(args.kind, args.levels, args.nmax, args.kmax, oracle=not args.no_oracle)
-    payload = _sweep_payload(report)
-    lines = _sweep_lines(report)
+    # build only the form that is printed
+    payload = _sweep_payload(report) if args.json else {}
+    lines = [] if args.json else _sweep_lines(report)
     _emit(payload, lines, args.json)
     return 0 if report.all_agree else 1
 

@@ -114,13 +114,16 @@ def sweep_specs(
     Canonical by construction: k_1 ranges over 1..n_1 and each increment
     k_i - k_{i-1} over the canonical band (1..n_i-1 for middle levels;
     1..n_m disjunctive / 0..n_m-1 conjunctive for the last). kmax, when
-    given, drops specs whose largest threshold exceeds it. Deterministic
-    lexicographic order.
+    given, must be >= 1 and drops specs whose largest threshold exceeds it.
+    Deterministic lexicographic order.
     """
     if kind not in (DISJUNCTIVE, CONJUNCTIVE):
         raise ValueError(f"unknown kind {kind!r}")
     if levels < 1 or nmax < 1:
         raise ValueError("levels and nmax must be >= 1")
+    if kmax is not None and kmax < 1:
+        # no canonical threshold is below 1, so the sweep would be empty
+        raise ValueError(f"kmax must be >= 1, got {kmax}")
     for n in product(range(1, nmax + 1), repeat=levels):
         ranges = [range(1, n[0] + 1)]
         for i in range(1, levels):

@@ -75,21 +75,36 @@ class TestRoughCert:
             cert.weight_of(Coalition((1, 2, 3)))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RoughCert(Fraction(-1), (Fraction(1),))
-        with pytest.raises(ValueError):
-            RoughCert(Fraction(1), (Fraction(-1),))
-        with pytest.raises(ValueError):
-            RoughCert(Fraction(0), (Fraction(0), Fraction(0)))
-        with pytest.raises(ValueError):
-            RoughCert(Fraction(1), ())
-        with pytest.raises(TypeError):
-            RoughCert(0.5, (Fraction(1),))
+        # signs are read off numerators; each rejection keeps its type and text
+        cases = [
+            # a negative int quota, and negative Fraction quotas
+            (-1, (1,), ValueError, "quota must be >= 0, got -1"),
+            (Fraction(-1), (Fraction(1),), ValueError, "quota must be >= 0, got -1"),
+            (Fraction(-1, 2), (1,), ValueError, "quota must be >= 0, got -1/2"),
+            # a negative weight, alone and among positive ones
+            (Fraction(1), (Fraction(-1),), ValueError,
+             "weights must be >= 0, got (Fraction(-1, 1),)"),
+            (1, (Fraction(1, 2), Fraction(-1, 3), 2), ValueError,
+             "weights must be >= 0, got (Fraction(1, 2), Fraction(-1, 3), Fraction(2, 1))"),
+            (Fraction(0), (Fraction(0), Fraction(0)), ValueError,
+             "certificate must not be identically zero"),
+            (0, (0,), ValueError, "certificate must not be identically zero"),
+            (Fraction(1), (), ValueError, "certificate needs at least one weight"),
+            (0.5, (Fraction(1),), TypeError, "quota must be int or Fraction, got float"),
+            (1, (1, 0.5), TypeError, "weight must be int or Fraction, got float"),
+            (True, (1,), TypeError, "quota must be a rational, got bool"),
+            (1, (1, False), TypeError, "weight must be a rational, got bool"),
+        ]
+        for quota, weights, error, message in cases:
+            with pytest.raises(error) as info:
+                RoughCert(quota, weights)
+            assert str(info.value) == message, (quota, weights)
 
     def test_zero_quota_with_positive_weight_allowed(self):
         # branch-B certificates have quota 0 and a single unit weight
         cert = RoughCert(0, (1, 0, 0))
         assert cert.quota == 0
+        assert RoughCert(Fraction(0), (Fraction(0), Fraction(1, 3))).weights[1] == Fraction(1, 3)
 
     def test_dict_round_trip(self):
         cert = RoughCert(Fraction(1), (Fraction(1, 2), Fraction(1, 4), Fraction(0)))

@@ -159,6 +159,25 @@ class TestThm5Reference:
         assert fired == {1, 2, 3, 4, 5}
 
 
+class TestCaseLawReference:
+    @pytest.mark.parametrize("kind", [DISJUNCTIVE, CONJUNCTIVE])
+    def test_classify_equals_the_fraction_built_law(self, kind):
+        # the integer-numerator law against the same law built from
+        # Fraction-valued certificates and carried in Fraction arithmetic
+        total = 0
+        for levels, nmax in ((1, 8), (2, 8), (3, 6), (4, 4), (5, 3)):
+            for spec in sweep_specs(kind, levels, nmax):
+                v = classify(spec)
+                game_class, case, cert, notes = case_law_reference.classify_reference(spec)
+                assert (v.game_class, v.matched_case, v.certificate, v.notes) == (
+                    game_class, case, cert, notes
+                ), spec
+                if cert is not None:
+                    assert str(v.certificate) == str(cert), spec
+                total += 1
+        assert total == 12519
+
+
 class TestCertificateShape:
     def rough_no_special(self, kind, levels, nmax):
         for spec in sweep_specs(kind, levels, nmax):

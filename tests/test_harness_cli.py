@@ -61,6 +61,12 @@ class TestSweepSpecs:
         assert len(specs) == 40
         assert all(s.k[-1] <= 3 for s in specs)
 
+    @pytest.mark.parametrize("kmax", [0, -1])
+    def test_kmax_below_one_rejected(self, kmax):
+        # every threshold is >= 1, so such a cap could only give an empty sweep
+        with pytest.raises(ValueError, match="kmax must be >= 1"):
+            list(sweep_specs(DISJUNCTIVE, 2, 4, kmax=kmax))
+
 
 class TestRunSweep:
     def test_small_grid_agrees_with_oracle(self):
@@ -349,6 +355,14 @@ class TestCliErrors:
         code = main(["sweep", "--kind", "both", "--levels", "2", "--nmax", "2"])
         assert code == 2
 
+    def test_sweep_kmax_below_one_rejected(self, capsys):
+        # once printed an empty sweep and exited 0
+        code = main(["sweep", "--kind", "disjunctive", "--levels", "2", "--nmax", "2",
+                     "--kmax", "-1", "--json"])
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "kmax must be >= 1" in out.err
+
     @pytest.mark.parametrize(
         "n", [[3.9, 3, 3], "333", [True, 3, 3]], ids=["float", "string", "bool"]
     )
@@ -439,6 +453,19 @@ class TestOptimizedMode:
         path = write_doc(tmp_path, {"kind": "conjunctive", "n": [3, 3], "k": k})
         payload = self.run_both("classify", path, "--json")
         assert (payload["class"], payload["case"]) == ("weighted", case)
+
+    @pytest.mark.parametrize(
+        "kind, k, case",
+        [("disjunctive", [2, 4], "Thm12(ii)"), ("conjunctive", [1, 3], "Thm13(ii)")],
+        ids=["thm12", "thm13"],
+    )
+    def test_fractional_rough_certificate_same_under_dash_O(self, tmp_path, kind, k, case):
+        # the certificate is built from integer numerators over one denominator
+        # and validated by raises, not asserts
+        path = write_doc(tmp_path, {"kind": kind, "n": [2, 4], "k": k})
+        payload = self.run_both("classify", path, "--json")
+        assert (payload["class"], payload["case"]) == ("rough_not_weighted", case)
+        assert payload["certificate"] == {"quota": "1", "weights": ["1/2", "1/4"]}
 
     def test_structural_same_under_dash_O(self):
         payload = self.run_both("structural", "--universe", "2,2", "--json")

@@ -57,7 +57,7 @@ from typing import Optional
 
 from .certificates import RoughCert
 from .hierarchy import DISJUNCTIVE, HierSpec, _is_canonical
-from .transforms import k_star
+from .transforms import _k_star
 
 __all__ = [
     "WEIGHTED",
@@ -240,7 +240,7 @@ def classify_rough(spec: HierSpec) -> Verdict:
     conj = spec.kind != DISJUNCTIVE
     # a conjunctive spec is decided on its dual's (n, k); spec is canonical,
     # so the conjugate is the dual spec's thresholds (transforms.dual_spec)
-    n, k = spec.n, k_star(spec.n, spec.k) if conj else spec.k
+    n, k = spec.n, _k_star(spec.n, spec.k) if conj else spec.k
     weighted = _weighted_disj(n, k)
     if weighted is not None:
         case, q, w = weighted

@@ -17,10 +17,11 @@ point; only the coalitions they return are decoded and wrapped,
 unvalidated, by _coalition.
 
 Everything here is exact and deterministic. _lattice, the one walker
-(iter_coalitions) and the one place the enumeration cap (HIERGAME_ENUM_CAP)
-is read, is called by every lattice operation before it allocates
-anything, so that a typo in a universe cannot silently turn into a
-billion-element loop or a billion-bit int.
+(iter_coalitions), reads the enumeration cap (HIERGAME_ENUM_CAP) and checks
+it before anything is allocated, so that a typo in a universe cannot
+silently turn into a billion-element loop or a billion-bit int. _win_bits,
+the one gate to a game's win mask, checks it on every call. Values derived
+from a game are memoized on it by one rule, _memo.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
+from itertools import combinations, product
 from operator import ge, mul
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "DEFAULT_ENUM_CAP",
@@ -184,8 +185,8 @@ def _lattice(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
     That is index order: the j-th vector is the x with sum(x_i * stride_i)
     == j (see _strides). Raises EnumerationCapError at the call, before
     anything is built, when there are more vectors than the enumeration cap.
-    This is the one place the cap is read and checked; the bitset kernels
-    call it for the check alone and drop the lazy iterator.
+    This is the one place the cap is read and checked; _win_bits and
+    hierarchy.realize call it for the check alone and drop the lazy iterator.
     """
     limit = enumeration_cap()
     total = math.prod(c + 1 for c in counts)
@@ -230,7 +231,7 @@ class ExplicitGame:
     {empty coalition} (everything wins) are representable; most derived
     operations treat them as edge cases rather than rejecting them.
 
-    Four derived values are memoized on the instance, outside the
+    Four derived values are memoized on the instance by _memo, outside the
     dataclass fields, so equality and hashing do not see them: the win mask
     (_win_bits), maximal_losing's antichain, level_classes' desirability
     classes (or None) and _shift_extremal_points' rows (or None).
@@ -254,12 +255,20 @@ class ExplicitGame:
         return self.universe.m
 
 
+def _memo(game: ExplicitGame, name: str, compute: Callable[[ExplicitGame], Any]) -> Any:
+    """compute(game), run on the first read only and kept in the game's
+    __dict__ under `name` (None included), outside its dataclass fields."""
+    memo = game.__dict__
+    if name not in memo:
+        memo[name] = compute(game)
+    return memo[name]
+
+
 def _explicit_game(universe: Multiset, min_winning: frozenset[Coalition]) -> ExplicitGame:
     """ExplicitGame from an antichain a lattice scan built: no validation and
     no minimization, since the scan yields exactly the minimal members."""
     game = object.__new__(ExplicitGame)
-    object.__setattr__(game, "universe", universe)
-    object.__setattr__(game, "min_winning", min_winning)
+    game.__dict__.update(universe=universe, min_winning=min_winning)
     return game
 
 
@@ -274,19 +283,13 @@ def is_winning(game: ExplicitGame, coalition: Coalition) -> bool:
 def maximal_losing(game: ExplicitGame) -> frozenset[Coalition]:
     """Antichain of losing coalitions all of whose strict supersets win.
 
-    The cap is checked on every call, and the antichain is memoized on the
-    game. It is read off the game's win mask (_win_bits) with O(m)
+    The cap is checked on every call (_win_bits), and the antichain is
+    memoized on the game. It is read off the game's win mask with O(m)
     whole-lattice shift/AND operations on product(n_i + 1) bits, then
     decoded, O(m) per member. No tuple lattice is built.
     """
-    _lattice(game.universe.counts)  # the cap, checked before any allocation
-    memo = game.__dict__.get("_maximal_losing")
-    if memo is None:
-        n = game.universe.counts
-        strides = _strides(n)
-        memo = _decode(_antichain_bits(_bit_levels(n, strides), _win_bits(game))[1], strides)
-        object.__setattr__(game, "_maximal_losing", memo)
-    return memo
+    win = _win_bits(game)
+    return _memo(game, "_maximal_losing", lambda g: _decode(g.universe.counts, win, 1))
 
 
 # ===== the lattice as a bitset =====
@@ -298,14 +301,14 @@ def maximal_losing(game: ExplicitGame) -> frozenset[Coalition]:
 # questions about neighbours become a few big-int shifts and ANDs.
 
 
-def _bit_levels(
-    counts: Sequence[int], strides: tuple[int, ...]
-) -> tuple[tuple[int, int, int], ...]:
-    """(n_i, s_i, rep_i) per level. rep_i has bit 0 of every
-    s_i * (n_i + 1)-bit block set, so it marks the points with x_i = 0 and
-    every later level at 0, and (rep_i << c * s_i) - rep_i marks the points
-    with x_i < c. It is built by doubling, O(size) word operations; the
-    division (2^size - 1) // (2^(s_i * (n_i + 1)) - 1) is quadratic."""
+def _bit_levels(counts: Sequence[int]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The strides, and (n_i, s_i, rep_i, [x_i = 0], [x_i = n_i]) per level.
+    rep_i has bit 0 of every s_i * (n_i + 1)-bit block set, so it marks the
+    points with x_i = 0 and every later level at 0, and (rep_i << c * s_i) -
+    rep_i marks the points with x_i < c. It is built by doubling, O(size) word
+    operations; the division (2^size - 1) // (2^(s_i * (n_i + 1)) - 1) is
+    quadratic."""
+    strides = _strides(counts)
     size = strides[0] * (counts[0] + 1)
     out = []
     for n, s in zip(counts, strides):
@@ -313,8 +316,10 @@ def _bit_levels(
         while span < size:
             rep |= rep << span
             span *= 2
-        out.append((n, s, rep & ((1 << size) - 1)))
-    return tuple(out)
+        rep &= (1 << size) - 1
+        zero = (rep << s) - rep
+        out.append((n, s, rep, zero, zero << n * s))
+    return strides, tuple(out)
 
 
 def _points(bits: int, strides: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -333,12 +338,14 @@ def _points(bits: int, strides: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
-def _decode(bits: int, strides: tuple[int, ...]) -> frozenset[Coalition]:
-    """The coalitions at the set bits of a lattice bitset."""
-    return frozenset(map(_coalition, _points(bits, strides)))
+def _decode(counts: Sequence[int], win: int, which: int) -> frozenset[Coalition]:
+    """The minimal winning (which = 0) or maximal losing (which = 1)
+    coalitions of the up-set `win`, decoded."""
+    strides, levels = _bit_levels(counts)
+    return frozenset(map(_coalition, _points(_antichain_bits(levels, win)[which], strides)))
 
 
-def _antichain_bits(levels: tuple[tuple[int, int, int], ...], win: int) -> tuple[int, int]:
+def _antichain_bits(levels: tuple[tuple[int, ...], ...], win: int) -> tuple[int, int]:
     """Minimal winning and maximal losing bits of the up-set `win`.
 
     x is minimal winning iff it wins and x - e_i loses for every level with
@@ -346,49 +353,42 @@ def _antichain_bits(levels: tuple[tuple[int, int, int], ...], win: int) -> tuple
     level with x_i < n_i (by monotonicity every strict superset then wins).
     Both are m whole-lattice shifts of win.
     """
-    n_0, s_0, _ = levels[0]
+    n_0, s_0, *_ = levels[0]
     minimal, losing = win, ((1 << s_0 * (n_0 + 1)) - 1) ^ win
-    for n_i, s, rep in levels:
-        zero = (rep << s) - rep
+    for _, s, _, zero, full in levels:
         minimal &= ~(win << s) | zero
-        losing &= (win >> s) | zero << n_i * s
+        losing &= (win >> s) | full
     return minimal, losing
 
 
 def _game_of_bits(universe: Multiset, win: int) -> ExplicitGame:
     """The game whose winning coalitions are the set bits of `win`, an
     up-set of the lattice, with its win mask memoized (see _win_bits)."""
-    n = universe.counts
-    strides = _strides(n)
-    minimal, _ = _antichain_bits(_bit_levels(n, strides), win)
-    game = _explicit_game(universe, _decode(minimal, strides))
-    object.__setattr__(game, "_win", win)
+    game = _explicit_game(universe, _decode(universe.counts, win, 0))
+    game.__dict__["_win"] = win
     return game
 
 
 def _win_bits(game: ExplicitGame) -> int:
-    """The game's win mask: bit j is set iff the point of index j wins.
-    Memoized on the game; a game from _game_of_bits comes with it, any
-    other is scanned once. The caller checks the cap first."""
-    win = game.__dict__.get("_win")
-    if win is None:
-        win = _scan_win(game)
-        object.__setattr__(game, "_win", win)
-    return win
+    """The one gate to the game's win mask, whose bit j is set iff the
+    point of index j wins: the cap is checked on every call, then the mask
+    is memoized on the game; a game from _game_of_bits comes with it, any
+    other is scanned once."""
+    _lattice(game.universe.counts)  # the cap, checked before any allocation
+    return _memo(game, "_win", _scan_win)
 
 
 def _scan_win(game: ExplicitGame) -> int:
     """Win mask of any explicit game: set the minimal winning bits and
     close them upward level by level (shifts by 1, 2, 4, ... units of s_i,
     each restricted to the points that stay inside the lattice)."""
-    n = game.universe.counts
-    strides = _strides(n)
+    strides, levels = _bit_levels(game.universe.counts)
     table = bytearray(game.universe.coalition_count() // 8 + 1)
     for w in game.min_winning:
         j = sum(map(mul, w.counts, strides))
         table[j >> 3] |= 1 << (j & 7)
     win = int.from_bytes(table, "little")
-    for n_i, s, rep in _bit_levels(n, strides):
+    for n_i, s, rep, _, _ in levels:
         d = 1
         while d <= n_i:
             win |= (win & ((rep << (n_i - d + 1) * s) - rep)) << d * s
@@ -401,14 +401,12 @@ def _shift_extremal_points(
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]] | None:
     """Shift-minimal winning and shift-maximal losing count vectors of the
     game, each in index order, or None unless every level i is strictly
-    more desirable than level i + 1. The cap is checked on every call, then
-    the result is memoized on the game (None included), so the oracle and
-    the certificate check share one _scan_shift_extremal per game. Callers
-    must not mutate the lists."""
-    _lattice(game.universe.counts)  # the cap, checked before any allocation
-    if "_shift_extremal" not in game.__dict__:
-        object.__setattr__(game, "_shift_extremal", _scan_shift_extremal(game))
-    return game.__dict__["_shift_extremal"]
+    more desirable than level i + 1. The cap is checked on every call
+    (_win_bits), then the result is memoized on the game (None included),
+    so the oracle and the certificate check share one _scan_shift_extremal
+    per game. Callers must not mutate the lists."""
+    _win_bits(game)
+    return _memo(game, "_shift_extremal", _scan_shift_extremal)
 
 
 def _scan_shift_extremal(
@@ -433,24 +431,20 @@ def _scan_shift_extremal(
     x + e_i - e_j wins wherever x_j > 0 and x_i < n_i. That is
     2(m - 1) + m(m - 1) + 2m shifts in all, then O(m) per member decoded.
     """
-    n = game.universe.counts
-    strides = _strides(n)
-    levels = _bit_levels(n, strides)
+    strides, levels = _bit_levels(game.universe.counts)
     win = _win_bits(game)
-    zero = [(rep << s) - rep for _, s, rep in levels]
-    full = [z << n_i * s for z, (n_i, s, _) in zip(zero, levels)]
-    for i in range(len(n) - 1):
+    *_, zero, full = zip(*levels)
+    for i in range(len(levels) - 1):
         d = strides[i] - strides[i + 1]
         if (win & ~(zero[i + 1] | full[i])) << d & ~win:
             return None  # not i >= i + 1
         if not (win & ~(zero[i] | full[i + 1])) >> d & ~win:
             return None  # i + 1 >= i as well: not strict
     minimal, losing = _antichain_bits(levels, win)
-    for i in range(len(n)):
-        for j in range(i + 1, len(n)):
-            d = strides[i] - strides[j]
-            minimal &= ~(win << d) | zero[i] | full[j]
-            losing &= (win >> d) | zero[j] | full[i]
+    for i, j in combinations(range(len(levels)), 2):
+        d = strides[i] - strides[j]
+        minimal &= ~(win << d) | zero[i] | full[j]
+        losing &= (win >> d) | zero[j] | full[i]
     return _points(minimal, strides), _points(losing, strides)
 
 
@@ -508,9 +502,7 @@ def level_classes(game: ExplicitGame) -> list[list[int]] | None:
     The order is derived once per game and memoized on it (None included);
     every call returns fresh lists.
     """
-    if "_level_classes" not in game.__dict__:
-        object.__setattr__(game, "_level_classes", _order_levels(game))
-    memo = game.__dict__["_level_classes"]
+    memo = _memo(game, "_level_classes", _order_levels)
     return None if memo is None else [list(cls) for cls in memo]
 
 

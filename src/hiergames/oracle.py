@@ -79,13 +79,7 @@ from operator import ge, mul
 from typing import Optional, Sequence
 
 from .certificates import RoughCert
-from .core import (
-    ExplicitGame,
-    _shift_extremal_points,
-    _strides,
-    _win_bits,
-    maximal_losing,
-)
+from .core import ExplicitGame, _shift_extremal_points, maximal_losing
 from .feasibility import INFEASIBLE, UNBOUNDED, LinearSystem
 
 __all__ = [
@@ -114,6 +108,12 @@ def _checked(game: ExplicitGame, reduced: bool) -> Optional[_Extremal]:
     return _shift_extremal_points(game) if reduced else None
 
 
+def _full_rows(game: ExplicitGame) -> _Extremal:
+    """The game's minimal winning and maximal losing count vectors, each sorted."""
+    wins, losses = game.min_winning, maximal_losing(game)
+    return sorted(w.counts for w in wins), sorted(x.counts for x in losses)
+
+
 def _separating_system(
     game: ExplicitGame,
     weighted: bool,
@@ -130,12 +130,10 @@ def _separating_system(
     """
     m = game.universe.m
     v = m + 1 if weighted else m
+    wins, losses = extremal or _full_rows(game)
     if extremal is None:
-        wins = sorted(w.counts for w in game.min_winning)
-        losses = sorted(x.counts for x in maximal_losing(game))
         signs = [(0,) * i + (-1,) + (0,) * (v - i - 1) for i in range(m)]
     else:
-        wins, losses = extremal
         signs = [(0,) * i + (-1, 1) + (0,) * (v - i - 2) for i in range(m - 1)]
         signs.append((0,) * (m - 1) + (-1,) + (0,) * (v - m))
     # stored as rows <= rhs: weighted -w(W) + q <= 0 and w(L) - q <= -1;
@@ -163,15 +161,11 @@ def _rough(game: ExplicitGame, extremal: Optional[_Extremal]) -> Optional[RoughC
     point = _separating_system(game, False, extremal).feasible_point()
     if point is not None:
         return RoughCert(Fraction(1), point)
-    # branch B: a level whose single player wins alone, read off the win
-    # mask, where the unit vector e_i sits at bit s_i
-    win = _win_bits(game)
-    m = game.universe.m
-    for i, s in enumerate(_strides(game.universe.counts)):
-        if win >> s & 1:
-            weights = tuple(Fraction(1 if j == i else 0) for j in range(m))
-            return RoughCert(Fraction(0), weights)
-    return None
+    # branch B: the lowest level whose single player wins alone; the empty
+    # coalition loses (_checked), so that player is minimal winning, and its
+    # count vector, lexicographically the largest, is the indicator weighting
+    units = [w.counts for w in game.min_winning if w.size == 1]
+    return RoughCert(0, max(units)) if units else None
 
 
 def _cascade(game: ExplicitGame, witness: bool) -> tuple[str, Optional[RoughCert]]:
@@ -239,10 +233,7 @@ def verify_representation(game: ExplicitGame, cert: RoughCert, mode: str) -> boo
     weights = [w.numerator * (scale // w.denominator) for w in cert.weights]
     quota = cert.quota.numerator * (scale // cert.quota.denominator)
     extremal = _shift_extremal_points(game) if all(map(ge, weights, weights[1:])) else None
-    wins, losses = extremal or (
-        [w.counts for w in game.min_winning],
-        [x.counts for x in maximal_losing(game)],
-    )
+    wins, losses = extremal or _full_rows(game)
     top = quota - 1 if mode == "weighted" else quota
     return all(sum(map(mul, weights, w)) >= quota for w in wins) and all(
         sum(map(mul, weights, x)) <= top for x in losses

@@ -18,6 +18,7 @@ disappear from the minor's universe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .core import Coalition, ExplicitGame, Multiset, maximal_losing
 from .hierarchy import DISJUNCTIVE, HierSpec, _is_canonical, truncate
@@ -68,10 +69,15 @@ def k_star(n: tuple[int, ...], k: tuple[int, ...]) -> tuple[int, ...]:
     if len(n) != len(k):
         raise ValueError(f"n and k must be equal length, got {n} / {k}")
     prefixes = Multiset(n).prefix_totals()
-    out = tuple(prefixes[i] - k[i] + 1 for i in range(len(k)))
+    out = _k_star(n, k)
     if any(v < 1 for v in out):
         raise ValueError(f"thresholds {k} exceed prefixes {prefixes}, no conjugate")
     return out
+
+
+def _k_star(n: tuple[int, ...], k: tuple[int, ...]) -> tuple[int, ...]:
+    """k_star's arithmetic alone, for (n, k) already known valid."""
+    return tuple(p - t + 1 for p, t in zip(accumulate(n), k))
 
 
 def dual_spec(spec: HierSpec) -> HierSpec:

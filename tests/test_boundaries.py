@@ -1,0 +1,95 @@
+"""Rejections at the public boundary: each malformed input raises its own
+exception type with its own message."""
+
+import pytest
+
+from hiergames import (
+    DISJUNCTIVE,
+    Coalition,
+    ExplicitGame,
+    HierSpec,
+    LinearSystem,
+    MinorStep,
+    Multiset,
+    hier_is_winning,
+    is_winning,
+    level_relation,
+    oracle_classify,
+    shift_maximal_losing,
+)
+
+
+def game(counts, winning):
+    return ExplicitGame(Multiset(counts), frozenset(Coalition(w) for w in winning))
+
+
+REJECTIONS = {
+    "oracle_classify_empty_winner": (
+        lambda: oracle_classify(game((2, 2), [(0, 0)])),
+        ValueError,
+        "game declares the empty coalition winning",
+    ),
+    "shift_maximal_losing_not_canonical": (
+        lambda: shift_maximal_losing(HierSpec(DISJUNCTIVE, (1, 2), (2, 3))),
+        ValueError,
+        "H_E(n=(1, 2), k=(2, 3)) is not canonical",
+    ),
+    "shift_maximal_losing_dummy_last_level": (
+        lambda: shift_maximal_losing(HierSpec(DISJUNCTIVE, (2, 1), (2, 3))),
+        ValueError,
+        "H_E(n=(2, 1), k=(2, 3)) has a dummy last level",
+    ),
+    "complement_does_not_fit": (
+        lambda: Multiset((2, 2)).complement(Coalition((3, 0))),
+        ValueError,
+        "{1^3} is not a submultiset of {1^2,2^2}",
+    ),
+    "level_relation_equal_levels": (
+        lambda: level_relation(game((2, 2), [(1, 1)]), 1, 1),
+        ValueError,
+        "need two distinct levels in 0..1, got 1, 1",
+    ),
+    "level_relation_out_of_range": (
+        lambda: level_relation(game((2, 2), [(1, 1)]), 0, 2),
+        ValueError,
+        "need two distinct levels in 0..1, got 0, 2",
+    ),
+    "is_winning_does_not_fit": (
+        lambda: is_winning(game((2, 2), [(1, 1)]), Coalition((1, 1, 1))),
+        ValueError,
+        "{1^1,2^1,3^1} does not fit in universe {1^2,2^2}",
+    ),
+    "hier_is_winning_does_not_fit": (
+        lambda: hier_is_winning(HierSpec(DISJUNCTIVE, (2, 2), (2, 3)), Coalition((0, 3))),
+        ValueError,
+        "{2^3} does not fit in universe {1^2,2^2}",
+    ),
+    "explicit_game_member_not_a_coalition": (
+        lambda: ExplicitGame(Multiset((2,)), frozenset({(1,)})),
+        TypeError,
+        "min_winning entries must be Coalition, got (1,)",
+    ),
+    "minor_step_unknown_op": (
+        lambda: MinorStep("contract", Coalition((1,))),
+        ValueError,
+        "op must be 'subgame' or 'reduced', got 'contract'",
+    ),
+    "linear_system_negative_size": (
+        lambda: LinearSystem(-1),
+        ValueError,
+        "num_vars must be >= 0, got -1",
+    ),
+    "add_le_wrong_length": (
+        lambda: LinearSystem(2).add_le([1, 2, 3], 4),
+        ValueError,
+        "expected 2 coefficients, got 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTIONS))
+def test_rejected_with_its_message(case):
+    call, error, message = REJECTIONS[case]
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message

@@ -1,10 +1,12 @@
 """CLI output pinned byte for byte to recorded golden files.
 
-Each file under tests/data/*.golden.json is the stdout of one command, run
-from the repository root:
+Each file under tests/data/*.golden.json, and each sweep_*.golden.txt, is
+the stdout of one command, run from the repository root:
 
   hiergames sweep --kind KIND --levels 3 --nmax 3 --json
       -> sweep_KIND_l3_n3.golden.json
+  hiergames sweep --kind KIND --levels 3 --nmax 3
+      -> sweep_KIND_l3_n3.golden.txt
   hiergames classify --json tests/data/explicit_CLASS.json
       -> classify_explicit_CLASS.golden.json
 
@@ -56,6 +58,12 @@ CASES = [
     (
         ["sweep", "--kind", kind, "--levels", "3", "--nmax", "3", "--json"],
         f"sweep_{kind}_l3_n3.golden.json",
+    )
+    for kind in ("disjunctive", "conjunctive")
+] + [
+    (
+        ["sweep", "--kind", kind, "--levels", "3", "--nmax", "3"],
+        f"sweep_{kind}_l3_n3.golden.txt",
     )
     for kind in ("disjunctive", "conjunctive")
 ] + [

@@ -3,12 +3,14 @@ threshold recovery and the canonical form against the coalition-by-coalition
 reference scans, the enumeration cap, how often the oracle paths scan a game's
 lattice, and how often recognition realizes a spec."""
 
+import ast
 import importlib
 import inspect
 import json
 import pkgutil
 import tracemalloc
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,7 @@ from hiergames import (
     HierSpec,
     Multiset,
     LevelRelation,
+    RoughCert,
     canon_check,
     canonicalize_semantic,
     classify,
@@ -35,6 +38,7 @@ from hiergames import (
     maximal_losing,
     merge_levels,
     oracle_classify,
+    oracle_witness,
     realize,
     recover_conjunctive,
     recover_disjunctive,
@@ -42,6 +46,7 @@ from hiergames import (
     shift_extremal,
     structural_scan,
     sweep_specs,
+    verify_representation,
 )
 from hiergames.cli import main
 from hiergames.core import _shift_extremal_points
@@ -349,6 +354,83 @@ class TestCap:
             assert r.spec.universe().coalition_count() <= 12
             assert r.oracle_class == r.verdict.game_class and r.cert_verified
         assert report.all_agree
+
+
+class TestCapWithMemos:
+    """The cap gates every read of a game's lattice, memoized or not."""
+
+    FALLING = RoughCert(5, (3, 2, 1))  # checked on the shift-extremal rows
+    RISING = RoughCert(5, (1, 2, 3))  # checked on the full rows
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            _shift_extremal_points,
+            oracle_classify,
+            oracle_witness,
+            lambda game: verify_representation(game, TestCapWithMemos.FALLING, "weighted"),
+            lambda game: verify_representation(game, TestCapWithMemos.RISING, "weighted"),
+        ],
+        ids=["shift_extremal_points", "oracle_classify", "oracle_witness", "falling", "rising"],
+    )
+    def test_memoized_game_refused_under_a_smaller_cap(self, read, monkeypatch):
+        monkeypatch.setenv("HIERGAME_ENUM_CAP", "64")
+        game = realize(TestCap.SPEC)
+        assert oracle_classify(game) == "rough_not_weighted"
+        read(game)  # sets what this read memoizes, if anything
+        assert {"_win", "_shift_extremal"} <= set(game.__dict__)
+        monkeypatch.setenv("HIERGAME_ENUM_CAP", "63")
+        with pytest.raises(EnumerationCapError, match="has 64 coalitions, cap is 63"):
+            read(game)
+
+
+class TestBitLayoutStaysInCore:
+    """Only core reads the lattice bitset; hierarchy.realize alone writes one."""
+
+    CORE_ONLY = {
+        "_win_bits",
+        "_bit_levels",
+        "_antichain_bits",
+        "_points",
+        "_decode",
+        "_scan_win",
+        "_scan_shift_extremal",
+    }
+    REALIZE_ONLY = {"_lattice", "_game_of_bits", "_strides"}
+
+    @staticmethod
+    def _tree(name):
+        module = importlib.import_module(f"hiergames.{name}")
+        return ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+
+    def test_no_module_outside_core_knows_the_bits(self):
+        modules = [info.name for info in pkgutil.iter_modules(hiergames.__path__)]
+        assert {"core", "hierarchy", "oracle"} <= set(modules)
+        for name in modules:
+            if name == "core":
+                continue
+            from_core, used = set(), set()
+            for node in ast.walk(self._tree(name)):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "core":
+                    from_core.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+            used |= from_core
+            assert not used & self.CORE_ONLY, name
+            if name != "hierarchy":
+                assert not used & self.REALIZE_ONLY, name
+            if name == "oracle":
+                assert from_core == {"ExplicitGame", "_shift_extremal_points", "maximal_losing"}
+
+    def test_hierarchy_uses_the_layout_in_realize_alone(self):
+        readers = {
+            node.name
+            for node in self._tree("hierarchy").body
+            if isinstance(node, ast.FunctionDef)
+            for inner in ast.walk(node)
+            if isinstance(inner, ast.Name) and inner.id in self.REALIZE_ONLY
+        }
+        assert readers == {"realize"}
 
 
 @pytest.fixture

@@ -90,6 +90,16 @@ class TestOracleRough:
         assert cert is not None
         assert verify_representation(g, cert, "rough")
 
+    def test_zero_quota_picks_the_lowest_passer_level(self):
+        # two passer levels above a not-rough game on levels 3-5: the
+        # quota-1 system is infeasible, so branch B certifies with level 1
+        g = game(
+            (1, 1, 2, 2, 2),
+            [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 2, 0, 0), (0, 0, 0, 2, 0), (0, 0, 0, 0, 2)],
+        )
+        assert oracle_rough(g) == RoughCert(0, (1, 0, 0, 0, 0))
+        assert oracle_witness(g) == ("rough_not_weighted", RoughCert(0, (1, 0, 0, 0, 0)))
+
     def test_not_even_rough(self):
         g = realize(HierSpec(DISJUNCTIVE, (2, 2, 2, 2, 2), (2, 3, 4, 5, 6)))
         assert oracle_rough(g) is None

@@ -149,6 +149,22 @@ class TestKStar:
         with pytest.raises(ValueError):
             k_star((3, 3), (2, 3, 5))
 
+    @pytest.mark.parametrize(
+        "n,k,error,message",
+        [
+            ((3, 3), (2, 3, 5), ValueError, "n and k must be equal length, got (3, 3) / (2, 3, 5)"),
+            ((), (), ValueError, "universe needs at least one level"),
+            ((3, 0), (2, 3), ValueError, "universe count entries must be >= 1, got 0"),
+            ((3, True), (2, 3), TypeError, "universe count entries must be ints, got True"),
+            ((3, 3), (4, 7), ValueError, "thresholds (4, 7) exceed prefixes (3, 6), no conjugate"),
+            ((3, 3), (1, "a"), TypeError, "unsupported operand type(s) for -: 'int' and 'str'"),
+        ],
+    )
+    def test_rejections(self, n, k, error, message):
+        with pytest.raises(error) as caught:
+            k_star(n, k)
+        assert str(caught.value) == message
+
 
 class TestMinor:
     def test_subgame_keeps_contained_winners(self):

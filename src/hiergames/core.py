@@ -87,6 +87,13 @@ def _int_tuple(values: Iterable[int], what: str, minimum: int) -> tuple[int, ...
     return tuple(out)
 
 
+def _require_int(**values: Any) -> None:
+    """TypeError naming the argument unless each value is an int; a bool is refused."""
+    for what, value in values.items():
+        if type(value) is not int:
+            raise TypeError(f"{what} must be an int, got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class Multiset:
     """Universe of players: counts[i] players at level i (0-indexed internally)."""
@@ -151,6 +158,7 @@ class Coalition:
         return all(a >= b for a, b in zip(self.counts, other.counts))
 
     def with_unit(self, level: int, delta: int = 1) -> Coalition:
+        _require_int(level=level, delta=delta)
         new = list(self.counts)
         new[level] += delta
         return Coalition(tuple(new))
@@ -479,6 +487,7 @@ def level_relation(game: ExplicitGame, i: int, j: int) -> LevelRelation:
     winning w; if w_j >= 1 the traded w lies inside the traded Y, and if
     w_j = 0, w lies inside Y - e_j. Cost O(|min_winning|^2 * m), no lattice.
     """
+    _require_int(i=i, j=j)
     m = game.universe.m
     if i == j or not (0 <= i < m and 0 <= j < m):
         raise ValueError(f"need two distinct levels in 0..{m - 1}, got {i}, {j}")

@@ -10,11 +10,12 @@ integer-preserving pivots (Edmonds 1967; Bareiss 1968): the simplex returns
 integer numerators over one positive denominator, and a Fraction is built
 only for the values handed back to the caller.
 
-Provided verbs:
+Provided verbs, each one guarded simplex run (_solve):
 
   feasible_point()       -> a rational point satisfying all constraints, or None
-  minimize / maximize    -> exact optimum of a linear objective with witness,
-                            with unbounded and infeasible reported as such
+  minimize / maximize    -> exact optimum of a linear objective with witness;
+                            an objective with no optimum takes a second,
+                            zero-target run to tell unbounded from infeasible
 
 Witnesses are the simplex multipliers of the final basis: a basic solution
 of the system (a vertex whenever the polyhedron has one), reached by a fixed
@@ -107,7 +108,7 @@ class LinearSystem:
 
     def feasible_point(self) -> Optional[tuple[Fraction, ...]]:
         """Some exact solution of the system, or None if there is none."""
-        return _pivot_feasible(self._rows, self.num_vars)
+        return _solve(self._rows, (0,) * self.num_vars)[2]
 
     def minimize(self, objective: Sequence[int]) -> OptResult:
         return self._optimize(objective, sense=-1)
@@ -122,21 +123,14 @@ class LinearSystem:
         if len(objective) != self.num_vars:
             raise ValueError(f"expected {self.num_vars} objective coefficients")
         target = tuple(sense * c for c in _ints(objective, "objective"))
-        if _pivot_feasible(self._rows, self.num_vars) is None:
+        status, value, point = _solve(self._rows, target)
+        if status == OPTIMAL:
+            return OptResult(OPTIMAL, sense * value, point)
+        if self.feasible_point() is None:
             return OptResult(INFEASIBLE, None, None)
-        status, value, pi, denom = _simplex_cone(self._rows, target)
-        if status == INFEASIBLE:
-            # no dual multipliers at all: nothing caps the objective
-            return OptResult(UNBOUNDED, None, None)
-        if status != OPTIMAL:
+        if status != INFEASIBLE:
             raise RuntimeError("dual cone unbounded although the system is feasible")
-        # run-time guard, on numerators over the one denom: the witness must
-        # attain the dual optimum
-        if sum(c * p for c, p in zip(target, pi)) != value:
-            raise RuntimeError("simplex multipliers miss the dual optimum; inexact pivot")
-        return OptResult(
-            OPTIMAL, Fraction(sense * value, denom), tuple(Fraction(p, denom) for p in pi)
-        )
+        return OptResult(UNBOUNDED, None, None)  # no dual multipliers: nothing caps it
 
 
 # ===== the dual-cone simplex =====
@@ -281,14 +275,16 @@ def _simplex_cone(
     return OPTIMAL, value, tuple(pi), denom
 
 
-def _pivot_feasible(rows: list[_Row], num_vars: int) -> Optional[tuple[Fraction, ...]]:
-    status, value, pi, denom = _simplex_cone(rows, (0,) * num_vars)
+def _solve(
+    rows: list[_Row], target: tuple[int, ...]
+) -> tuple[str, Optional[Fraction], Optional[tuple[Fraction, ...]]]:
+    """One guarded _simplex_cone run: (status, value, point), None unless optimal."""
+    status, value, pi, denom = _simplex_cone(rows, target)
     if status != OPTIMAL:
-        return None
-    # run-time guard on the exact divisions above, on numerators: a witness
-    # pi / denom that misses any row means a pivot went wrong
-    if value != 0 or any(
-        sum(p * c for p, c in zip(pi, coeffs)) > rhs * denom for coeffs, rhs in rows
-    ):
+        return status, None, None
+    # run-time guard on numerators: missing a row or the optimum means a bad pivot
+    if any(sum(p * c for p, c in zip(pi, coeffs)) > rhs * denom for coeffs, rhs in rows):
         raise RuntimeError("simplex witness violates the system; inexact pivot")
-    return tuple(Fraction(p, denom) for p in pi)
+    if sum(t * p for t, p in zip(target, pi)) != value:
+        raise RuntimeError("simplex multipliers miss the dual optimum; inexact pivot")
+    return OPTIMAL, Fraction(value, denom), tuple(Fraction(p, denom) for p in pi)

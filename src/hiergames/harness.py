@@ -27,7 +27,7 @@ scan builds each game without validating or minimizing it again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 from typing import Iterator, Optional
 
 from .classifier import WEIGHTED, Verdict, classify_rough
@@ -38,6 +38,7 @@ from .core import (
     Multiset,
     _covers,
     _explicit_game,
+    _require_int,
     is_complete,
     iter_coalitions,
 )
@@ -119,29 +120,23 @@ def sweep_specs(
     """
     if kind not in (DISJUNCTIVE, CONJUNCTIVE):
         raise ValueError(f"unknown kind {kind!r}")
+    _require_int(levels=levels, nmax=nmax)
     if levels < 1 or nmax < 1:
         raise ValueError("levels and nmax must be >= 1")
-    if kmax is not None and kmax < 1:
-        # no canonical threshold is below 1, so the sweep would be empty
-        raise ValueError(f"kmax must be >= 1, got {kmax}")
+    if kmax is not None:
+        _require_int(kmax=kmax)
+        if kmax < 1:
+            # no canonical threshold is below 1, so the sweep would be empty
+            raise ValueError(f"kmax must be >= 1, got {kmax}")
     for n in product(range(1, nmax + 1), repeat=levels):
-        ranges = [range(1, n[0] + 1)]
-        for i in range(1, levels):
-            if i < levels - 1:
-                ranges.append(range(1, n[i]))
-            elif kind == DISJUNCTIVE:
-                ranges.append(range(1, n[i] + 1))
-            else:
-                ranges.append(range(0, n[i]))
+        ranges = [range(1, n[0] + 1), *(range(1, c) for c in n[1:-1])]
+        if levels > 1:
+            ranges.append(range(1, n[-1] + 1) if kind == DISJUNCTIVE else range(n[-1]))
         for deltas in product(*ranges):
-            k = []
-            acc = 0
-            for d in deltas:
-                acc += d
-                k.append(acc)
+            k = tuple(accumulate(deltas))
             if kmax is not None and k[-1] > kmax:
                 continue
-            spec = HierSpec(kind, n, tuple(k))
+            spec = HierSpec(kind, n, k)
             if not _is_canonical(spec):
                 raise RuntimeError(f"sweep grid produced non-canonical {spec}")
             yield spec

@@ -15,7 +15,9 @@ from hiergames import (
     is_winning,
     level_relation,
     oracle_classify,
+    run_sweep,
     shift_maximal_losing,
+    sweep_specs,
 )
 
 
@@ -53,6 +55,51 @@ REJECTIONS = {
         lambda: level_relation(game((2, 2), [(1, 1)]), 0, 2),
         ValueError,
         "need two distinct levels in 0..1, got 0, 2",
+    ),
+    "level_relation_bool_index": (
+        lambda: level_relation(game((2, 2), [(1, 1)]), True, 0),
+        TypeError,
+        "i must be an int, got bool",
+    ),
+    "level_relation_float_index": (
+        lambda: level_relation(game((2, 2), [(1, 1)]), 0, 1.0),
+        TypeError,
+        "j must be an int, got float",
+    ),
+    "with_unit_bool_level": (
+        lambda: Coalition((1, 1)).with_unit(True),
+        TypeError,
+        "level must be an int, got bool",
+    ),
+    "with_unit_float_level": (
+        lambda: Coalition((1, 1)).with_unit(1.0),
+        TypeError,
+        "level must be an int, got float",
+    ),
+    "with_unit_bool_delta": (
+        lambda: Coalition((1, 1)).with_unit(0, True),
+        TypeError,
+        "delta must be an int, got bool",
+    ),
+    "sweep_specs_bool_levels": (
+        lambda: list(sweep_specs(DISJUNCTIVE, True, 2)),
+        TypeError,
+        "levels must be an int, got bool",
+    ),
+    "sweep_specs_float_nmax": (
+        lambda: list(sweep_specs(DISJUNCTIVE, 2, 2.0)),
+        TypeError,
+        "nmax must be an int, got float",
+    ),
+    "sweep_specs_bool_kmax": (
+        lambda: list(sweep_specs(DISJUNCTIVE, 2, 2, True)),
+        TypeError,
+        "kmax must be an int, got bool",
+    ),
+    "run_sweep_float_levels": (
+        lambda: run_sweep(DISJUNCTIVE, 2.0, 2, oracle=False),
+        TypeError,
+        "levels must be an int, got float",
     ),
     "is_winning_does_not_fit": (
         lambda: is_winning(game((2, 2), [(1, 1)]), Coalition((1, 1, 1))),

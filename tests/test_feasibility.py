@@ -196,6 +196,63 @@ class TestRuntimeGuards:
         with pytest.raises(RuntimeError, match="dual optimum"):
             sys.maximize([1])
 
+    def test_optimum_that_breaks_a_row(self, monkeypatch):
+        sys = LinearSystem(1)
+        sys.add_ge([1], 1)
+        sys.add_le([1], 3)
+
+        def fake(rows, target):
+            # a true witness x = 4/2 for feasibility, then x = 8/2 breaks
+            # x <= 3 although it attains its value 8/2 = target . pi
+            return (OPTIMAL, 0, (4,), 2) if target == (0,) else (OPTIMAL, 8, (8,), 2)
+
+        monkeypatch.setattr(feasibility, "_simplex_cone", fake)
+        assert sys.feasible_point() == (Fraction(2),)
+        with pytest.raises(RuntimeError, match="violates"):
+            sys.maximize([1])
+
+
+class TestOneRunPerQuestion:
+    """An optimum costs one simplex run; only an objective with no optimum
+    takes a second, zero-target run to tell infeasible from unbounded."""
+
+    def runs(self, monkeypatch, sys, objective):
+        targets = []
+        simplex = feasibility._simplex_cone
+
+        def counted(rows, target):
+            targets.append(target)
+            return simplex(rows, target)
+
+        monkeypatch.setattr(feasibility, "_simplex_cone", counted)
+        return sys.maximize(objective), sys.minimize(objective), targets
+
+    def test_bounded_optimum_takes_one_run(self, monkeypatch):
+        sys = LinearSystem(2)
+        sys.add_ge([1, 0], 0)
+        sys.add_ge([0, 1], 0)
+        sys.add_le([1, 2], 4)
+        sys.add_le([3, 1], 6)
+        top, bottom, targets = self.runs(monkeypatch, sys, [1, 1])
+        assert (top.status, top.value) == (OPTIMAL, Fraction(14, 5))
+        assert (bottom.status, bottom.value) == (OPTIMAL, 0)
+        assert targets == [(1, 1), (-1, -1)]
+
+    def test_unbounded_takes_two_runs(self, monkeypatch):
+        sys = LinearSystem(2)
+        sys.add_ge([1, -1], 0)
+        top, bottom, targets = self.runs(monkeypatch, sys, [1, 0])
+        assert top.status == bottom.status == UNBOUNDED
+        assert targets == [(1, 0), (0, 0), (-1, 0), (0, 0)]
+
+    def test_infeasible_takes_two_runs(self, monkeypatch):
+        sys = LinearSystem(1)
+        sys.add_ge([1], 2)
+        sys.add_le([1], 1)
+        top, bottom, targets = self.runs(monkeypatch, sys, [1])
+        assert top == bottom == feasibility.OptResult(INFEASIBLE, None, None)
+        assert targets == [(1,), (0,), (-1,), (0,)]
+
 
 class TestStandsAlone:
     def test_no_package_imports_and_no_fraction_in_the_simplex(self):
@@ -213,6 +270,18 @@ class TestStandsAlone:
         )
         names = {node.id for node in ast.walk(simplex) if isinstance(node, ast.Name)}
         assert "Fraction" not in names
+
+    def test_only_the_guarded_solve_runs_the_simplex(self):
+        # every run's witness passes _solve's guard: no entry point may
+        # reach _simplex_cone around it
+        tree = ast.parse(Path(feasibility.__file__).read_text(encoding="utf-8"))
+        callers = {
+            getattr(top, "name", "<module>")
+            for top in tree.body
+            for node in ast.walk(top)
+            if isinstance(node, ast.Name) and node.id == "_simplex_cone"
+        }
+        assert callers == {"_solve"}
 
 
 class TestPivotEngine:

@@ -30,6 +30,7 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations, product
 from operator import ge, mul
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -62,8 +63,13 @@ class EnumerationCapError(RuntimeError):
 
 
 def enumeration_cap() -> int:
-    """The enumeration cap, HIERGAME_ENUM_CAP if set, else the default."""
-    raw = os.environ.get(ENUM_CAP_ENV)
+    """The enumeration cap, HIERGAME_ENUM_CAP if set, else the default.
+    The environment is read on every call; a value is parsed once."""
+    return _parse_cap(os.environ.get(ENUM_CAP_ENV))
+
+
+@lru_cache(maxsize=1)
+def _parse_cap(raw: str | None) -> int:
     if raw is None:
         return DEFAULT_ENUM_CAP
     digits = raw.strip()
@@ -159,6 +165,9 @@ class Coalition:
 
     def with_unit(self, level: int, delta: int = 1) -> Coalition:
         _require_int(level=level, delta=delta)
+        m = len(self.counts)
+        if not 0 <= level < m:
+            raise ValueError(f"need a level in 0..{m - 1}, got {level}")
         new = list(self.counts)
         new[level] += delta
         return Coalition(tuple(new))
@@ -194,7 +203,8 @@ def _lattice(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
     == j (see _strides). Raises EnumerationCapError at the call, before
     anything is built, when there are more vectors than the enumeration cap.
     This is the one place the cap is read and checked; _win_bits and
-    hierarchy.realize call it for the check alone and drop the lazy iterator.
+    hierarchy.realize call it for the check alone and drop the iterator,
+    which builds nothing until its first vector is asked for.
     """
     limit = enumeration_cap()
     total = math.prod(c + 1 for c in counts)
@@ -202,7 +212,11 @@ def _lattice(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
         raise EnumerationCapError(
             f"universe {_levels_str(counts)} has {total} coalitions, cap is {limit}"
         )
-    return product(*(range(c + 1) for c in counts))
+    return _walk(counts)
+
+
+def _walk(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    yield from product(*(range(c + 1) for c in counts))
 
 
 def iter_coalitions(universe: Multiset) -> Iterator[Coalition]:
@@ -420,7 +434,8 @@ def _shift_extremal_points(
 def _scan_shift_extremal(
     game: ExplicitGame,
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]] | None:
-    """The body of _shift_extremal_points, read off the win mask.
+    """The body of _shift_extremal_points, read off the win mask that
+    _shift_extremal_points has just read through _win_bits.
 
     Moving a unit from level i to level j > i moves a point d = s_i - s_j
     bits down, so each question below is one masked shift of the win mask,
@@ -440,7 +455,7 @@ def _scan_shift_extremal(
     2(m - 1) + m(m - 1) + 2m shifts in all, then O(m) per member decoded.
     """
     strides, levels = _bit_levels(game.universe.counts)
-    win = _win_bits(game)
+    win = game.__dict__["_win"]
     *_, zero, full = zip(*levels)
     for i in range(len(levels) - 1):
         d = strides[i] - strides[i + 1]

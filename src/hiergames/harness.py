@@ -116,7 +116,8 @@ def sweep_specs(
     k_i - k_{i-1} over the canonical band (1..n_i-1 for middle levels;
     1..n_m disjunctive / 0..n_m-1 conjunctive for the last). kmax, when
     given, must be >= 1 and drops specs whose largest threshold exceeds it.
-    Deterministic lexicographic order.
+    Deterministic lexicographic order. The arguments are checked at the
+    call, before the first spec is asked for.
     """
     if kind not in (DISJUNCTIVE, CONJUNCTIVE):
         raise ValueError(f"unknown kind {kind!r}")
@@ -128,6 +129,11 @@ def sweep_specs(
         if kmax < 1:
             # no canonical threshold is below 1, so the sweep would be empty
             raise ValueError(f"kmax must be >= 1, got {kmax}")
+    return _grid(kind, levels, nmax, kmax)
+
+
+def _grid(kind: str, levels: int, nmax: int, kmax: Optional[int]) -> Iterator[HierSpec]:
+    """sweep_specs' specs, its arguments already checked."""
     for n in product(range(1, nmax + 1), repeat=levels):
         ranges = [range(1, n[0] + 1), *(range(1, c) for c in n[1:-1])]
         if levels > 1:

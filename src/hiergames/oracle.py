@@ -65,6 +65,17 @@ any other certificate or game is checked on every minimal winning and
 maximal losing coalition. Either way the comparisons are made in
 integers, the quota and weights times the lcm of their denominators.
 
+Trades, a corollary. Write P(X) for the prefix sums (X_1, X_1 + X_2,
+...) of a count vector and w_{m+1} = 0. Then w(X) = sum_j (w_j -
+w_{j+1}) P(X)_j, each coefficient >= 0 for weights w >= 0 with w_1 >=
+... >= w_m, so winning X_1, X_2 and losing Y_1, Y_2 with P(X_1) + P(X_2)
+<= P(Y_1) + P(Y_2) level by level give w(X_1) + w(X_2) <= w(Y_1) +
+w(Y_2). A weighted representation would make that 2q <= 2(q - 1), so by
+the lemma such a 2-trade refutes weightedness of a strictly ordered game
+without any LP. _two_trade looks for one among the shift-extremal rows,
+and oracle_classify goes straight to the rough system when it finds one
+(a canonical spec that is not weighted has one on every grid tested).
+
 Both row sets come from one builder, _separating_system. Its rows are the
 game's own count vectors as ints (the weighted system appends the quota
 variable), and the LP engine keeps every row as built: row j of the system
@@ -74,8 +85,9 @@ is the j-th row the builder writes, never rescaled or merged.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, combinations_with_replacement
 from math import lcm
-from operator import ge, mul
+from operator import add, ge, le, mul
 from typing import Optional, Sequence
 
 from .certificates import RoughCert
@@ -168,11 +180,30 @@ def _rough(game: ExplicitGame, extremal: Optional[_Extremal]) -> Optional[RoughC
     return RoughCert(0, max(units)) if units else None
 
 
+def _two_trade(extremal: _Extremal) -> Optional[tuple[tuple[int, ...], ...]]:
+    """Winning X_1, X_2 and losing Y_1, Y_2 among the shift-minimal winning
+    and shift-maximal losing rows, repeats allowed, whose prefix sums
+    satisfy P(X_1) + P(X_2) <= P(Y_1) + P(Y_2) level by level, or None:
+    the module docstring's refutation of weightedness."""
+    wins, losses = extremal
+    pairs = combinations_with_replacement
+    ceilings = [(list(accumulate(map(add, a, b))), a, b) for a, b in pairs(losses, 2)]
+    for x_1, x_2 in pairs(wins, 2):
+        floor = list(accumulate(map(add, x_1, x_2)))
+        for ceiling, y_1, y_2 in ceilings:
+            if all(map(le, floor, ceiling)):
+                return x_1, x_2, y_1, y_2
+    return None
+
+
 def _cascade(game: ExplicitGame, witness: bool) -> tuple[str, Optional[RoughCert]]:
     extremal = _checked(game, reduced=not witness)
-    cert = _weighted(game, extremal)
-    if cert is not None:
-        return "weighted", cert
+    # a trade rests on the lemma, so only the reduced rows of a strictly
+    # ordered game are searched; a witness never reads them
+    if extremal is None or _two_trade(extremal) is None:
+        cert = _weighted(game, extremal)
+        if cert is not None:
+            return "weighted", cert
     cert = _rough(game, extremal)
     return ("not_rough" if cert is None else "rough_not_weighted"), cert
 
@@ -205,7 +236,8 @@ def oracle_witness(game: ExplicitGame) -> tuple[str, Optional[RoughCert]]:
 def oracle_classify(game: ExplicitGame) -> str:
     """'weighted', 'rough_not_weighted', or 'not_rough': oracle_witness's
     class, decided without solving the full rows of a game whose levels are
-    strictly ordered."""
+    strictly ordered, and without its weighted LP when a 2-trade refutes
+    weightedness."""
     return _cascade(game, witness=False)[0]
 
 

@@ -81,6 +81,36 @@ REJECTIONS = {
         TypeError,
         "delta must be an int, got bool",
     ),
+    "with_unit_negative_level": (
+        lambda: Coalition((1, 1)).with_unit(-1),
+        ValueError,
+        "need a level in 0..1, got -1",
+    ),
+    "with_unit_level_past_the_end": (
+        lambda: Coalition((1, 1)).with_unit(2, -1),
+        ValueError,
+        "need a level in 0..1, got 2",
+    ),
+    "sweep_specs_at_the_call_unknown_kind": (
+        lambda: sweep_specs("weighted", 2, 2),
+        ValueError,
+        "unknown kind 'weighted'",
+    ),
+    "sweep_specs_at_the_call_bool_levels": (
+        lambda: sweep_specs(DISJUNCTIVE, True, 2),
+        TypeError,
+        "levels must be an int, got bool",
+    ),
+    "sweep_specs_at_the_call_zero_nmax": (
+        lambda: sweep_specs(DISJUNCTIVE, 2, 0),
+        ValueError,
+        "levels and nmax must be >= 1",
+    ),
+    "sweep_specs_at_the_call_zero_kmax": (
+        lambda: sweep_specs(DISJUNCTIVE, 2, 2, 0),
+        ValueError,
+        "kmax must be >= 1, got 0",
+    ),
     "sweep_specs_bool_levels": (
         lambda: list(sweep_specs(DISJUNCTIVE, True, 2)),
         TypeError,

@@ -383,6 +383,21 @@ class TestCapWithMemos:
         with pytest.raises(EnumerationCapError, match="has 64 coalitions, cap is 63"):
             read(game)
 
+    def test_each_read_checks_the_cap_once(self, monkeypatch):
+        # a cold read runs the kernel on the mask its own check let through
+        game = realize(TestCap.SPEC)
+        reads = []
+        cap = hiergames.core.enumeration_cap
+
+        def counting():
+            reads.append(cap())
+            return reads[-1]
+
+        monkeypatch.setattr(hiergames.core, "enumeration_cap", counting)
+        for _ in range(2):
+            assert _shift_extremal_points(game) is not None
+        assert "_shift_extremal" in game.__dict__ and len(reads) == 2
+
 
 class TestBitLayoutStaysInCore:
     """Only core reads the lattice bitset; hierarchy.realize alone writes one."""

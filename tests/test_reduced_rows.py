@@ -2,7 +2,9 @@
 ordered game is decided on its shift-extremal rows, and its witness is the
 full rows' vertex, so every class and every witness equals
 oracle_reference's. The certificate check reads the same rows when the
-weights are non-increasing, and every answer equals the reference's."""
+weights are non-increasing, and every answer equals the reference's. A
+2-trade among those rows refutes weightedness: wherever one is found it is
+checked coalition by coalition, and oracle_classify then makes one LP run."""
 
 import random
 from fractions import Fraction
@@ -17,22 +19,27 @@ import oracle_reference as oref
 from hiergames import (
     CONJUNCTIVE,
     DISJUNCTIVE,
+    Coalition,
     ExplicitGame,
+    HierSpec,
     Multiset,
     RoughCert,
     classify,
     dual_explicit,
     dual_spec,
+    is_winning,
     level_classes,
     oracle_classify,
+    oracle_weighted,
     oracle_witness,
     realize,
     special_players,
     sweep_specs,
     verify_representation,
 )
+from hiergames import feasibility
 from hiergames.core import _shift_extremal_points
-from hiergames.oracle import _separating_system
+from hiergames.oracle import _separating_system, _two_trade
 from test_lattice import valid_specs
 
 # canonical grids of both kinds, (levels, nmax): 2,790 specs in all
@@ -41,10 +48,32 @@ GRIDS = [(1, 6), (2, 6), (3, 4), (4, 3), (5, 2)]
 
 def assert_same_as_reference(game):
     """oracle_witness equals the full-row reference, class and vertex, and
-    oracle_classify its class."""
+    oracle_classify its class; a 2-trade, where one is found, refutes
+    weightedness. Returns the class."""
     expected = oref.witness(game)
     assert oracle_witness(game) == expected, game
     assert oracle_classify(game) == expected[0], game
+    assert_trade_refutes(game)
+    return expected[0]
+
+
+def trade_of(game):
+    extremal = _shift_extremal_points(game)
+    return None if extremal is None else _two_trade(extremal)
+
+
+def assert_trade_refutes(game):
+    """Where _two_trade finds X_1, X_2, Y_1, Y_2: the X win, the Y lose, the
+    prefix sums of X_1 + X_2 are at most those of Y_1 + Y_2 on every level,
+    and the full weighted system has no solution."""
+    trade = trade_of(game)
+    if trade is None:
+        return
+    x_1, x_2, y_1, y_2 = trade
+    assert [is_winning(game, Coalition(c)) for c in trade] == [True, True, False, False], game
+    for j in range(1, game.m + 1):
+        assert sum(x_1[:j]) + sum(x_2[:j]) <= sum(y_1[:j]) + sum(y_2[:j]), (game, trade)
+    assert oracle_weighted(game) is None, game
 
 
 def draw_game(data):
@@ -122,7 +151,9 @@ class TestAgainstFullRows:
         for spec in sweep_specs(kind, levels, nmax):
             game = realize(spec)
             assert _shift_extremal_points(game) is not None, spec
-            assert_same_as_reference(game)
+            game_class = assert_same_as_reference(game)
+            # found for every spec that is not weighted, never for one that is
+            assert (trade_of(game) is not None) == (game_class != "weighted"), spec
 
     @pytest.mark.parametrize("criterion,count", [(3, 1041), (6, 648)])
     def test_acceptance_pools(self, criterion, count):
@@ -197,3 +228,38 @@ class TestCertificateCheck:
             certs.append(RoughCert(quota, tuple(weights)))
         for checked in certs:
             assert_check_as_reference(game, checked)
+
+
+class TestOneRunPerStrictlyOrderedGame:
+    """oracle_classify makes one _simplex_cone run on a strictly ordered
+    game: the reduced weighted system on a weighted one, the reduced rough
+    system once a 2-trade refutes weightedness. oracle_witness still solves
+    the full rows, weighted first."""
+
+    @pytest.mark.parametrize(
+        "spec,game_class",
+        [
+            (HierSpec(DISJUNCTIVE, (3, 3), (2, 3)), "weighted"),
+            (HierSpec(DISJUNCTIVE, (3, 3, 3), (2, 3, 5)), "rough_not_weighted"),
+            (HierSpec(DISJUNCTIVE, (3, 2, 2, 3), (3, 4, 5, 7)), "not_rough"),
+        ],
+    )
+    def test_runs(self, spec, game_class, monkeypatch):
+        game = realize(spec)
+        extremal = _shift_extremal_points(game)
+        assert extremal is not None
+        solved = []
+        simplex = feasibility._simplex_cone
+
+        def counted(rows, target):
+            solved.append(rows)
+            return simplex(rows, target)
+
+        monkeypatch.setattr(feasibility, "_simplex_cone", counted)
+        weighted = game_class == "weighted"
+        assert oracle_classify(game) == game_class
+        assert solved == [_separating_system(game, weighted, extremal)._rows]
+        solved.clear()
+        assert oracle_witness(game)[0] == game_class
+        full = [_separating_system(game, True)._rows]
+        assert solved == (full if weighted else full + [_separating_system(game, False)._rows])

@@ -11,17 +11,18 @@ walks the coalition lattice.
 Inputs are validated at the public boundary (Multiset, Coalition,
 ExplicitGame, is_winning). Inside, a set of lattice points is one Python
 int, bit j standing for the point of index j in mixed-radix order (see
-_strides), so maximal_losing and hierarchy.realize work on the whole
-lattice with a few shift/AND operations and never build a tuple per
-point; only the coalitions they return are decoded and wrapped,
-unvalidated, by _coalition.
+_strides). Core alone writes and reads these bits: _prefix_game writes a
+game's win mask from the prefix rule that hierarchy.realize supplies, and
+maximal_losing reads it with a few shift/AND operations; neither builds a
+tuple per point, and only the coalitions they return are decoded and
+wrapped, unvalidated, by _coalition.
 
-Everything here is exact and deterministic. _lattice, the one walker
-(iter_coalitions), reads the enumeration cap (HIERGAME_ENUM_CAP) and checks
-it before anything is allocated, so that a typo in a universe cannot
-silently turn into a billion-element loop or a billion-bit int. _win_bits,
-the one gate to a game's win mask, checks it on every call. Values derived
-from a game are memoized on it by one rule, _memo.
+Everything here is exact and deterministic. _check_cap reads the
+enumeration cap (HIERGAME_ENUM_CAP) and checks it before anything is
+allocated, so that a typo in a universe cannot silently turn into a
+billion-element loop or a billion-bit int; iter_coalitions, _prefix_game
+and _win_bits, the one gate to a game's win mask, call it every time.
+Values derived from a game are memoized on it by one rule, _memo.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cache
 from itertools import combinations, product
 from operator import ge, mul
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -64,12 +65,8 @@ class EnumerationCapError(RuntimeError):
 
 def enumeration_cap() -> int:
     """The enumeration cap, HIERGAME_ENUM_CAP if set, else the default.
-    The environment is read on every call; a value is parsed once."""
-    return _parse_cap(os.environ.get(ENUM_CAP_ENV))
-
-
-@lru_cache(maxsize=1)
-def _parse_cap(raw: str | None) -> int:
+    The environment is read and parsed on every call."""
+    raw = os.environ.get(ENUM_CAP_ENV)
     if raw is None:
         return DEFAULT_ENUM_CAP
     digits = raw.strip()
@@ -196,36 +193,26 @@ def _strides(counts: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _lattice(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Every count vector x <= counts, in lexicographic order.
-
-    That is index order: the j-th vector is the x with sum(x_i * stride_i)
-    == j (see _strides). Raises EnumerationCapError at the call, before
-    anything is built, when there are more vectors than the enumeration cap.
-    This is the one place the cap is read and checked; _win_bits and
-    hierarchy.realize call it for the check alone and drop the iterator,
-    which builds nothing until its first vector is asked for.
-    """
+def _check_cap(counts: Sequence[int]) -> None:
+    """EnumerationCapError when the lattice of count vectors x <= counts has
+    more points than the enumeration cap, raised before anything is built.
+    The one reader of enumeration_cap() inside the library."""
     limit = enumeration_cap()
     total = math.prod(c + 1 for c in counts)
     if total > limit:
         raise EnumerationCapError(
             f"universe {_levels_str(counts)} has {total} coalitions, cap is {limit}"
         )
-    return _walk(counts)
-
-
-def _walk(counts: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    yield from product(*(range(c + 1) for c in counts))
 
 
 def iter_coalitions(universe: Multiset) -> Iterator[Coalition]:
     """All submultisets of the universe, in lexicographic count order.
 
-    Raises EnumerationCapError when the lattice has more members than the
-    enumeration cap.
+    Raises EnumerationCapError at the call when the lattice has more
+    members than the enumeration cap.
     """
-    return map(_coalition, _lattice(universe.counts))
+    _check_cap(universe.counts)
+    return map(_coalition, product(*(range(c + 1) for c in universe.counts)))
 
 
 def _covers(x: tuple[int, ...], w: tuple[int, ...]) -> bool:
@@ -263,6 +250,8 @@ class ExplicitGame:
     min_winning: frozenset[Coalition]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.universe, Multiset):
+            raise TypeError(f"universe must be Multiset, got {self.universe!r}")
         members = []
         for w in self.min_winning:
             if not isinstance(w, Coalition):
@@ -383,10 +372,36 @@ def _antichain_bits(levels: tuple[tuple[int, ...], ...], win: int) -> tuple[int,
     return minimal, losing
 
 
-def _game_of_bits(universe: Multiset, win: int) -> ExplicitGame:
-    """The game whose winning coalitions are the set bits of `win`, an
-    up-set of the lattice, with its win mask memoized (see _win_bits)."""
-    game = _explicit_game(universe, _decode(universe.counts, win, 0))
+def _prefix_game(universe: Multiset, bounds: Callable[[int, int], tuple[int, int]]) -> ExplicitGame:
+    """The game of a level-by-level prefix rule, its win mask memoized
+    (see _win_bits). Guarded by the enumeration cap.
+
+    bounds(i, p) -> (lo, hi) is the rule at level i once the levels before
+    it leave prefix sum p: a count a < lo loses, a >= hi wins, and any
+    other goes on to level i + 1 with prefix sum p + a; 0 <= lo <= hi <=
+    n_i + 1, and lo == hi on the last level. The mask is a binary string,
+    highest index first, of blocks memoized on (i, p), one bounds call
+    each: s_i ones per winning count, block(i + 1, p + a) per count a that
+    goes on, s_i zeros per losing count. The work is linear in the bits
+    written, at most product(n_i + 1) per level. The minimal winning
+    antichain is read off the mask with m shift/AND operations and decoded,
+    O(m) per member. No tuple lattice is built.
+    """
+    counts = universe.counts
+    _check_cap(counts)
+    strides, last = _strides(counts), len(counts) - 1
+
+    @cache
+    def block(i: int, p: int) -> str:
+        lo, hi = bounds(i, p)
+        n, s = counts[i], strides[i]
+        if i == last:  # s == 1 and lo == hi: no count goes on
+            return "1" * (n + 1 - hi) + "0" * lo
+        on = "".join([block(i + 1, p + a) for a in range(hi - 1, lo - 1, -1)])
+        return "1" * ((n + 1 - hi) * s) + on + "0" * (lo * s)
+
+    win = int(block(0, 0), 2)
+    game = _explicit_game(universe, _decode(counts, win, 0))
     game.__dict__["_win"] = win
     return game
 
@@ -394,9 +409,9 @@ def _game_of_bits(universe: Multiset, win: int) -> ExplicitGame:
 def _win_bits(game: ExplicitGame) -> int:
     """The one gate to the game's win mask, whose bit j is set iff the
     point of index j wins: the cap is checked on every call, then the mask
-    is memoized on the game; a game from _game_of_bits comes with it, any
+    is memoized on the game; a game from _prefix_game comes with it, any
     other is scanned once."""
-    _lattice(game.universe.counts)  # the cap, checked before any allocation
+    _check_cap(game.universe.counts)
     return _memo(game, "_win", _scan_win)
 
 

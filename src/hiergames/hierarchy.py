@@ -16,7 +16,6 @@ the levels they separated, without realizing the game.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import accumulate
 from operator import ge
 from typing import Iterable, Iterator, Optional
@@ -27,11 +26,9 @@ from .core import (
     Multiset,
     _coalition,
     _explicit_game,
-    _game_of_bits,
     _int_tuple,
-    _lattice,
+    _prefix_game,
     _shift_extremal_points,
-    _strides,
     level_classes,
     maximal_losing,
 )
@@ -121,37 +118,21 @@ def hier_is_winning(spec: HierSpec, coalition: Coalition) -> bool:
 def realize(spec: HierSpec) -> ExplicitGame:
     """Explicit game of a spec, with its win mask memoized.
 
-    The winning set is a lattice bitset (see core), written out as a binary
-    string from memoized blocks: the bits of the sub-lattice of levels i..m
-    depend only on the prefix sum p the levels before i leave, so
-    block(i, p) joins block(i + 1, p + a) over the level's counts a, while
-    the counts that decide the rule give a run of ones (disjunctive, won)
-    or zeros (conjunctive, lost); on the last level they decide it all.
-    Joining strings keeps the work linear in the bits written, at most
-    product(n_i + 1) per level, in at most (N + 1) * (N + m) block calls,
-    N = n_1 + ... + n_m. core._game_of_bits then reads the minimal winning
-    antichain off with m whole-lattice shift/AND operations and decodes its
-    members, O(m) each, and keeps the mask, from which maximal_losing
-    decodes its antichain on first read. No tuple lattice is built. Guarded
-    by the enumeration cap.
+    realize states the _prefix_wins rule level by level and core writes
+    the bits (core._prefix_game). At level i, after prefix sum p, x_i < cut
+    leaves X_i below k_i, so the bounds are (0, cut) disjunctive, (cut,
+    n_i + 1) conjunctive and (cut, cut) on the last level, where the
+    condition decides it all. Guarded by the enumeration cap.
     """
-    _lattice(spec.n)  # the cap, checked before any allocation
-    n, k, strides = spec.n, spec.k, _strides(spec.n)
-    disjunctive = spec.kind == DISJUNCTIVE
+    n, k, disjunctive = spec.n, spec.k, spec.kind == DISJUNCTIVE
 
-    @cache
-    def block(i: int, p: int) -> str:
-        # the _prefix_wins rule, one level at a time; bits highest index first
-        s = strides[i]
-        cut = min(max(k[i] - p, 0), n[i] + 1)  # x_i < cut leaves X_i below k_i
-        if i == len(n) - 1:  # s == 1, and the last condition decides
-            return "1" * (n[i] + 1 - cut) + "0" * cut
-        if disjunctive:
-            below = "".join([block(i + 1, p + a) for a in range(cut - 1, -1, -1)])
-            return "1" * ((n[i] + 1 - cut) * s) + below
-        return "".join([block(i + 1, p + a) for a in range(n[i], cut - 1, -1)]) + "0" * (cut * s)
+    def bounds(i: int, p: int) -> tuple[int, int]:
+        cut = min(max(k[i] - p, 0), n[i] + 1)
+        if i == len(n) - 1:
+            return cut, cut
+        return (0, cut) if disjunctive else (cut, n[i] + 1)
 
-    return _game_of_bits(spec.universe(), int(block(0, 0), 2))
+    return _prefix_game(spec.universe(), bounds)
 
 
 @dataclass(frozen=True)

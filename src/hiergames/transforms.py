@@ -47,6 +47,8 @@ class MinorStep:
     def __post_init__(self) -> None:
         if self.op not in (SUBGAME, REDUCED):
             raise ValueError(f"op must be {SUBGAME!r} or {REDUCED!r}, got {self.op!r}")
+        if not isinstance(self.removed, Coalition):
+            raise TypeError(f"removed must be Coalition, got {self.removed!r}")
 
 
 @dataclass(frozen=True)

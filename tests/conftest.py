@@ -7,27 +7,26 @@ import pytest
 
 import hiergames
 import hiergames.core
-import hiergames.hierarchy
 
 
 @pytest.fixture
 def off_lattice(monkeypatch):
-    """Make any walk of the coalition lattice fail the test.
+    """Make any access to the coalition lattice fail the test.
 
-    Every lattice scan goes through the one walker core._lattice, so it is
-    replaced wherever a hiergames module binds it; hierarchy.realize is
-    replaced too."""
+    Every lattice access (iter_coalitions, the win mask gate core._win_bits
+    and core._prefix_game, which hierarchy.realize calls) checks the cap
+    first through core._check_cap, which only core binds; it is replaced
+    there."""
 
-    def lattice(*args, **kwargs):
-        raise AssertionError("the coalition lattice was walked")
+    def check(*args, **kwargs):
+        raise AssertionError("the coalition lattice was reached")
 
-    walker = hiergames.core._lattice
+    checker = hiergames.core._check_cap
     patched = []
     for info in pkgutil.iter_modules(hiergames.__path__):
         module = importlib.import_module(f"hiergames.{info.name}")
         for name, value in list(vars(module).items()):
-            if value is walker:
-                monkeypatch.setattr(module, name, lattice)
+            if value is checker:
+                monkeypatch.setattr(module, name, check)
                 patched.append(info.name)
-    assert {"core", "hierarchy"} <= set(patched)
-    monkeypatch.setattr(hiergames.hierarchy, "realize", lattice)
+    assert patched == ["core"]

@@ -146,6 +146,16 @@ REJECTIONS = {
         TypeError,
         "min_winning entries must be Coalition, got (1,)",
     ),
+    "explicit_game_universe_not_a_multiset": (
+        lambda: ExplicitGame((2, 2), frozenset()),
+        TypeError,
+        "universe must be Multiset, got (2, 2)",
+    ),
+    "minor_step_removed_not_a_coalition": (
+        lambda: MinorStep("subgame", (1, 0)),
+        TypeError,
+        "removed must be Coalition, got (1, 0)",
+    ),
     "minor_step_unknown_op": (
         lambda: MinorStep("contract", Coalition((1,))),
         ValueError,

@@ -89,6 +89,11 @@ class TestEnumeration:
         with pytest.raises(EnumerationCapError):
             list(iter_coalitions(ms))
 
+    def test_cap_raised_at_the_call(self, monkeypatch):
+        monkeypatch.setenv("HIERGAME_ENUM_CAP", "5")
+        with pytest.raises(EnumerationCapError, match="has 6 coalitions, cap is 5"):
+            iter_coalitions(Multiset((2, 1)))
+
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("HIERGAME_ENUM_CAP", "5")
         assert enumeration_cap() == 5

@@ -313,7 +313,7 @@ class TestCap:
         assert peak < 2**20
 
     def test_no_public_callable_takes_a_cap(self):
-        # HIERGAME_ENUM_CAP is the one way to set the cap; only core._lattice reads it
+        # HIERGAME_ENUM_CAP is the one way to set the cap; only core._check_cap reads it
         checked = []
         for info in pkgutil.iter_modules(hiergames.__path__):
             module = importlib.import_module(f"hiergames.{info.name}")
@@ -400,9 +400,12 @@ class TestCapWithMemos:
 
 
 class TestBitLayoutStaysInCore:
-    """Only core reads the lattice bitset; hierarchy.realize alone writes one."""
+    """Only core writes and reads the lattice bitset and checks the cap;
+    hierarchy.realize alone hands core a prefix rule to write."""
 
     CORE_ONLY = {
+        "_check_cap",
+        "_strides",
         "_win_bits",
         "_bit_levels",
         "_antichain_bits",
@@ -411,7 +414,7 @@ class TestBitLayoutStaysInCore:
         "_scan_win",
         "_scan_shift_extremal",
     }
-    REALIZE_ONLY = {"_lattice", "_game_of_bits", "_strides"}
+    REALIZE_ONLY = {"_prefix_game"}
 
     @staticmethod
     def _tree(name):
@@ -436,6 +439,22 @@ class TestBitLayoutStaysInCore:
                 assert not used & self.REALIZE_ONLY, name
             if name == "oracle":
                 assert from_core == {"ExplicitGame", "_shift_extremal_points", "maximal_losing"}
+
+    ONE_UNIT = ExplicitGame(Multiset((2, 2)), frozenset({Coalition((1, 0))}))
+
+    @pytest.mark.parametrize(
+        "reach",
+        [
+            lambda: realize(HierSpec(DISJUNCTIVE, (2, 2), (1, 2))),
+            lambda: iter_coalitions(Multiset((2, 2))),
+            lambda: maximal_losing(TestBitLayoutStaysInCore.ONE_UNIT),
+            lambda: oracle_classify(TestBitLayoutStaysInCore.ONE_UNIT),
+        ],
+        ids=["realize", "iter_coalitions", "maximal_losing", "oracle_classify"],
+    )
+    def test_off_lattice_stops_every_access(self, reach, off_lattice):
+        with pytest.raises(AssertionError, match="the coalition lattice was reached"):
+            reach()
 
     def test_hierarchy_uses_the_layout_in_realize_alone(self):
         readers = {

@@ -13,9 +13,10 @@ ExplicitGame, is_winning). Inside, a set of lattice points is one Python
 int, bit j standing for the point of index j in mixed-radix order (see
 _strides). Core alone writes and reads these bits: _prefix_game writes a
 game's win mask from the prefix rule that hierarchy.realize supplies, and
-maximal_losing reads it with a few shift/AND operations; neither builds a
-tuple per point, and only the coalitions they return are decoded and
-wrapped, unvalidated, by _coalition.
+the game holds that mask alone; its min_winning and maximal_losing are
+read off it with a few shift/AND operations on first read. Nothing
+builds a tuple per point, and only the coalitions returned are decoded
+and wrapped, unvalidated, by _coalition.
 
 Everything here is exact and deterministic. _check_cap reads the
 enumeration cap (HIERGAME_ENUM_CAP) and checks it before anything is
@@ -243,7 +244,9 @@ class ExplicitGame:
     Four derived values are memoized on the instance by _memo, outside the
     dataclass fields, so equality and hashing do not see them: the win mask
     (_win_bits), maximal_losing's antichain, level_classes' desirability
-    classes (or None) and _shift_extremal_points' rows (or None).
+    classes (or None) and _shift_extremal_points' rows (or None). A game
+    from _prefix_game holds only its universe and win mask; its min_winning
+    is decoded on first read and memoized the same way (_DecodedOnRead).
     """
 
     universe: Multiset
@@ -265,6 +268,15 @@ class ExplicitGame:
     def m(self) -> int:
         return self.universe.m
 
+    def _ends_win(self) -> tuple[bool, bool]:
+        """Whether the empty and the full coalition win: read off the win
+        mask when the game carries one (bit 0, and any bit at all for an
+        up-set), else off min_winning. Never decodes, never checks the cap."""
+        win = self.__dict__.get("_win")
+        if win is None:
+            return any(w.size == 0 for w in self.min_winning), bool(self.min_winning)
+        return bool(win & 1), win != 0
+
 
 def _memo(game: ExplicitGame, name: str, compute: Callable[[ExplicitGame], Any]) -> Any:
     """compute(game), run on the first read only and kept in the game's
@@ -281,6 +293,23 @@ def _explicit_game(universe: Multiset, min_winning: frozenset[Coalition]) -> Exp
     game = object.__new__(ExplicitGame)
     game.__dict__.update(universe=universe, min_winning=min_winning)
     return game
+
+
+class _DecodedOnRead:
+    """ExplicitGame.min_winning as a non-data descriptor: an antichain kept
+    in the game's own __dict__ shadows it, so only a game holding its win
+    mask alone (_prefix_game) gets here, and it decodes the antichain off
+    the mask on first read, through _memo. Like a stored field, no cap."""
+
+    def __get__(self, game: ExplicitGame | None, owner: type | None = None) -> Any:
+        if game is None:
+            return self
+        return _memo(
+            game, "min_winning", lambda g: _decode(g.universe.counts, g.__dict__["_win"], 0)
+        )
+
+
+ExplicitGame.min_winning = _DecodedOnRead()  # type: ignore[assignment]
 
 
 def is_winning(game: ExplicitGame, coalition: Coalition) -> bool:
@@ -373,8 +402,9 @@ def _antichain_bits(levels: tuple[tuple[int, ...], ...], win: int) -> tuple[int,
 
 
 def _prefix_game(universe: Multiset, bounds: Callable[[int, int], tuple[int, int]]) -> ExplicitGame:
-    """The game of a level-by-level prefix rule, its win mask memoized
-    (see _win_bits). Guarded by the enumeration cap.
+    """The game of a level-by-level prefix rule, holding only its universe
+    and its win mask (see _win_bits); min_winning is decoded on first read
+    (_DecodedOnRead). Guarded by the enumeration cap.
 
     bounds(i, p) -> (lo, hi) is the rule at level i once the levels before
     it leave prefix sum p: a count a < lo loses, a >= hi wins, and any
@@ -383,9 +413,7 @@ def _prefix_game(universe: Multiset, bounds: Callable[[int, int], tuple[int, int
     highest index first, of blocks memoized on (i, p), one bounds call
     each: s_i ones per winning count, block(i + 1, p + a) per count a that
     goes on, s_i zeros per losing count. The work is linear in the bits
-    written, at most product(n_i + 1) per level. The minimal winning
-    antichain is read off the mask with m shift/AND operations and decoded,
-    O(m) per member. No tuple lattice is built.
+    written, at most product(n_i + 1) per level. No tuple lattice is built.
     """
     counts = universe.counts
     _check_cap(counts)
@@ -400,9 +428,8 @@ def _prefix_game(universe: Multiset, bounds: Callable[[int, int], tuple[int, int
         on = "".join([block(i + 1, p + a) for a in range(hi - 1, lo - 1, -1)])
         return "1" * ((n + 1 - hi) * s) + on + "0" * (lo * s)
 
-    win = int(block(0, 0), 2)
-    game = _explicit_game(universe, _decode(counts, win, 0))
-    game.__dict__["_win"] = win
+    game = object.__new__(ExplicitGame)
+    game.__dict__.update(universe=universe, _win=int(block(0, 0), 2))
     return game
 
 

@@ -65,6 +65,12 @@ any other certificate or game is checked on every minimal winning and
 maximal losing coalition. Either way the comparisons are made in
 integers, the quota and weights times the lcm of their denominators.
 
+Passers, a corollary. On a strictly ordered game only e_1 can be a
+winning unit: were e_i winning for some i > 1, every winner would still
+win with a level-1 unit moved to level i, so level i would be at least
+level 1. A winning e_1 is shift-minimal, every e_j with j > 1 losing, so
+branch B finds on the reduced rows the unit it finds on the full ones.
+
 Trades, a corollary. Write P(X) for the prefix sums (X_1, X_1 + X_2,
 ...) of a count vector and w_{m+1} = 0. Then w(X) = sum_j (w_j -
 w_{j+1}) P(X)_j, each coefficient >= 0 for weights w >= 0 with w_1 >=
@@ -113,9 +119,10 @@ def _checked(game: ExplicitGame, reduced: bool) -> Optional[_Extremal]:
     """The rows to decide the game on: its shift-extremal count vectors when
     `reduced` and its levels are strictly ordered, else None (the full
     rows); ValueError for a game no system here can separate."""
-    if not game.min_winning:
+    empty_wins, full_wins = game._ends_win()
+    if not full_wins:
         raise ValueError("game has no winning coalitions")
-    if any(w.size == 0 for w in game.min_winning):
+    if empty_wins:
         raise ValueError("game declares the empty coalition winning")
     return _shift_extremal_points(game) if reduced else None
 
@@ -175,8 +182,10 @@ def _rough(game: ExplicitGame, extremal: Optional[_Extremal]) -> Optional[RoughC
         return RoughCert(Fraction(1), point)
     # branch B: the lowest level whose single player wins alone; the empty
     # coalition loses (_checked), so that player is minimal winning, and its
-    # count vector, lexicographically the largest, is the indicator weighting
-    units = [w.counts for w in game.min_winning if w.size == 1]
+    # count vector, lexicographically the largest, is the indicator weighting.
+    # Among reduced rows it is e_1 or none (the module docstring's corollary)
+    wins = [w.counts for w in game.min_winning] if extremal is None else extremal[0]
+    units = [w for w in wins if sum(w) == 1]
     return RoughCert(0, max(units)) if units else None
 
 

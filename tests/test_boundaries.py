@@ -11,10 +11,12 @@ from hiergames import (
     LinearSystem,
     MinorStep,
     Multiset,
+    extremal_weight,
     hier_is_winning,
     is_winning,
     level_relation,
     oracle_classify,
+    oracle_witness,
     run_sweep,
     shift_maximal_losing,
     sweep_specs,
@@ -25,7 +27,33 @@ def game(counts, winning):
     return ExplicitGame(Multiset(counts), frozenset(Coalition(w) for w in winning))
 
 
+# a universe of 1001^3 lattice points, past the default enumeration cap: a
+# game where nothing wins and one where everything wins are refused as
+# trivial before the cap is checked
+PAST_THE_CAP = (10**3,) * 3
+TRIVIAL = {
+    "nothing_wins": (game(PAST_THE_CAP, []), "game has no winning coalitions"),
+    "everything_wins": (
+        game(PAST_THE_CAP, [(0, 0, 0)]),
+        "game declares the empty coalition winning",
+    ),
+}
+ORACLE_CALLS = {
+    "oracle_classify": oracle_classify,
+    "oracle_witness": oracle_witness,
+    "extremal_weight": lambda g: extremal_weight(g, (1, 1, 1), "min"),
+}
+
 REJECTIONS = {
+    f"{call}_past_the_cap_{trivial}": (
+        lambda call=call, trivial=trivial: ORACLE_CALLS[call](TRIVIAL[trivial][0]),
+        ValueError,
+        TRIVIAL[trivial][1],
+    )
+    for call in ORACLE_CALLS
+    for trivial in TRIVIAL
+}
+REJECTIONS |= {
     "oracle_classify_empty_winner": (
         lambda: oracle_classify(game((2, 2), [(0, 0)])),
         ValueError,

@@ -4,12 +4,16 @@ reference scans, the enumeration cap, how often the oracle paths scan a game's
 lattice, and how often recognition realizes a spec."""
 
 import ast
+import copy
+import dataclasses
 import importlib
 import inspect
 import json
+import pickle
 import pkgutil
 import tracemalloc
 from itertools import combinations, product
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -30,6 +34,7 @@ from hiergames import (
     canon_check,
     canonicalize_semantic,
     classify,
+    dual_spec,
     hier_is_winning,
     is_complete,
     iter_coalitions,
@@ -49,7 +54,7 @@ from hiergames import (
     verify_representation,
 )
 from hiergames.cli import main
-from hiergames.core import _shift_extremal_points
+from hiergames.core import _explicit_game, _shift_extremal_points
 from hiergames.feasibility import LinearSystem
 from hiergames.harness import _antichains
 from hiergames.oracle import _separating_system
@@ -121,6 +126,65 @@ class TestAgainstReference:
             assert game.min_winning == expected.min_winning, spec
             assert maximal_losing(game) == ref.maximal_losing(expected), spec
             assert_same_level_order(game)
+
+    @pytest.mark.parametrize("kind", [DISJUNCTIVE, CONJUNCTIVE])
+    @pytest.mark.parametrize("levels,nmax", GRIDS)
+    def test_decoded_antichain_is_invisible(self, kind, levels, nmax):
+        # a realized game holds its win mask alone until min_winning is
+        # read; equality, hashing and repr read it, deepcopy and pickle carry
+        # the mask-only game, and replace builds a game from the antichain,
+        # so each reads as a game built with the reference antichain in
+        # index order, the order in which the decoder yields it
+        duplicates = {
+            "realize": lambda game: game,
+            "deepcopy": copy.deepcopy,
+            "pickle": lambda game: pickle.loads(pickle.dumps(game)),
+        }
+        looks = {"eq": lambda game: game, "hash": hash, "repr": repr}
+        for spec in sweep_specs(kind, levels, nmax):
+            reference = ref.realize(spec)
+            in_order = sorted(reference.min_winning, key=attrgetter("counts"))
+            expected = _explicit_game(reference.universe, frozenset(in_order))
+            assert expected == reference, spec
+            for (how, duplicate), (name, look) in product(duplicates.items(), looks.items()):
+                game = duplicate(realize(spec))
+                assert "min_winning" not in vars(game), (spec, how)
+                assert look(game) == look(expected), (spec, how, name)
+                assert "min_winning" in vars(game), (spec, how)
+                assert look(game) == look(expected), (spec, how, name)
+            # the constructor re-minimizes, so the set order is replace's own
+            replaced, rebuilt = dataclasses.replace(realize(spec)), dataclasses.replace(expected)
+            assert "min_winning" in vars(replaced), spec
+            assert [look(replaced) for look in looks.values()] == [
+                look(rebuilt) for look in looks.values()
+            ], spec
+
+    def test_built_games_never_reach_the_descriptor(self, monkeypatch):
+        # every game that ExplicitGame(...) or a lattice scan builds holds
+        # its own antichain, which shadows the class-level decoder
+        class Unreachable:
+            def __get__(self, game, owner=None):
+                if game is None:
+                    return self
+                raise AssertionError("min_winning was decoded")
+
+        spec = HierSpec(DISJUNCTIVE, (2, 2, 2), (1, 3, 4))
+        expected = ref.realize(spec)
+        monkeypatch.setattr(ExplicitGame, "min_winning", Unreachable())
+        built = ExplicitGame(expected.universe, expected.min_winning)
+        for game in (
+            built,
+            dataclasses.replace(built),
+            copy.deepcopy(built),
+            pickle.loads(pickle.dumps(built)),
+        ):
+            assert game == expected and hash(game) == hash(expected)
+            assert repr(game) == repr(expected)
+            assert oracle_witness(game) == oracle_witness(expected)
+        assert oracle_witness(merge_levels(built))[0] == "weighted"
+        assert structural_scan(Multiset((2, 2, 2))).holds
+        with pytest.raises(AssertionError, match="min_winning was decoded"):
+            realize(spec).min_winning
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -567,7 +631,29 @@ class TestScanCounts:
         assert len(kernel_runs) == len(games)
         assert all(ran is game for ran, game in zip(kernel_runs, games))
         assert not any("_maximal_losing" in game.__dict__ for game in games)
+        # nor the minimal winning antichain, which realize no longer decodes
+        assert not any("min_winning" in game.__dict__ for game in games)
         assert_memo_kept(realized)
+
+    def test_oracle_m45_item_builds_the_level_masks_once(self, monkeypatch):
+        # classify, realize and oracle_classify on a 5-level criterion-6 spec
+        # and its dual: the oracle's shift-extremal kernel builds the level
+        # masks once per game, and nothing decodes min_winning
+        calls = []
+        bit_levels = hiergames.core._bit_levels
+
+        def counting(counts):
+            calls.append(counts)
+            return bit_levels(counts)
+
+        monkeypatch.setattr(hiergames.core, "_bit_levels", counting)
+        spec = HierSpec(DISJUNCTIVE, (2, 2, 3, 3, 2), (2, 3, 4, 5, 6))
+        games = []
+        for side in (spec, dual_spec(spec)):
+            games.append(realize(side))
+            assert classify(side).game_class == oracle_classify(games[-1]) == "not_rough"
+        assert calls == [game.universe.counts for game in games]
+        assert not any("min_winning" in game.__dict__ for game in games)
 
     def test_classify_oracle_scans_once(self, scanned, realized, tmp_path, capsys):
         path = tmp_path / "spec.json"

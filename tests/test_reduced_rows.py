@@ -39,7 +39,7 @@ from hiergames import (
 )
 from hiergames import feasibility
 from hiergames.core import _shift_extremal_points
-from hiergames.oracle import _separating_system, _two_trade
+from hiergames.oracle import _rough, _separating_system, _two_trade
 from test_lattice import valid_specs
 
 # canonical grids of both kinds, (levels, nmax): 2,790 specs in all
@@ -186,6 +186,36 @@ class TestAgainstFullRows:
         for weighted in (True, False):
             rows = _separating_system(game, weighted)._rows
             assert rows == oref.separating_system(game, weighted)._rows
+
+
+class TestPasserBranch:
+    """Branch B on the reduced rows: some shift-minimal winning row is a
+    unit exactly when a single player wins alone, and the certificate is
+    then e_1, the full rows' lexicographically largest winning unit."""
+
+    @pytest.mark.parametrize("kind", [DISJUNCTIVE, CONJUNCTIVE])
+    @pytest.mark.parametrize("levels,nmax", GRIDS)
+    def test_canonical_grids(self, kind, levels, nmax, monkeypatch):
+        games = [realize(spec) for spec in sweep_specs(kind, levels, nmax)]
+        passer = [bool(special_players(game).passers) for game in games]
+        for game, has_passer in zip(games, passer):
+            if not has_passer:
+                continue
+            reduced, full = _rough(game, _shift_extremal_points(game)), _rough(game, None)
+            # branch A solves on both row sets or on neither (the lemma),
+            # though at different vertices; branch B gives one certificate
+            assert (reduced.quota == 0) == (full.quota == 0), game
+            assert full.quota != 0 or reduced == full, game
+            assert oracle_witness(game) == oref.witness(game), game
+        # with branch A refused, every game with a passer takes branch B on
+        # both row sets, and every other game finds no certificate
+        monkeypatch.setattr(feasibility.LinearSystem, "feasible_point", lambda system: None)
+        for game, has_passer in zip(games, passer):
+            reduced = _rough(game, _shift_extremal_points(game))
+            assert reduced == _rough(game, None), game
+            assert (reduced is not None) == has_passer, game
+        # a canonical conjunctive game on m >= 3 levels needs k_{m-1} >= 2 players
+        assert any(passer) == (kind == DISJUNCTIVE or levels < 3)
 
 
 class TestCertificateCheck:

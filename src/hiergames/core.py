@@ -469,15 +469,15 @@ def _shift_extremal_points(
     (_win_bits), then the result is memoized on the game (None included),
     so the oracle and the certificate check share one _scan_shift_extremal
     per game. Callers must not mutate the lists."""
-    _win_bits(game)
-    return _memo(game, "_shift_extremal", _scan_shift_extremal)
+    win = _win_bits(game)
+    return _memo(game, "_shift_extremal", lambda g: _scan_shift_extremal(g, win))
 
 
 def _scan_shift_extremal(
-    game: ExplicitGame,
+    game: ExplicitGame, win: int
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]] | None:
-    """The body of _shift_extremal_points, read off the win mask that
-    _shift_extremal_points has just read through _win_bits.
+    """The body of _shift_extremal_points, read off `win`, the game's win
+    mask, which _shift_extremal_points has read through _win_bits.
 
     Moving a unit from level i to level j > i moves a point d = s_i - s_j
     bits down, so each question below is one masked shift of the win mask,
@@ -497,7 +497,6 @@ def _scan_shift_extremal(
     2(m - 1) + m(m - 1) + 2m shifts in all, then O(m) per member decoded.
     """
     strides, levels = _bit_levels(game.universe.counts)
-    win = game.__dict__["_win"]
     *_, zero, full = zip(*levels)
     for i in range(len(levels) - 1):
         d = strides[i] - strides[i + 1]

@@ -149,6 +149,8 @@ class LinearSystem:
 # hard stop on pivot count; Bland's rule prevents cycling, so reaching this
 # means a bug, not a hard instance
 _PIVOT_SAFETY = 50_000
+# Dantzig entering until the pivot count reaches this times (n + d), then Bland
+_BLAND_AFTER = 4
 
 
 def _simplex_cone(
@@ -218,7 +220,7 @@ def _simplex_cone(
             for y, row in zip(ybar, tab):
                 if y:
                     red = [r - y * a for r, a in zip(red, row)]
-            if pivots >= 4 * (n + d):
+            if pivots >= _BLAND_AFTER * (n + d):
                 entering = next((j for j, r in enumerate(red) if r < 0), -1)
             else:
                 best = min(red, default=0)

@@ -49,10 +49,9 @@ Witnesses come from the full rows alone. By the lemma the full system is
 infeasible exactly when the reduced one is, so oracle_weighted,
 oracle_rough and oracle_witness solve only the full system, whose vertex
 the golden files pin; oracle_classify never builds it for a strictly
-ordered game. A Farkas ray
-of the reduced system would carry multipliers on the monotone rows, so a
-refutation (a trading transform) is read off the full rows, solved only
-when one is asked for.
+ordered game. A Farkas ray of the reduced system would carry multipliers
+on the monotone rows, so a refutation (a trading transform) is read off
+the full rows, solved only when one is asked for.
 
 Verification, a corollary. Weights w >= 0 with w_1 >= ... >= w_m lose no
 weight by adding a unit or moving one up a level. Removing a unit or
@@ -82,10 +81,13 @@ without any LP. _two_trade looks for one among the shift-extremal rows,
 and oracle_classify goes straight to the rough system when it finds one
 (a canonical spec that is not weighted has one on every grid tested).
 
-Both row sets come from one builder, _separating_system. Its rows are the
-game's own count vectors as ints (the weighted system appends the quota
-variable), and the LP engine keeps every row as built: row j of the system
-is the j-th row the builder writes, never rescaled or merged.
+Every question reads one row set, chosen once by _rows: the reduced rows
+when they are asked for and the levels are strictly ordered, else the
+full rows. Below the public functions no helper sees the game: each takes
+m and those rows, so rows built some other way run the same code. A
+system's rows are the count vectors as ints (the weighted system appends
+the quota variable), and the LP engine keeps every row as built: row j of
+the system is the j-th row the builder writes, never rescaled or merged.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
 from math import lcm
 from operator import add, ge, le, mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .certificates import RoughCert
 from .core import ExplicitGame, _shift_extremal_points, maximal_losing
@@ -110,65 +112,60 @@ __all__ = [
 ]
 
 
-# the shift-minimal winning and shift-maximal losing count vectors of a game,
-# each sorted, as core._shift_extremal_points returns them
-_Extremal = tuple[list[tuple[int, ...]], list[tuple[int, ...]]]
+class _Rows(NamedTuple):
+    """Sorted winning and losing count vectors: shift-extremal or the antichains."""
+
+    wins: list[tuple[int, ...]]
+    losses: list[tuple[int, ...]]
+    reduced: bool
 
 
-def _checked(game: ExplicitGame, reduced: bool) -> Optional[_Extremal]:
-    """The rows to decide the game on: its shift-extremal count vectors when
-    `reduced` and its levels are strictly ordered, else None (the full
-    rows); ValueError for a game no system here can separate."""
+def _checked(game: ExplicitGame) -> None:
+    """ValueError for a game no system here can separate."""
     empty_wins, full_wins = game._ends_win()
     if not full_wins:
         raise ValueError("game has no winning coalitions")
     if empty_wins:
         raise ValueError("game declares the empty coalition winning")
-    return _shift_extremal_points(game) if reduced else None
 
 
-def _full_rows(game: ExplicitGame) -> _Extremal:
-    """The game's minimal winning and maximal losing count vectors, each sorted."""
+def _rows(game: ExplicitGame, reduced: bool) -> _Rows:
+    """Reduced rows if asked for and the levels are strictly ordered, else full rows."""
+    extremal = _shift_extremal_points(game) if reduced else None
+    if extremal is not None:
+        return _Rows(*extremal, True)
     wins, losses = game.min_winning, maximal_losing(game)
-    return sorted(w.counts for w in wins), sorted(x.counts for x in losses)
+    return _Rows(sorted(w.counts for w in wins), sorted(x.counts for x in losses), False)
 
 
-def _separating_system(
-    game: ExplicitGame,
-    weighted: bool,
-    extremal: Optional[_Extremal] = None,
-) -> LinearSystem:
+def _separating_system(m: int, rows: _Rows, weighted: bool) -> LinearSystem:
     """The weighted system (quota as the last variable) or the quota-1 rough
-    system of `game`, with w >= 0.
+    system on `rows` over m levels, with w >= 0.
 
-    Full rows (no `extremal`): sorted minimal winning, sorted maximal
-    losing, then the unit rows w_i >= 0. Reduced rows (`extremal`, the
-    shift-minimal winning and shift-maximal losing count vectors, sorted):
-    those two lists, the monotone rows w_i - w_{i+1} >= 0, then w_m >= 0.
-    The order fixes the simplex's pivots, and so the witnesses.
+    Full rows: sorted minimal winning, sorted maximal losing, then the unit
+    rows w_i >= 0. Reduced rows: sorted shift-minimal winning, sorted
+    shift-maximal losing, the monotone rows w_i - w_{i+1} >= 0, then
+    w_m >= 0. The order fixes the simplex's pivots, and so the witnesses.
     """
-    m = game.universe.m
     v = m + 1 if weighted else m
-    wins, losses = extremal or _full_rows(game)
-    if extremal is None:
-        signs = [(0,) * i + (-1,) + (0,) * (v - i - 1) for i in range(m)]
-    else:
+    if rows.reduced:
         signs = [(0,) * i + (-1, 1) + (0,) * (v - i - 2) for i in range(m - 1)]
         signs.append((0,) * (m - 1) + (-1,) + (0,) * (v - m))
+    else:
+        signs = [(0,) * i + (-1,) + (0,) * (v - i - 1) for i in range(m)]
     # stored as rows <= rhs: weighted -w(W) + q <= 0 and w(L) - q <= -1;
     # rough -w(W) <= -1 and w(L) <= 1
     (win_tail, lose_tail, win, lose) = ((1,), (-1,), 0, -1) if weighted else ((), (), -1, 1)
-    rows = [(tuple([-c for c in w]) + win_tail, win) for w in wins]
-    rows += [(x + lose_tail, lose) for x in losses]
-    rows += [(u, 0) for u in signs]
-    return LinearSystem._of_rows(v, rows)
+    built = [(tuple([-c for c in w]) + win_tail, win) for w in rows.wins]
+    built += [(x + lose_tail, lose) for x in rows.losses]
+    built += [(u, 0) for u in signs]
+    return LinearSystem._of_rows(v, built)
 
 
-def _weighted(game: ExplicitGame, extremal: Optional[_Extremal]) -> Optional[RoughCert]:
-    point = _separating_system(game, True, extremal).feasible_point()
+def _weighted(m: int, rows: _Rows) -> Optional[RoughCert]:
+    point = _separating_system(m, rows, True).feasible_point()
     if point is None:
         return None
-    m = game.universe.m
     weights, quota = point[:m], point[m]
     # the empty coalition is losing, so its maximal superset forces q >= 1
     if quota < 1:
@@ -176,28 +173,28 @@ def _weighted(game: ExplicitGame, extremal: Optional[_Extremal]) -> Optional[Rou
     return RoughCert(quota, weights)
 
 
-def _rough(game: ExplicitGame, extremal: Optional[_Extremal]) -> Optional[RoughCert]:
-    point = _separating_system(game, False, extremal).feasible_point()
+def _rough(m: int, rows: _Rows) -> Optional[RoughCert]:
+    point = _separating_system(m, rows, False).feasible_point()
     if point is not None:
         return RoughCert(Fraction(1), point)
     # branch B: the lowest level whose single player wins alone; the empty
     # coalition loses (_checked), so that player is minimal winning, and its
     # count vector, lexicographically the largest, is the indicator weighting.
     # Among reduced rows it is e_1 or none (the module docstring's corollary)
-    wins = [w.counts for w in game.min_winning] if extremal is None else extremal[0]
-    units = [w for w in wins if sum(w) == 1]
+    units = [w for w in rows.wins if sum(w) == 1]
     return RoughCert(0, max(units)) if units else None
 
 
-def _two_trade(extremal: _Extremal) -> Optional[tuple[tuple[int, ...], ...]]:
-    """Winning X_1, X_2 and losing Y_1, Y_2 among the shift-minimal winning
-    and shift-maximal losing rows, repeats allowed, whose prefix sums
-    satisfy P(X_1) + P(X_2) <= P(Y_1) + P(Y_2) level by level, or None:
-    the module docstring's refutation of weightedness."""
-    wins, losses = extremal
+def _two_trade(rows: _Rows) -> Optional[tuple[tuple[int, ...], ...]]:
+    """Winning X_1, X_2 and losing Y_1, Y_2 among reduced rows, repeats
+    allowed, whose prefix sums satisfy P(X_1) + P(X_2) <= P(Y_1) + P(Y_2)
+    level by level, or None: the module docstring's refutation of
+    weightedness. A trade rests on the lemma, so full rows give None."""
+    if not rows.reduced:
+        return None
     pairs = combinations_with_replacement
-    ceilings = [(list(accumulate(map(add, a, b))), a, b) for a, b in pairs(losses, 2)]
-    for x_1, x_2 in pairs(wins, 2):
+    ceilings = [(list(accumulate(map(add, a, b))), a, b) for a, b in pairs(rows.losses, 2)]
+    for x_1, x_2 in pairs(rows.wins, 2):
         floor = list(accumulate(map(add, x_1, x_2)))
         for ceiling, y_1, y_2 in ceilings:
             if all(map(le, floor, ceiling)):
@@ -205,15 +202,12 @@ def _two_trade(extremal: _Extremal) -> Optional[tuple[tuple[int, ...], ...]]:
     return None
 
 
-def _cascade(game: ExplicitGame, witness: bool) -> tuple[str, Optional[RoughCert]]:
-    extremal = _checked(game, reduced=not witness)
-    # a trade rests on the lemma, so only the reduced rows of a strictly
-    # ordered game are searched; a witness never reads them
-    if extremal is None or _two_trade(extremal) is None:
-        cert = _weighted(game, extremal)
+def _cascade(m: int, rows: _Rows) -> tuple[str, Optional[RoughCert]]:
+    if _two_trade(rows) is None:
+        cert = _weighted(m, rows)
         if cert is not None:
             return "weighted", cert
-    cert = _rough(game, extremal)
+    cert = _rough(m, rows)
     return ("not_rough" if cert is None else "rough_not_weighted"), cert
 
 
@@ -223,7 +217,8 @@ def oracle_weighted(game: ExplicitGame) -> Optional[RoughCert]:
     The returned certificate satisfies w(W) >= q for minimal winning W and
     w(L) <= q - 1 < q for maximal losing L.
     """
-    return _weighted(game, _checked(game, reduced=False))
+    _checked(game)
+    return _weighted(game.universe.m, _rows(game, reduced=False))
 
 
 def oracle_rough(game: ExplicitGame) -> Optional[RoughCert]:
@@ -233,13 +228,15 @@ def oracle_rough(game: ExplicitGame) -> Optional[RoughCert]:
     certificates (branch B). See the module docstring for why these two
     branches are exhaustive.
     """
-    return _rough(game, _checked(game, reduced=False))
+    _checked(game)
+    return _rough(game.universe.m, _rows(game, reduced=False))
 
 
 def oracle_witness(game: ExplicitGame) -> tuple[str, Optional[RoughCert]]:
     """The game's class by pure feasibility, the weighted LP deciding first,
     with the witness of that class (None for 'not_rough')."""
-    return _cascade(game, witness=True)
+    _checked(game)
+    return _cascade(game.universe.m, _rows(game, reduced=False))
 
 
 def oracle_classify(game: ExplicitGame) -> str:
@@ -247,7 +244,8 @@ def oracle_classify(game: ExplicitGame) -> str:
     class, decided without solving the full rows of a game whose levels are
     strictly ordered, and without its weighted LP when a 2-trade refutes
     weightedness."""
-    return _cascade(game, witness=False)[0]
+    _checked(game)
+    return _cascade(game.universe.m, _rows(game, reduced=True))[0]
 
 
 def verify_representation(game: ExplicitGame, cert: RoughCert, mode: str) -> bool:
@@ -273,11 +271,10 @@ def verify_representation(game: ExplicitGame, cert: RoughCert, mode: str) -> boo
     scale = lcm(cert.quota.denominator, *(w.denominator for w in cert.weights))
     weights = [w.numerator * (scale // w.denominator) for w in cert.weights]
     quota = cert.quota.numerator * (scale // cert.quota.denominator)
-    extremal = _shift_extremal_points(game) if all(map(ge, weights, weights[1:])) else None
-    wins, losses = extremal or _full_rows(game)
+    rows = _rows(game, reduced=all(map(ge, weights, weights[1:])))
     top = quota - 1 if mode == "weighted" else quota
-    return all(sum(map(mul, weights, w)) >= quota for w in wins) and all(
-        sum(map(mul, weights, x)) <= top for x in losses
+    return all(sum(map(mul, weights, w)) >= quota for w in rows.wins) and all(
+        sum(map(mul, weights, x)) <= top for x in rows.losses
     )
 
 
@@ -299,7 +296,8 @@ def extremal_weight(
     m = game.universe.m
     if len(objective) != m:
         raise ValueError(f"objective needs {m} coefficients, got {len(objective)}")
-    sys = _separating_system(game, False, _checked(game, reduced=True))
+    _checked(game)
+    sys = _separating_system(m, _rows(game, reduced=True), False)
     result = sys.minimize(objective) if sense == "min" else sys.maximize(objective)
     if result.status == INFEASIBLE:
         raise ValueError("game has no rough representation with quota 1")

@@ -390,6 +390,14 @@ class TestEnginesAgree:
             else:
                 assert res.value is None and res.point is None
 
+    def test_blands_rule_from_the_first_pivot(self, monkeypatch):
+        # the entering rule turns from Dantzig's to Bland's once the pivot
+        # count looks cyclic, which no other system here reaches; at 0 every
+        # pivot is Bland's, and both fuzz runs still match the reference
+        monkeypatch.setattr(feasibility, "_BLAND_AFTER", 0)
+        self.test_feasibility_agreement_fuzz()
+        self.test_optimum_agreement_fuzz()
+
 
 class TestBlowupHandoff:
     def test_wide_system_still_answers(self):

@@ -311,6 +311,11 @@ class TestCliMinor:
     def test_custom_requires_arguments(self, tmp_path, capsys):
         assert main(["minor", write_doc(tmp_path, EXAMPLE_DOC), "--op", "custom"]) == 2
 
+    def test_named_minor_needs_spec_document(self, tmp_path, capsys):
+        doc = {"universe": [2, 2], "min_winning": [[2, 0], [1, 2]]}
+        assert main(["minor", write_doc(tmp_path, doc), "--op", "cut_tail"]) == 2
+        assert "named minors need a spec document" in capsys.readouterr().err
+
 
 class TestCliSweepStructural:
     def test_sweep_json(self, capsys):
@@ -329,6 +334,43 @@ class TestCliSweepStructural:
         payload = json.loads(capsys.readouterr().out)
         assert payload["total_games"] == 8
         assert payload["holds"] is True
+
+    SWEEP = ["sweep", "--kind", "disjunctive", "--levels", "2", "--nmax", "2"]
+
+    def test_sweep_text_reports_skipped_specs(self, capsys, monkeypatch):
+        # only the 4-coalition lattice of n = (1, 1) fits under the cap
+        monkeypatch.setenv("HIERGAME_ENUM_CAP", "5")
+        assert main(self.SWEEP) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "  skipped (enumeration cap): 8" in lines
+        assert lines[-1] == "  disagreements: 0"
+
+    def test_sweep_text_reports_disagreements(self, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "oracle_classify", lambda game: "not_rough")
+        assert main(self.SWEEP) == 1
+        lines = capsys.readouterr().out.splitlines()
+        disagree = [line for line in lines if line.startswith("  DISAGREE: ")]
+        assert len(disagree) == 9
+        assert all(
+            line.endswith(" classifier=weighted oracle=not_rough cert_verified=True")
+            for line in disagree
+        )
+        assert lines[-1] == "  disagreements: 9"
+
+    def test_structural_reports_mismatches(self, capsys, monkeypatch):
+        # with disjunctive recovery refused, each of the 7 complete games
+        # with a unique shift-maximal losing coalition is a mismatch
+        monkeypatch.setattr(harness, "recover_disjunctive", lambda game: None)
+        assert main(["structural", "--universe", "1,2"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "equivalences hold: False" in lines
+        mismatches = [line for line in lines if line.startswith("  MISMATCH: universe=")]
+        assert len(mismatches) == 7
+        assert all(
+            line.endswith(" but disjunctive recovery=None")
+            and "unique shift-max losing=True" in line
+            for line in mismatches
+        )
 
 
 class TestCliErrors:

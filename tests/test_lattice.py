@@ -57,7 +57,7 @@ from hiergames.cli import main
 from hiergames.core import _explicit_game, _shift_extremal_points
 from hiergames.feasibility import LinearSystem
 from hiergames.harness import _antichains
-from hiergames.oracle import _separating_system
+from hiergames.oracle import _rows, _separating_system
 
 GRIDS = [(levels, 3) for levels in (1, 2, 3, 4)] + [(5, 2)]
 
@@ -551,9 +551,9 @@ def kernel_runs(monkeypatch):
     log = []
     kernel = hiergames.core._scan_shift_extremal
 
-    def counting(game):
+    def counting(game, win):
         log.append(game)
-        return kernel(game)
+        return kernel(game, win)
 
     monkeypatch.setattr(hiergames.core, "_scan_shift_extremal", counting)
     return log
@@ -695,7 +695,7 @@ class TestScanCounts:
 
         def kind(system):
             weighted = system.num_vars == game.universe.m + 1
-            full = system._rows == _separating_system(game, weighted)._rows
+            full = system._rows == _separating_system(game.m, _rows(game, False), weighted)._rows
             return ("weighted" if weighted else "rough"), ("full" if full else "reduced")
 
         # no system solved twice, and only the full rows for a witness

@@ -1,12 +1,14 @@
 """LP-backed classification oracle: certificates, verification, and
 extremal weights."""
 
+import ast
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import hiergames.oracle
 from hiergames import (
     CONJUNCTIVE,
     DISJUNCTIVE,
@@ -25,7 +27,7 @@ from hiergames import (
     realize,
     verify_representation,
 )
-from hiergames.oracle import _separating_system
+from hiergames.oracle import _rows, _separating_system
 
 
 def game(counts, winning):
@@ -249,7 +251,7 @@ class TestSeparatingSystemRows:
         wins = sorted(w.counts for w in g.min_winning)
         losses = sorted(x.counts for x in maximal_losing(g))
         units = [tuple(-int(j == i) for j in range(m + len(tail))) for i in range(m)]
-        rows = _separating_system(g, weighted)._rows
+        rows = _separating_system(m, _rows(g, False), weighted)._rows
         assert len(rows) == len(wins) + len(losses) + m
         assert rows == (
             [(tuple(-c for c in w + tail), -win) for w in wins]
@@ -262,10 +264,42 @@ class TestSeparatingSystemRows:
         # coalition is the empty one: its rough row reads 0 <= 1 as given
         g = game((1, 1), [(1, 0), (0, 1)])
         assert maximal_losing(g) == {Coalition((0, 0))}
-        assert _separating_system(g, False)._rows == [
+        assert _separating_system(2, _rows(g, False), False)._rows == [
             ((0, -1), -1), ((-1, 0), -1), ((0, 0), 1), ((-1, 0), 0), ((0, -1), 0),
         ]
-        assert _separating_system(g, True)._rows == [
+        assert _separating_system(2, _rows(g, False), True)._rows == [
             ((0, -1, 1), 0), ((-1, 0, 1), 0), ((0, 0, -1), -1),
             ((-1, 0, 0), 0), ((0, -1, 0), 0),
         ]
+
+
+class TestDecidesOnRows:
+    """Below its public functions the oracle reads rows, never the game:
+    _rows alone chooses them, and _cascade's caller picks the row set."""
+
+    @staticmethod
+    def functions():
+        tree = ast.parse(Path(hiergames.oracle.__file__).read_text(encoding="utf-8"))
+        return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    @staticmethod
+    def params(node):
+        """(name, annotation text) of each parameter."""
+        args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        return [(a.arg, ast.unparse(a.annotation) if a.annotation else "") for a in args]
+
+    def test_only_the_entry_points_take_a_game(self):
+        functions = self.functions()
+        takers = {
+            name
+            for name, node in functions.items()
+            if any(p == "game" or "ExplicitGame" in t for p, t in self.params(node))
+        }
+        assert takers == {"_checked", "_rows", *hiergames.oracle.__all__}
+        assert "_full_rows" not in functions
+
+    def test_cascade_has_no_flag(self):
+        cascade = self.functions()["_cascade"]
+        assert all(t != "bool" for _, t in self.params(cascade))
+        defaults = cascade.args.defaults + [d for d in cascade.args.kw_defaults if d]
+        assert not any(isinstance(d, ast.Constant) and isinstance(d.value, bool) for d in defaults)

@@ -39,7 +39,7 @@ from hiergames import (
 )
 from hiergames import feasibility
 from hiergames.core import _shift_extremal_points
-from hiergames.oracle import _rough, _separating_system, _two_trade
+from hiergames.oracle import _rough, _rows, _separating_system, _two_trade
 from test_lattice import valid_specs
 
 # canonical grids of both kinds, (levels, nmax): 2,790 specs in all
@@ -58,8 +58,7 @@ def assert_same_as_reference(game):
 
 
 def trade_of(game):
-    extremal = _shift_extremal_points(game)
-    return None if extremal is None else _two_trade(extremal)
+    return _two_trade(_rows(game, reduced=True))
 
 
 def assert_trade_refutes(game):
@@ -184,7 +183,7 @@ class TestAgainstFullRows:
         assert (_shift_extremal_points(game) is not None) == strict
         assert_same_as_reference(game)
         for weighted in (True, False):
-            rows = _separating_system(game, weighted)._rows
+            rows = _separating_system(game.m, _rows(game, False), weighted)._rows
             assert rows == oref.separating_system(game, weighted)._rows
 
 
@@ -201,7 +200,7 @@ class TestPasserBranch:
         for game, has_passer in zip(games, passer):
             if not has_passer:
                 continue
-            reduced, full = _rough(game, _shift_extremal_points(game)), _rough(game, None)
+            reduced, full = _rough(game.m, _rows(game, True)), _rough(game.m, _rows(game, False))
             # branch A solves on both row sets or on neither (the lemma),
             # though at different vertices; branch B gives one certificate
             assert (reduced.quota == 0) == (full.quota == 0), game
@@ -211,8 +210,8 @@ class TestPasserBranch:
         # both row sets, and every other game finds no certificate
         monkeypatch.setattr(feasibility.LinearSystem, "feasible_point", lambda system: None)
         for game, has_passer in zip(games, passer):
-            reduced = _rough(game, _shift_extremal_points(game))
-            assert reduced == _rough(game, None), game
+            reduced = _rough(game.m, _rows(game, True))
+            assert reduced == _rough(game.m, _rows(game, False)), game
             assert (reduced is not None) == has_passer, game
         # a canonical conjunctive game on m >= 3 levels needs k_{m-1} >= 2 players
         assert any(passer) == (kind == DISJUNCTIVE or levels < 3)
@@ -276,8 +275,8 @@ class TestOneRunPerStrictlyOrderedGame:
     )
     def test_runs(self, spec, game_class, monkeypatch):
         game = realize(spec)
-        extremal = _shift_extremal_points(game)
-        assert extremal is not None
+        rows = _rows(game, reduced=True)
+        assert rows.reduced
         solved = []
         simplex = feasibility._simplex_cone
 
@@ -288,8 +287,9 @@ class TestOneRunPerStrictlyOrderedGame:
         monkeypatch.setattr(feasibility, "_simplex_cone", counted)
         weighted = game_class == "weighted"
         assert oracle_classify(game) == game_class
-        assert solved == [_separating_system(game, weighted, extremal)._rows]
+        assert solved == [_separating_system(game.m, rows, weighted)._rows]
         solved.clear()
         assert oracle_witness(game)[0] == game_class
-        full = [_separating_system(game, True)._rows]
-        assert solved == (full if weighted else full + [_separating_system(game, False)._rows])
+        full = _rows(game, reduced=False)
+        systems = [_separating_system(game.m, full, w)._rows for w in (True, False)]
+        assert solved == (systems[:1] if weighted else systems)

@@ -13,17 +13,19 @@ ExplicitGame, is_winning). Inside, a set of lattice points is one Python
 int, bit j standing for the point of index j in mixed-radix order (see
 _strides). Core alone writes and reads these bits: _prefix_game writes a
 game's win mask from the prefix rule that hierarchy.realize supplies, and
-the game holds that mask alone; its min_winning and maximal_losing are
-read off it with a few shift/AND operations on first read. Nothing
-builds a tuple per point, and only the coalitions returned are decoded
-and wrapped, unvalidated, by _coalition.
+the game holds that mask alone. One whole-lattice pass per game,
+_read_lattice, reads that mask (or scans an explicit game's once) and
+keeps its minimal winning, maximal losing and shift-extremal points;
+min_winning, maximal_losing and _shift_extremal_points are read off that
+record. Nothing builds a tuple per point, and only the coalitions
+returned are decoded and wrapped, unvalidated, by _coalition.
 
 Everything here is exact and deterministic. _check_cap reads the
 enumeration cap (HIERGAME_ENUM_CAP) and checks it before anything is
 allocated, so that a typo in a universe cannot silently turn into a
 billion-element loop or a billion-bit int; iter_coalitions, _prefix_game
-and _win_bits, the one gate to a game's win mask, call it every time.
-Values derived from a game are memoized on it by one rule, _memo.
+and _lattice, the one gate to the pass, call it every time. Values
+derived from a game are memoized on it by one rule, _memo.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from enum import Enum
 from functools import cache
 from itertools import combinations, product
 from operator import ge, mul
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 __all__ = [
     "DEFAULT_ENUM_CAP",
@@ -241,12 +243,12 @@ class ExplicitGame:
     {empty coalition} (everything wins) are representable; most derived
     operations treat them as edge cases rather than rejecting them.
 
-    Four derived values are memoized on the instance by _memo, outside the
-    dataclass fields, so equality and hashing do not see them: the win mask
-    (_win_bits), maximal_losing's antichain, level_classes' desirability
-    classes (or None) and _shift_extremal_points' rows (or None). A game
-    from _prefix_game holds only its universe and win mask; its min_winning
-    is decoded on first read and memoized the same way (_DecodedOnRead).
+    Three derived values are memoized on the instance by _memo, outside the
+    dataclass fields, so equality and hashing do not see them: the record
+    of the lattice pass (_lattice), maximal_losing's antichain and
+    level_classes' desirability classes (or None). A game from _prefix_game
+    holds only its universe and win mask; its min_winning is decoded off
+    the pass on first read and memoized the same way (__getattr__).
     """
 
     universe: Multiset
@@ -277,6 +279,15 @@ class ExplicitGame:
             return any(w.size == 0 for w in self.min_winning), bool(self.min_winning)
         return bool(win & 1), win != 0
 
+    def __getattr__(self, name: str) -> Any:
+        """The fallback for min_winning: an antichain kept in the game's own
+        __dict__ shadows it, so only a game holding its win mask alone
+        (_prefix_game) gets here. Like a stored field, no cap is checked."""
+        if name != "min_winning" or "_win" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        strides, minimal, _, _ = _memo(self, "_lattice", _read_lattice)
+        return _memo(self, name, lambda g: frozenset(map(_coalition, _points(minimal, strides))))
+
 
 def _memo(game: ExplicitGame, name: str, compute: Callable[[ExplicitGame], Any]) -> Any:
     """compute(game), run on the first read only and kept in the game's
@@ -295,23 +306,6 @@ def _explicit_game(universe: Multiset, min_winning: frozenset[Coalition]) -> Exp
     return game
 
 
-class _DecodedOnRead:
-    """ExplicitGame.min_winning as a non-data descriptor: an antichain kept
-    in the game's own __dict__ shadows it, so only a game holding its win
-    mask alone (_prefix_game) gets here, and it decodes the antichain off
-    the mask on first read, through _memo. Like a stored field, no cap."""
-
-    def __get__(self, game: ExplicitGame | None, owner: type | None = None) -> Any:
-        if game is None:
-            return self
-        return _memo(
-            game, "min_winning", lambda g: _decode(g.universe.counts, g.__dict__["_win"], 0)
-        )
-
-
-ExplicitGame.min_winning = _DecodedOnRead()  # type: ignore[assignment]
-
-
 def is_winning(game: ExplicitGame, coalition: Coalition) -> bool:
     """True iff the coalition contains some minimal winning coalition."""
     if not game.universe.fits(coalition):
@@ -323,13 +317,15 @@ def is_winning(game: ExplicitGame, coalition: Coalition) -> bool:
 def maximal_losing(game: ExplicitGame) -> frozenset[Coalition]:
     """Antichain of losing coalitions all of whose strict supersets win.
 
-    The cap is checked on every call (_win_bits), and the antichain is
-    memoized on the game. It is read off the game's win mask with O(m)
-    whole-lattice shift/AND operations on product(n_i + 1) bits, then
-    decoded, O(m) per member. No tuple lattice is built.
+    The cap is checked on every call (_lattice), and the antichain is
+    memoized on the game. Its bits come from the lattice pass, O(m)
+    whole-lattice shift/AND operations on product(n_i + 1) bits, and are
+    decoded on first read, O(m) per member. No tuple lattice is built.
     """
-    win = _win_bits(game)
-    return _memo(game, "_maximal_losing", lambda g: _decode(g.universe.counts, win, 1))
+    strides, _, losing, _ = _lattice(game)
+    return _memo(
+        game, "_maximal_losing", lambda g: frozenset(map(_coalition, _points(losing, strides)))
+    )
 
 
 # ===== the lattice as a bitset =====
@@ -340,8 +336,13 @@ def maximal_losing(game: ExplicitGame) -> frozenset[Coalition]:
 # bitset left by s_i moves every point x to x + e_i, so whole-lattice
 # questions about neighbours become a few big-int shifts and ANDs.
 
+_Levels = tuple[tuple[int, ...], ...]
+_Points = list[tuple[int, ...]]
+_Extremal = Optional[tuple[_Points, _Points]]
+_Pass = tuple[tuple[int, ...], int, int, _Extremal]
 
-def _bit_levels(counts: Sequence[int]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+
+def _bit_levels(counts: Sequence[int]) -> tuple[tuple[int, ...], _Levels]:
     """The strides, and (n_i, s_i, rep_i, [x_i = 0], [x_i = n_i]) per level.
     rep_i has bit 0 of every s_i * (n_i + 1)-bit block set, so it marks the
     points with x_i = 0 and every later level at 0, and (rep_i << c * s_i) -
@@ -362,7 +363,7 @@ def _bit_levels(counts: Sequence[int]) -> tuple[tuple[int, ...], tuple[tuple[int
     return strides, tuple(out)
 
 
-def _points(bits: int, strides: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _points(bits: int, strides: tuple[int, ...]) -> _Points:
     """The count vectors at the set bits of a lattice bitset, in index
     order, which is lexicographic order."""
     out = []
@@ -378,14 +379,7 @@ def _points(bits: int, strides: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
-def _decode(counts: Sequence[int], win: int, which: int) -> frozenset[Coalition]:
-    """The minimal winning (which = 0) or maximal losing (which = 1)
-    coalitions of the up-set `win`, decoded."""
-    strides, levels = _bit_levels(counts)
-    return frozenset(map(_coalition, _points(_antichain_bits(levels, win)[which], strides)))
-
-
-def _antichain_bits(levels: tuple[tuple[int, ...], ...], win: int) -> tuple[int, int]:
+def _antichain_bits(levels: _Levels, win: int) -> tuple[int, int]:
     """Minimal winning and maximal losing bits of the up-set `win`.
 
     x is minimal winning iff it wins and x - e_i loses for every level with
@@ -403,8 +397,9 @@ def _antichain_bits(levels: tuple[tuple[int, ...], ...], win: int) -> tuple[int,
 
 def _prefix_game(universe: Multiset, bounds: Callable[[int, int], tuple[int, int]]) -> ExplicitGame:
     """The game of a level-by-level prefix rule, holding only its universe
-    and its win mask (see _win_bits); min_winning is decoded on first read
-    (_DecodedOnRead). Guarded by the enumeration cap.
+    and its win mask, bit j set iff the point of index j wins; min_winning
+    is decoded on first read (ExplicitGame.__getattr__). Guarded by the
+    enumeration cap.
 
     bounds(i, p) -> (lo, hi) is the rule at level i once the levels before
     it leave prefix sum p: a count a < lo loses, a >= hi wins, and any
@@ -433,20 +428,30 @@ def _prefix_game(universe: Multiset, bounds: Callable[[int, int], tuple[int, int
     return game
 
 
-def _win_bits(game: ExplicitGame) -> int:
-    """The one gate to the game's win mask, whose bit j is set iff the
-    point of index j wins: the cap is checked on every call, then the mask
-    is memoized on the game; a game from _prefix_game comes with it, any
-    other is scanned once."""
+def _lattice(game: ExplicitGame) -> _Pass:
+    """The one gate to a game's lattice: the cap is checked on every call,
+    then the one pass (_read_lattice) is memoized on the game."""
     _check_cap(game.universe.counts)
-    return _memo(game, "_win", _scan_win)
+    return _memo(game, "_lattice", _read_lattice)
 
 
-def _scan_win(game: ExplicitGame) -> int:
+def _read_lattice(game: ExplicitGame) -> _Pass:
+    """(strides, minimal winning bits, maximal losing bits, shift-extremal
+    points or None) of the game. The level masks are built once and live
+    only for the pass; a game from _prefix_game comes with its win mask,
+    any other is scanned once, and the mask is not kept."""
+    strides, levels = _bit_levels(game.universe.counts)
+    win = game.__dict__.get("_win")
+    if win is None:
+        win = _scan_win(game, strides, levels)
+    minimal, losing = _antichain_bits(levels, win)
+    return strides, minimal, losing, _scan_shift_extremal(strides, levels, win, minimal, losing)
+
+
+def _scan_win(game: ExplicitGame, strides: tuple[int, ...], levels: _Levels) -> int:
     """Win mask of any explicit game: set the minimal winning bits and
     close them upward level by level (shifts by 1, 2, 4, ... units of s_i,
     each restricted to the points that stay inside the lattice)."""
-    strides, levels = _bit_levels(game.universe.counts)
     table = bytearray(game.universe.coalition_count() // 8 + 1)
     for w in game.min_winning:
         j = sum(map(mul, w.counts, strides))
@@ -460,24 +465,19 @@ def _scan_win(game: ExplicitGame) -> int:
     return win
 
 
-def _shift_extremal_points(
-    game: ExplicitGame,
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]] | None:
+def _shift_extremal_points(game: ExplicitGame) -> _Extremal:
     """Shift-minimal winning and shift-maximal losing count vectors of the
     game, each in index order, or None unless every level i is strictly
-    more desirable than level i + 1. The cap is checked on every call
-    (_win_bits), then the result is memoized on the game (None included),
-    so the oracle and the certificate check share one _scan_shift_extremal
-    per game. Callers must not mutate the lists."""
-    win = _win_bits(game)
-    return _memo(game, "_shift_extremal", lambda g: _scan_shift_extremal(g, win))
+    more desirable than level i + 1, read off the lattice pass (_lattice,
+    which checks the cap). Callers must not mutate the lists."""
+    return _lattice(game)[3]
 
 
 def _scan_shift_extremal(
-    game: ExplicitGame, win: int
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]] | None:
-    """The body of _shift_extremal_points, read off `win`, the game's win
-    mask, which _shift_extremal_points has read through _win_bits.
+    strides: tuple[int, ...], levels: _Levels, win: int, minimal: int, losing: int
+) -> _Extremal:
+    """The shift-extremal step of the lattice pass, on the win mask `win`
+    and its minimal winning and maximal losing bits.
 
     Moving a unit from level i to level j > i moves a point d = s_i - s_j
     bits down, so each question below is one masked shift of the win mask,
@@ -490,13 +490,12 @@ def _scan_shift_extremal(
     some j > i + 1 had j >= i, then i + 1 >= ... >= j >= i, against
     i > i + 1.
 
-    Antichains: _antichain_bits ANDed with one shift per pair i < j. A
+    Antichains: the antichain bits ANDed with one shift per pair i < j. A
     minimal winning x is shift-minimal iff x - e_i + e_j loses wherever
     x_i > 0 and x_j < n_j; a maximal losing x is shift-maximal iff
     x + e_i - e_j wins wherever x_j > 0 and x_i < n_i. That is
-    2(m - 1) + m(m - 1) + 2m shifts in all, then O(m) per member decoded.
+    2(m - 1) + m(m - 1) shifts in all, then O(m) per member decoded.
     """
-    strides, levels = _bit_levels(game.universe.counts)
     *_, zero, full = zip(*levels)
     for i in range(len(levels) - 1):
         d = strides[i] - strides[i + 1]
@@ -504,7 +503,6 @@ def _scan_shift_extremal(
             return None  # not i >= i + 1
         if not (win & ~(zero[i] | full[i + 1])) >> d & ~win:
             return None  # i + 1 >= i as well: not strict
-    minimal, losing = _antichain_bits(levels, win)
     for i, j in combinations(range(len(levels)), 2):
         d = strides[i] - strides[j]
         minimal &= ~(win << d) | zero[i] | full[j]

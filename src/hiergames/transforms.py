@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .core import Coalition, ExplicitGame, Multiset, maximal_losing
+from .core import Coalition, ExplicitGame, Multiset, _int_tuple, maximal_losing
 from .hierarchy import DISJUNCTIVE, HierSpec, _is_canonical, truncate
 
 __all__ = [
@@ -67,11 +67,12 @@ def dual_explicit(game: ExplicitGame) -> ExplicitGame:
 
 
 def k_star(n: tuple[int, ...], k: tuple[int, ...]) -> tuple[int, ...]:
-    """Conjugated thresholds k*_i = N_i - k_i + 1. Involution for fixed n."""
+    """Conjugated thresholds k*_i = N_i - k_i + 1. Involution for fixed n.
+    n and k are checked as HierSpec checks them: positive int entries."""
     if len(n) != len(k):
         raise ValueError(f"n and k must be equal length, got {n} / {k}")
     prefixes = Multiset(n).prefix_totals()
-    out = _k_star(n, k)
+    out = _k_star(n, _int_tuple(k, "threshold", 1))
     if any(v < 1 for v in out):
         raise ValueError(f"thresholds {k} exceed prefixes {prefixes}, no conjugate")
     return out

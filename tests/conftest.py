@@ -13,10 +13,10 @@ import hiergames.core
 def off_lattice(monkeypatch):
     """Make any access to the coalition lattice fail the test.
 
-    Every lattice access (iter_coalitions, the win mask gate core._win_bits
-    and core._prefix_game, which hierarchy.realize calls) checks the cap
-    first through core._check_cap, which only core binds; it is replaced
-    there."""
+    Every lattice access (iter_coalitions, core._lattice, the one gate to
+    a game's whole-lattice pass, and core._prefix_game, which
+    hierarchy.realize calls) checks the cap first through core._check_cap,
+    which only core binds; it is replaced there."""
 
     def check(*args, **kwargs):
         raise AssertionError("the coalition lattice was reached")

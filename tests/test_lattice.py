@@ -161,16 +161,16 @@ class TestAgainstReference:
 
     def test_built_games_never_reach_the_descriptor(self, monkeypatch):
         # every game that ExplicitGame(...) or a lattice scan builds holds
-        # its own antichain, which shadows the class-level decoder
-        class Unreachable:
-            def __get__(self, game, owner=None):
-                if game is None:
-                    return self
+        # its own antichain, so the min_winning fallback, ExplicitGame's
+        # __getattr__, never runs for it
+        def unreachable(game, name):
+            if name == "min_winning":
                 raise AssertionError("min_winning was decoded")
+            raise AttributeError(name)
 
         spec = HierSpec(DISJUNCTIVE, (2, 2, 2), (1, 3, 4))
         expected = ref.realize(spec)
-        monkeypatch.setattr(ExplicitGame, "min_winning", Unreachable())
+        monkeypatch.setattr(ExplicitGame, "__getattr__", unreachable)
         built = ExplicitGame(expected.universe, expected.min_winning)
         for game in (
             built,
@@ -185,6 +185,27 @@ class TestAgainstReference:
         assert structural_scan(Multiset((2, 2, 2))).holds
         with pytest.raises(AssertionError, match="min_winning was decoded"):
             realize(spec).min_winning
+
+    def test_other_missing_attributes_raise_attribute_error(self):
+        # the fallback answers min_winning alone, and only on a game that
+        # holds its win mask; read or not, the mask-only game has no other
+        spec = HierSpec(DISJUNCTIVE, (2, 2, 2), (1, 3, 4))
+        built = ExplicitGame(spec.universe(), ref.realize(spec).min_winning)
+        unread, read = realize(spec), realize(spec)
+        assert read.min_winning == built.min_winning
+        for source in (built, unread, read):
+            for game in (
+                source,
+                copy.copy(source),
+                copy.deepcopy(source),
+                pickle.loads(pickle.dumps(source)),
+            ):
+                for name in ("max_winning", "minwinning", "_maximal_losing", "__setstate__"):
+                    with pytest.raises(AttributeError, match=name):
+                        getattr(game, name)
+        # a bare instance holds no mask, so min_winning is missing too
+        with pytest.raises(AttributeError, match="min_winning"):
+            object.__new__(ExplicitGame).min_winning
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -442,7 +463,7 @@ class TestCapWithMemos:
         game = realize(TestCap.SPEC)
         assert oracle_classify(game) == "rough_not_weighted"
         read(game)  # sets what this read memoizes, if anything
-        assert {"_win", "_shift_extremal"} <= set(game.__dict__)
+        assert {"_win", "_lattice"} <= set(game.__dict__)
         monkeypatch.setenv("HIERGAME_ENUM_CAP", "63")
         with pytest.raises(EnumerationCapError, match="has 64 coalitions, cap is 63"):
             read(game)
@@ -460,7 +481,7 @@ class TestCapWithMemos:
         monkeypatch.setattr(hiergames.core, "enumeration_cap", counting)
         for _ in range(2):
             assert _shift_extremal_points(game) is not None
-        assert "_shift_extremal" in game.__dict__ and len(reads) == 2
+        assert "_lattice" in game.__dict__ and len(reads) == 2
 
 
 class TestBitLayoutStaysInCore:
@@ -470,11 +491,11 @@ class TestBitLayoutStaysInCore:
     CORE_ONLY = {
         "_check_cap",
         "_strides",
-        "_win_bits",
+        "_lattice",
+        "_read_lattice",
         "_bit_levels",
         "_antichain_bits",
         "_points",
-        "_decode",
         "_scan_win",
         "_scan_shift_extremal",
     }
@@ -503,6 +524,19 @@ class TestBitLayoutStaysInCore:
                 assert not used & self.REALIZE_ONLY, name
             if name == "oracle":
                 assert from_core == {"ExplicitGame", "_shift_extremal_points", "maximal_losing"}
+
+    def test_one_gate_and_one_decoder(self):
+        # _lattice is the one gate and _read_lattice the one pass: no
+        # separate win-mask gate, antichain decoder or class-level
+        # min_winning descriptor
+        names = {
+            node.name
+            for node in self._tree("core").body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        assert self.CORE_ONLY <= names
+        assert not names & {"_win_bits", "_decode", "_DecodedOnRead"}
+        assert "min_winning" not in vars(ExplicitGame)
 
     ONE_UNIT = ExplicitGame(Multiset((2, 2)), frozenset({Coalition((1, 0))}))
 
@@ -537,9 +571,9 @@ def scanned(monkeypatch):
     log = []
     scan = hiergames.core._scan_win
 
-    def counting(game):
+    def counting(game, strides, levels):
         log.append(game)
-        return scan(game)
+        return scan(game, strides, levels)
 
     monkeypatch.setattr(hiergames.core, "_scan_win", counting)
     return log
@@ -547,16 +581,48 @@ def scanned(monkeypatch):
 
 @pytest.fixture
 def kernel_runs(monkeypatch):
-    """Every game the shift-extremal kernel body runs on."""
+    """Every game the lattice pass, and with it the shift-extremal kernel,
+    runs on."""
     log = []
-    kernel = hiergames.core._scan_shift_extremal
+    run = hiergames.core._read_lattice
 
-    def counting(game, win):
+    def counting(game):
         log.append(game)
-        return kernel(game, win)
+        return run(game)
 
-    monkeypatch.setattr(hiergames.core, "_scan_shift_extremal", counting)
+    monkeypatch.setattr(hiergames.core, "_read_lattice", counting)
     return log
+
+
+@pytest.fixture
+def pass_steps(monkeypatch):
+    """How often core builds the level masks (_bit_levels) and reads the
+    antichain bits off a win mask (_antichain_bits)."""
+    calls = {"_bit_levels": 0, "_antichain_bits": 0}
+
+    def counted(name):
+        real = getattr(hiergames.core, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counting
+
+    for name in calls:
+        monkeypatch.setattr(hiergames.core, name, counted(name))
+    return calls
+
+
+def assert_pass_record(game):
+    """The memoized pass holds (strides, minimal bits, losing bits, points
+    or None) and no level masks."""
+    strides, minimal, losing, points = game.__dict__["_lattice"]
+    assert strides == hiergames.core._strides(game.universe.counts)
+    assert type(minimal) is int and type(losing) is int
+    assert points is None or all(
+        type(rows) is list and all(type(x) is tuple for x in rows) for rows in points
+    )
 
 
 @pytest.fixture
@@ -634,6 +700,24 @@ class TestScanCounts:
         # nor the minimal winning antichain, which realize no longer decodes
         assert not any("min_winning" in game.__dict__ for game in games)
         assert_memo_kept(realized)
+
+    def test_structural_scan_runs_one_pass_per_game(self, pass_steps, kernel_runs):
+        # each complete game is merged, then its shift-extremal antichains
+        # and both recoveries read the one pass over the merged game
+        report = structural_scan(Multiset((2, 2, 2)))
+        assert report.complete_games == 378 and report.holds
+        assert pass_steps == {"_bit_levels": 378, "_antichain_bits": 378}
+        assert len(kernel_runs) == len({id(game) for game in kernel_runs}) == 378
+        for game in kernel_runs:
+            assert_pass_record(game)
+
+    def test_explicit_classify_runs_one_pass(self, pass_steps, kernel_runs, scanned, capsys):
+        path = Path(__file__).parent / "data" / "explicit_weighted.json"
+        assert main(["classify", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["class"] == "weighted"
+        assert pass_steps == {"_bit_levels": 1, "_antichain_bits": 1}
+        assert len(kernel_runs) == len(scanned) == 1
+        assert_pass_record(kernel_runs[0])
 
     def test_oracle_m45_item_builds_the_level_masks_once(self, monkeypatch):
         # classify, realize and oracle_classify on a 5-level criterion-6 spec

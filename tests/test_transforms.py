@@ -1,5 +1,6 @@
 """Duality (explicit and closed-form) and minor operations."""
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -157,7 +158,12 @@ class TestKStar:
             ((3, 0), (2, 3), ValueError, "universe count entries must be >= 1, got 0"),
             ((3, True), (2, 3), TypeError, "universe count entries must be ints, got True"),
             ((3, 3), (4, 7), ValueError, "thresholds (4, 7) exceed prefixes (3, 6), no conjugate"),
-            ((3, 3), (1, "a"), TypeError, "unsupported operand type(s) for -: 'int' and 'str'"),
+            ((3, 3), (1, "a"), TypeError, "threshold entries must be ints, got 'a'"),
+            ((2,), (1.5,), TypeError, "threshold entries must be ints, got 1.5"),
+            ((2,), (True,), TypeError, "threshold entries must be ints, got True"),
+            ((2,), (Fraction(1, 2),), TypeError, "threshold entries must be ints, got Fraction(1, 2)"),
+            ((2,), (0,), ValueError, "threshold entries must be >= 1, got 0"),
+            ((2,), (-1,), ValueError, "threshold entries must be >= 1, got -1"),
         ],
     )
     def test_rejections(self, n, k, error, message):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .core import Coalition
+from .core import Coalition, _int_text
 
 __all__ = ["Rational", "RoughCert", "as_rational", "rational_str", "parse_rational"]
 
@@ -24,12 +24,12 @@ Rational = Union[int, Fraction]
 
 
 def as_rational(value: Rational, what: str = "value") -> Fraction:
-    """Coerce int/Fraction to Fraction; reject floats and anything inexact."""
+    """An int or a Fraction, exactly (no subclass), as a Fraction; else TypeError."""
     if isinstance(value, bool):
         raise TypeError(f"{what} must be a rational, got bool")
-    if isinstance(value, int):
+    if type(value) is int:
         return Fraction(value)
-    if isinstance(value, Fraction):
+    if type(value) is Fraction:
         return value
     raise TypeError(f"{what} must be int or Fraction, got {type(value).__name__}")
 
@@ -40,20 +40,16 @@ def rational_str(value: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse what rational_str prints, 'p' or 'p/q', surrounding spaces
-    allowed: an optional '-', ASCII digits, and an optional '/' with a
-    positive ASCII-digit denominator. Anything else (decimals, '+', '_',
-    non-ASCII digits, a signed or zero denominator) raises ValueError, and
-    anything but a str raises TypeError."""
+    """Parse what rational_str prints, 'p' or 'p/q' with spaces around it:
+    core's integer-text rule for p, unsigned and positive for q. Anything
+    else raises ValueError, and anything but a str raises TypeError."""
     if not isinstance(text, str):
         raise TypeError(f"rational text must be str, got {type(text).__name__}")
     num, slash, den = text.strip().partition("/")
-    digits = num.removeprefix("-")
-    if not slash:
-        den = "1"
-    if not (digits.isascii() and digits.isdigit() and den.isascii() and den.isdigit() and int(den) > 0):
+    p, q = _int_text(num), (_int_text(den, signed=False) if slash else 1)
+    if p is None or not q:
         raise ValueError(f"not a rational p or p/q: {text!r}")
-    return Fraction(int(num), int(den))
+    return Fraction(p, q)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from typing import Any, Optional
 
 from .certificates import RoughCert
 from .classifier import ROUGH_NOT_WEIGHTED, Verdict, classify_rough
-from .core import Coalition, EnumerationCapError, Multiset
+from .core import Coalition, EnumerationCapError, Multiset, _int_text
 from .documents import (
     GameDocument,
     document_from_game,
@@ -178,11 +178,18 @@ def cmd_canon(args: argparse.Namespace) -> int:
 
 
 def _parse_counts(text: str) -> tuple[int, ...]:
-    # spaces around a field are fine; an empty field, "1_0" or "+1" is not
-    fields = [part.strip() for part in text.split(",")]
-    if not all(f.isascii() and f.isdigit() for f in fields):
+    # spaces around a field are fine; an empty field, a sign or "1_0" is not
+    counts = tuple(_int_text(part.strip(), signed=False) for part in text.split(","))
+    if None in counts:
         raise ValueError(f"expected comma-separated nonnegative integers, got {text!r}")
-    return tuple(map(int, fields))
+    return counts
+
+
+def _int_arg(text: str) -> int:
+    value = _int_text(text.strip())
+    if value is None:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return value
 
 
 def cmd_minor(args: argparse.Namespace) -> int:
@@ -195,6 +202,8 @@ def cmd_minor(args: argparse.Namespace) -> int:
         out = document_from_game(game, f"{args.step}({doc.name})" if doc.name else None)
         print(json.dumps(document_to_dict(out), indent=2))
         return 0
+    if args.A is not None or args.step is not None:
+        raise ValueError("--A and --step apply only to --op custom")
     if doc.spec is None:
         raise ValueError("named minors need a spec document (kind/n/k)")
     wanted = args.op
@@ -339,9 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="classify a canonical grid, cross-checking the oracle")
     p.add_argument("--kind", required=True, choices=["disjunctive", "conjunctive"])
-    p.add_argument("--levels", required=True, type=int)
-    p.add_argument("--nmax", required=True, type=int)
-    p.add_argument("--kmax", type=int, default=None)
+    p.add_argument("--levels", required=True, type=_int_arg)
+    p.add_argument("--nmax", required=True, type=_int_arg)
+    p.add_argument("--kmax", type=_int_arg, default=None)
     p.add_argument("--no-oracle", action="store_true", help="skip oracle cross-validation")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sweep)

@@ -72,20 +72,25 @@ def enumeration_cap() -> int:
     raw = os.environ.get(ENUM_CAP_ENV)
     if raw is None:
         return DEFAULT_ENUM_CAP
-    digits = raw.strip()
-    # the rule of cli._parse_counts: "1_0", "+5" and non-ASCII digits are refused
-    if not (digits.isascii() and digits.isdigit()):
+    cap = _int_text(raw.strip())
+    if cap is None:
         raise ValueError(f"{ENUM_CAP_ENV} must be an integer, got {raw!r}")
-    cap = int(digits)
     if cap <= 0:
         raise ValueError(f"{ENUM_CAP_ENV} must be positive, got {cap}")
     return cap
 
 
+def _int_text(text: str, signed: bool = True) -> Optional[int]:
+    """The one integer-text rule: an optional '-' (if signed), then ASCII
+    digits only; else None. Callers strip outer spaces and check the range."""
+    digits = text.removeprefix("-") if signed else text
+    return int(text) if digits.isascii() and digits.isdigit() else None
+
+
 def _int_tuple(values: Iterable[int], what: str, minimum: int) -> tuple[int, ...]:
     out = []
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, int):
+        if type(v) is not int:  # no bool, IntEnum or other int subclass
             raise TypeError(f"{what} entries must be ints, got {v!r}")
         if v < minimum:
             raise ValueError(f"{what} entries must be >= {minimum}, got {v}")

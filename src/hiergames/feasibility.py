@@ -86,9 +86,7 @@ class LinearSystem:
     def _add(self, coeffs: Sequence[int], rhs: int, negate: bool) -> None:
         if len(coeffs) != self.num_vars:
             raise ValueError(f"expected {self.num_vars} coefficients, got {len(coeffs)}")
-        row = (*coeffs, rhs)
-        if {*map(type, row)} != {int}:
-            _ints(row, "coefficients and bound")  # raises the TypeError
+        row = _ints((*coeffs, rhs), "coefficients and bound")
         if negate:
             row = tuple([-v for v in row])
         self._rows.append((row[:-1], row[-1]))

@@ -102,18 +102,12 @@ def dual_spec(spec: HierSpec) -> HierSpec:
 def minor(game: ExplicitGame, step: MinorStep) -> ExplicitGame:
     """Apply one minor step to an explicit game.
 
-    Raises ValueError if the removal exceeds some level's multiplicity or
-    removes every player. Levels emptied by the removal are dropped, so the
-    result may live on a universe with fewer levels.
+    Raises ValueError if the removal does not fit the universe or removes
+    every player. Levels emptied by the removal are dropped, so the result
+    may live on a universe with fewer levels.
     """
-    u = game.universe
-    r = step.removed
-    if len(r.counts) != u.m:
-        raise ValueError(f"removal {r} has wrong dimension for {u}")
-    if any(a > b for a, b in zip(r.counts, u.counts)):
-        raise ValueError(f"removal {r} exceeds multiplicities of {u}")
-    remaining = tuple(b - a for a, b in zip(r.counts, u.counts))
-    keep = [i for i in range(u.m) if remaining[i] > 0]
+    remaining = game.universe.complement(step.removed).counts
+    keep = [i for i, c in enumerate(remaining) if c > 0]
     if not keep:
         raise ValueError("minor removes every player")
 
@@ -128,7 +122,7 @@ def minor(game: ExplicitGame, step: MinorStep) -> ExplicitGame:
         ]
     else:
         members = [
-            project(tuple(max(0, a - b) for a, b in zip(w.counts, r.counts)))
+            project(tuple(max(0, a - b) for a, b in zip(w.counts, step.removed.counts)))
             for w in game.min_winning
         ]
     return ExplicitGame(Multiset(project(remaining).counts), frozenset(members))

@@ -1,6 +1,9 @@
 """Rejections at the public boundary: each malformed input raises its own
 exception type with its own message."""
 
+from enum import IntEnum
+from fractions import Fraction
+
 import pytest
 
 from hiergames import (
@@ -11,16 +14,19 @@ from hiergames import (
     LinearSystem,
     MinorStep,
     Multiset,
+    RoughCert,
     extremal_weight,
     hier_is_winning,
     is_winning,
     level_relation,
+    minor,
     oracle_classify,
     oracle_witness,
     run_sweep,
     shift_maximal_losing,
     sweep_specs,
 )
+from hiergames.certificates import as_rational
 
 
 def game(counts, winning):
@@ -53,7 +59,67 @@ REJECTIONS = {
     for call in ORACLE_CALLS
     for trivial in TRIVIAL
 }
+
+
+class Level(IntEnum):
+    TWO = 2
+
+
+class AlwaysAtLeast(int):
+    """An int whose >= always holds, so comparisons cannot be trusted."""
+
+    def __ge__(self, other):
+        return True
+
+
+class Unsigned(Fraction):
+    """A Fraction whose numerator hides its sign."""
+
+    @property
+    def numerator(self):
+        return abs(super().numerator)
+
+
+# only int itself is an int: a subclass would be stored as given or could
+# pass a check it fails (H_E(n=(2,), k=(3,)) was once certified weighted)
+INT_SUBCLASSES = {"intenum": Level.TWO, "int_subclass": AlwaysAtLeast(2)}
+INT_INTAKES = {
+    "hier_spec_count": (
+        lambda v: HierSpec(DISJUNCTIVE, (v,), (3,)),
+        "level count entries must be ints, got {v!r}",
+    ),
+    "hier_spec_threshold": (
+        lambda v: HierSpec(DISJUNCTIVE, (3,), (v,)),
+        "threshold entries must be ints, got {v!r}",
+    ),
+    "multiset_count": (lambda v: Multiset((v,)), "universe count entries must be ints, got {v!r}"),
+    "coalition_count": (lambda v: Coalition((v,)), "coalition count entries must be ints, got {v!r}"),
+    "as_rational": (
+        lambda v: as_rational(v, "weight"),
+        "weight must be int or Fraction, got {t}",
+    ),
+    "add_le_coefficient": (
+        lambda v: LinearSystem(1).add_le([v], 1),
+        "coefficients and bound must be ints, got {t}",
+    ),
+}
 REJECTIONS |= {
+    f"{intake}_{sub}": (
+        lambda call=call, v=v: call(v),
+        TypeError,
+        message.format(v=v, t=type(v).__name__),
+    )
+    for intake, (call, message) in INT_INTAKES.items()
+    for sub, v in INT_SUBCLASSES.items()
+}
+REJECTIONS |= {
+    # RoughCert once stored it as given, passed its sign checks and printed
+    # [q=1; w=(1)] for a quota of -1
+    "as_rational_fraction_subclass": (
+        lambda: RoughCert(Unsigned(-1), (Fraction(1),)),
+        TypeError,
+        "quota must be int or Fraction, got Unsigned",
+    ),
     "oracle_classify_empty_winner": (
         lambda: oracle_classify(game((2, 2), [(0, 0)])),
         ValueError,
@@ -73,6 +139,16 @@ REJECTIONS |= {
         lambda: Multiset((2, 2)).complement(Coalition((3, 0))),
         ValueError,
         "{1^3} is not a submultiset of {1^2,2^2}",
+    ),
+    "minor_removal_does_not_fit": (
+        lambda: minor(game((2, 2), [(1, 1)]), MinorStep("subgame", Coalition((0, 3)))),
+        ValueError,
+        "{2^3} is not a submultiset of {1^2,2^2}",
+    ),
+    "minor_removal_wrong_dimension": (
+        lambda: minor(game((2, 2), [(1, 1)]), MinorStep("reduced", Coalition((1, 0, 1)))),
+        ValueError,
+        "{1^1,3^1} is not a submultiset of {1^2,2^2}",
     ),
     "level_relation_equal_levels": (
         lambda: level_relation(game((2, 2), [(1, 1)]), 1, 1),

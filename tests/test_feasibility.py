@@ -163,8 +163,32 @@ class TestRowsKeptAsGiven:
 
 
 class TestRuntimeGuards:
-    """Both guards on the simplex's output fire, and still under -O: they
-    are checks that raise, not asserts."""
+    """The guards on the simplex and its output fire, and still under -O:
+    they are checks that raise, not asserts. The phase-1 guard ("phase 1
+    unbounded") is not forced here: only patching run(), an inner function
+    of _simplex_cone, could reach it."""
+
+    def test_pivot_limit(self, monkeypatch):
+        # with no pivot allowed, the first one trips the cycling guard
+        monkeypatch.setattr(feasibility, "_PIVOT_SAFETY", 0)
+        sys = LinearSystem(1)
+        sys.add_ge([1], 1)
+        with pytest.raises(RuntimeError, match="simplex pivot limit hit; cycling bug"):
+            sys.feasible_point()
+
+    def test_unbounded_dual_cone_on_a_feasible_system(self, monkeypatch):
+        # the objective's run reports the dual cone unbounded, which means
+        # no primal point, while the zero-target run finds one
+        real = feasibility._solve
+
+        def fake(rows, target):
+            return (UNBOUNDED, None, None) if any(target) else real(rows, target)
+
+        monkeypatch.setattr(feasibility, "_solve", fake)
+        sys = LinearSystem(1)
+        sys.add_le([1], 3)
+        with pytest.raises(RuntimeError, match="dual cone unbounded although the system is"):
+            sys.maximize([1])
 
     def test_witness_that_breaks_a_row(self, monkeypatch):
         sys = LinearSystem(1)

@@ -61,6 +61,12 @@ class TestSweepSpecs:
         assert len(specs) == 40
         assert all(s.k[-1] <= 3 for s in specs)
 
+    def test_non_canonical_grid_spec_is_a_bug(self, monkeypatch):
+        # the grid is canonical by construction; the guard catches a broken one
+        monkeypatch.setattr(harness, "_is_canonical", lambda spec: False)
+        with pytest.raises(RuntimeError, match="sweep grid produced non-canonical H_E"):
+            list(sweep_specs(DISJUNCTIVE, 1, 1))
+
     @pytest.mark.parametrize("kmax", [0, -1])
     def test_kmax_below_one_rejected(self, kmax):
         # every threshold is >= 1, so such a cap could only give an empty sweep
@@ -69,6 +75,21 @@ class TestSweepSpecs:
 
 
 class TestRunSweep:
+    def test_classify_rough_called_once_per_spec(self, monkeypatch):
+        # perfbench times each spec by wrapping harness.classify_rough, so
+        # the sweep must make exactly one such call per spec
+        calls = []
+        real = harness.classify_rough
+
+        def counting(spec):
+            calls.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(harness, "classify_rough", counting)
+        rep = run_sweep(CONJUNCTIVE, 3, 2)
+        assert len(rep.records) == 9
+        assert calls == [r.spec for r in rep.records]
+
     def test_small_grid_agrees_with_oracle(self):
         rep = run_sweep(DISJUNCTIVE, 2, 3)
         assert len(rep.records) == 36
@@ -311,6 +332,18 @@ class TestCliMinor:
     def test_custom_requires_arguments(self, tmp_path, capsys):
         assert main(["minor", write_doc(tmp_path, EXAMPLE_DOC), "--op", "custom"]) == 2
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--A", "1,0,0"], ["--step", "reduced"], ["--A", "1,0,0", "--step", "subgame"]],
+        ids=["A", "step", "both"],
+    )
+    def test_named_minor_refuses_custom_arguments(self, tmp_path, capsys, extra):
+        # cut_tail once ignored them, printed its own minor and exited 0
+        path = write_doc(tmp_path, EXAMPLE_DOC)
+        assert main(["minor", path, "--op", "cut_tail", *extra]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "--A and --step apply only to --op custom" in out.err
+
     def test_named_minor_needs_spec_document(self, tmp_path, capsys):
         doc = {"universe": [2, 2], "min_winning": [[2, 0], [1, 2]]}
         assert main(["minor", write_doc(tmp_path, doc), "--op", "cut_tail"]) == 2
@@ -357,18 +390,23 @@ class TestCliSweepStructural:
         )
         assert lines[-1] == "  disagreements: 9"
 
-    def test_structural_reports_mismatches(self, capsys, monkeypatch):
-        # with disjunctive recovery refused, each of the 7 complete games
-        # with a unique shift-maximal losing coalition is a mismatch
-        monkeypatch.setattr(harness, "recover_disjunctive", lambda game: None)
+    @pytest.mark.parametrize(
+        "kind,extremal",
+        [("disjunctive", "shift-max losing"), ("conjunctive", "shift-min winning")],
+        ids=["disjunctive", "conjunctive"],
+    )
+    def test_structural_reports_mismatches(self, capsys, monkeypatch, kind, extremal):
+        # with one kind's recovery refused, each of the 7 complete games with
+        # a unique shift-extremal coalition of that kind is a mismatch
+        monkeypatch.setattr(harness, f"recover_{kind}", lambda game: None)
         assert main(["structural", "--universe", "1,2"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert "equivalences hold: False" in lines
         mismatches = [line for line in lines if line.startswith("  MISMATCH: universe=")]
         assert len(mismatches) == 7
         assert all(
-            line.endswith(" but disjunctive recovery=None")
-            and "unique shift-max losing=True" in line
+            line.endswith(f" but {kind} recovery=None")
+            and f"unique {extremal}=True" in line
             for line in mismatches
         )
 
@@ -404,6 +442,32 @@ class TestCliErrors:
         assert code == 2
         out = capsys.readouterr()
         assert out.out == "" and "kmax must be >= 1" in out.err
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--levels", "1_0"),
+            ("--nmax", "+3"),
+            ("--nmax", "\uff13"),
+            ("--nmax", "3 0"),
+            ("--kmax", "1_0"),
+        ],
+        ids=["levels-underscore", "nmax-plus", "nmax-fullwidth", "nmax-inner-space",
+             "kmax-underscore"],
+    )
+    def test_sweep_coercible_flags_rejected(self, capsys, flag, value):
+        # int() read the first, second, third and last as 10, 3, 3 and 10,
+        # and the sweep ran with exit 0
+        flags = {"--levels": "1", "--nmax": "1", flag: value}
+        argv = ["sweep", "--kind", "disjunctive", *(x for kv in flags.items() for x in kv)]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and f"argument {flag}: expected an integer, got {value!r}" in out.err
+
+    def test_sweep_flag_spaces_allowed(self, capsys):
+        argv = ["sweep", "--kind", "disjunctive", "--levels", " 1 ", "--nmax", "2 ", "--json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 3
 
     @pytest.mark.parametrize(
         "n", [[3.9, 3, 3], "333", [True, 3, 3]], ids=["float", "string", "bool"]

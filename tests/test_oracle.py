@@ -15,6 +15,7 @@ from hiergames import (
     Coalition,
     ExplicitGame,
     HierSpec,
+    LinearSystem,
     Multiset,
     RoughCert,
     extremal_weight,
@@ -62,6 +63,16 @@ class TestOracleWeighted:
 
     def test_example_not_weighted(self):
         assert oracle_weighted(realize(EXAMPLE)) is None
+
+    def test_quota_below_one_is_a_bug(self, monkeypatch):
+        # the empty coalition loses, so a weighted witness with quota 0 can
+        # only come from a broken solver
+        def quota_zero(system):
+            return (Fraction(1),) * (system.num_vars - 1) + (Fraction(0),)
+
+        monkeypatch.setattr(LinearSystem, "feasible_point", quota_zero)
+        with pytest.raises(RuntimeError, match="weighted witness has quota 0 < 1"):
+            oracle_weighted(realize(HierSpec(DISJUNCTIVE, (2,), (1,))))
 
     def test_pairing_obstruction(self):
         # {1,2} and {3,4} win, their cross swaps lose: no weights can do that

@@ -44,7 +44,8 @@ Each case returns its tag together with its certificate, so a verdict is one
 pass over the law. Certificates are closed forms in (n, k), computed as
 integer numerators over one positive denominator (1 for weighted ones, whose
 gap is 1), conjunctive ones carried over from the dual spec on those
-integers; the verdict builds its one RoughCert from them at the end.
+integers; the verdict hands them to RoughCert._of_ints, which holds them as
+they are (in lowest terms), so classification builds no Fraction.
 Classification is O(m) and touches neither the coalition lattice nor the LP
 oracle.
 """
@@ -52,7 +53,6 @@ oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .certificates import RoughCert
@@ -245,11 +245,11 @@ def classify_rough(spec: HierSpec) -> Verdict:
     if weighted is not None:
         case, q, w = weighted
         if not conj:
-            return Verdict(WEIGHTED, f"Thm4({case})", RoughCert(q, w))
+            return Verdict(WEIGHTED, f"Thm4({case})", RoughCert._of_ints(1, q, w))
         if case in (2, 3):
             case = 2 if spec.k[1] == spec.k[0] + 1 else 3
         q = _across_duality(1, q, w, spec.n, 1)
-        return Verdict(WEIGHTED, f"Thm5({case})", RoughCert(q, w))
+        return Verdict(WEIGHTED, f"Thm5({case})", RoughCert._of_ints(1, q, w))
     rough = _rough_disj(n, k)
     notes: tuple[str, ...] = ()
     literal = _literal_conj_case(spec.n, spec.k) if conj else None
@@ -267,7 +267,7 @@ def classify_rough(spec: HierSpec) -> Verdict:
         if tag == "v":
             tag = "va" if spec.n[1] == spec.n[2] == 2 else "vb"
         q = _across_duality(d, q, w, spec.n, 0)
-    cert = RoughCert(Fraction(q, d), tuple(Fraction(x, d) for x in w))
+    cert = RoughCert._of_ints(d, q, w)
     return Verdict(ROUGH_NOT_WEIGHTED, f"Thm{13 if conj else 12}({tag})", cert, notes)
 
 

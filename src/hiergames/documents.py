@@ -99,12 +99,23 @@ def document_to_dict(doc: GameDocument) -> dict:
     return out
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object as a dict; a key given twice, at any depth, raises
+    ValueError where json would silently keep the last value."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ValueError(f"JSON object repeats the key {repeated!r}")
+    return out
+
+
 def load_document(path: str) -> GameDocument:
     """Read a document from a JSON file; '-' reads standard input."""
     try:
         if path == "-":
-            return parse_document(json.load(sys.stdin))
+            return parse_document(json.load(sys.stdin, object_pairs_hook=_unique_keys))
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_document(json.load(fh))
+            return parse_document(json.load(fh, object_pairs_hook=_unique_keys))
     except RecursionError as exc:
         raise ValueError(f"JSON document is nested too deeply: {exc}") from exc

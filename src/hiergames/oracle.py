@@ -62,7 +62,7 @@ shift-maximal losing one that weighs at least w(X). For such weights on a
 strictly ordered game those two antichains decide verify_representation;
 any other certificate or game is checked on every minimal winning and
 maximal losing coalition. Either way the comparisons are made in
-integers, the quota and weights times the lcm of their denominators.
+integers, the certificate's numerators over its one denominator.
 
 Passers, a corollary. On a strictly ordered game only e_1 can be a
 winning unit: were e_i winning for some i > 1, every winner would still
@@ -94,7 +94,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
-from math import lcm
 from operator import add, ge, le, mul
 from typing import NamedTuple, Optional, Sequence
 
@@ -260,17 +259,15 @@ def verify_representation(game: ExplicitGame, cert: RoughCert, mode: str) -> boo
     ordered game are checked on its shift-extremal rows alone (the module
     docstring's corollary), anything else on both antichains; a game where
     everything wins has no losing row, one where nothing wins no winning
-    row. All arithmetic is on ints: D, the lcm of the quota's and the
-    weights' denominators, clears them, and w(X) < q iff D w(X) <= D q - 1.
+    row. All arithmetic is on the certificate's int numerators over its one
+    denominator d > 0: w(X) < q iff d w(X) <= d q - 1.
     Raises EnumerationCapError when the game's lattice exceeds the cap.
     """
     if mode not in ("weighted", "rough"):
         raise ValueError(f"mode must be 'weighted' or 'rough', got {mode!r}")
     if cert.m != game.universe.m:
         raise ValueError(f"certificate has {cert.m} weights for {game.universe}")
-    scale = lcm(cert.quota.denominator, *(w.denominator for w in cert.weights))
-    weights = [w.numerator * (scale // w.denominator) for w in cert.weights]
-    quota = cert.quota.numerator * (scale // cert.quota.denominator)
+    weights, quota = cert._w, cert._q
     rows = _rows(game, reduced=all(map(ge, weights, weights[1:])))
     top = quota - 1 if mode == "weighted" else quota
     return all(sum(map(mul, weights, w)) >= quota for w in rows.wins) and all(

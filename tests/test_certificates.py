@@ -1,5 +1,8 @@
 """Exact-rational certificate objects and their text forms."""
 
+import copy
+import pickle
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -139,3 +142,80 @@ class TestRoughCert:
             str(RoughCert(Fraction(1), (Fraction(1, 2), Fraction(0))))
             == "[q=1; w=(1/2, 0)]"
         )
+
+
+class TestIntRepresentation:
+    """A certificate holds int numerators over one denominator in lowest
+    terms: the same values give the same form through either intake."""
+
+    def test_equal_across_intakes_and_denominators(self):
+        half = RoughCert(Fraction(1, 2), (Fraction(1, 4),))
+        same = [RoughCert._of_ints(4, 2, (1,)), RoughCert._of_ints(8, 4, (2,)),
+                RoughCert(Fraction(2, 4), [Fraction(3, 12)])]
+        for cert in same:
+            assert cert == half and hash(cert) == hash(half)
+            assert (cert._den, cert._q, cert._w) == (4, 2, (1,))
+        assert RoughCert(6, (3, 2)) == RoughCert._of_ints(3, 18, [9, 6])
+        assert hash(RoughCert(6, (3, 2))) == hash(RoughCert._of_ints(3, 18, (9, 6)))
+        assert RoughCert._of_ints(4, 2, (1,)) != RoughCert._of_ints(4, 2, (2,))
+        assert RoughCert._of_ints(4, 2, (1,)) != RoughCert._of_ints(4, 2, (1, 0))
+        assert half != (Fraction(1, 2), (Fraction(1, 4),))
+
+    def test_fractions_on_read(self):
+        cert = RoughCert._of_ints(8, 4, (2, 0))
+        assert type(cert.quota) is Fraction and cert.quota == Fraction(1, 2)
+        assert cert.weights == (Fraction(1, 4), Fraction(0))
+        assert all(type(w) is Fraction for w in cert.weights)
+        assert cert.m == 2
+        assert cert.weight_of(Coalition((2, 5))) == Fraction(1, 2)
+        assert repr(cert) == (
+            "RoughCert(quota=Fraction(1, 2), weights=(Fraction(1, 4), Fraction(0, 1)))"
+        )
+        assert str(cert) == "[q=1/2; w=(1/4, 0)]"
+        assert cert.to_dict() == {"quota": "1/2", "weights": ["1/4", "0"]}
+        assert str(RoughCert._of_ints(3, 6, (3, 1))) == "[q=2; w=(1, 1/3)]"
+
+    def test_copies_round_trip(self):
+        for cert in (RoughCert._of_ints(6, 6, (3, 2, 0)), RoughCert(0, (1, 0))):
+            for copied in (copy.copy(cert), copy.deepcopy(cert),
+                           pickle.loads(pickle.dumps(cert))):
+                assert type(copied) is RoughCert
+                assert copied == cert and hash(copied) == hash(cert)
+                assert str(copied) == str(cert)
+
+    def test_assignment_raises(self):
+        cert = RoughCert(1, (1,))
+        for name in ("quota", "weights", "_den", "_q", "_w", "other"):
+            with pytest.raises(AttributeError):
+                setattr(cert, name, 2)
+            with pytest.raises(AttributeError):
+                delattr(cert, name)
+        assert (cert._den, cert._q, cert._w) == (1, 1, (1,))
+
+    def test_int_intake_validation(self):
+        class Level(IntEnum):
+            ONE = 1
+
+        class Count(int):
+            pass
+
+        cases = [
+            ((True, 1, (1,)), TypeError, "den must be an int, got bool"),
+            ((Count(2), 1, (1,)), TypeError, "den must be an int, got Count"),
+            ((1, 0.5, (1,)), TypeError, "q must be an int, got float"),
+            ((1, Fraction(1), (1,)), TypeError, "q must be an int, got Fraction"),
+            ((1, 1, (1, False)), TypeError, "w entries must be ints, got False"),
+            ((1, 1, (Level.ONE,)), TypeError, "w entries must be ints, got <Level.ONE: 1>"),
+            ((2, 1, (Fraction(1, 2),)), TypeError,
+             "w entries must be ints, got Fraction(1, 2)"),
+            ((1, 1, (1, -2)), ValueError, "w entries must be >= 0, got -2"),
+            ((0, 1, (1,)), ValueError, "den must be > 0, got 0"),
+            ((-2, 1, (1,)), ValueError, "den must be > 0, got -2"),
+            ((1, -1, (1,)), ValueError, "q must be >= 0, got -1"),
+            ((1, 1, ()), ValueError, "certificate needs at least one weight"),
+            ((3, 0, (0, 0)), ValueError, "certificate must not be identically zero"),
+        ]
+        for args, error, message in cases:
+            with pytest.raises(error) as info:
+                RoughCert._of_ints(*args)
+            assert str(info.value) == message, args

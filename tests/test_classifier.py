@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import case_law_reference
+import hiergames.certificates
 import hiergames.classifier
 import hiergames.cli
 from hiergames import (
@@ -176,6 +177,36 @@ class TestCaseLawReference:
                     assert str(v.certificate) == str(cert), spec
                 total += 1
         assert total == 12519
+
+
+class TestBuildsNoFraction:
+    def test_verdicts_without_fraction(self, monkeypatch):
+        # classify, str and to_dict read the certificate's int numerators:
+        # with every way to a Fraction in certificates refused, the verdicts
+        # still equal the Fraction-built law's
+        big = HierSpec(DISJUNCTIVE, (100, 100, 100), (1, 2, 3))
+        specs = [
+            spec for kind in (DISJUNCTIVE, CONJUNCTIVE) for spec in sweep_specs(kind, 3, 3)
+        ] + [big, dual_spec(big)]
+        expected = [case_law_reference.classify_reference(spec) for spec in specs]
+
+        def refuse(*args):
+            raise AssertionError("a Fraction was built")
+
+        monkeypatch.setattr(hiergames.certificates, "as_rational", refuse)
+        monkeypatch.setattr(hiergames.certificates, "Fraction", refuse)
+        verdicts = [classify(spec) for spec in specs]
+        texts = [
+            None if v.certificate is None else (str(v.certificate), v.certificate.to_dict())
+            for v in verdicts
+        ]
+        monkeypatch.undo()
+        assert len(specs) == 218
+        for spec, v, text, (game_class, case, cert, notes) in zip(specs, verdicts, texts, expected):
+            assert (v.game_class, v.matched_case, v.certificate, v.notes) == (
+                game_class, case, cert, notes
+            ), spec
+            assert text == (None if cert is None else (str(cert), cert.to_dict())), spec
 
 
 class TestCertificateShape:

@@ -94,6 +94,22 @@ class TestLoadDocument:
         with pytest.raises(json.JSONDecodeError):
             load_document(str(path))
 
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ('{"kind":"disjunctive","n":[3],"k":[2],"n":[5]}', "n"),
+            ('{"universe":[2],"min_winning":[[1]],"name":"a","name":"a"}', "name"),
+            ('{"kind":"disjunctive","n":[3],"k":[2],"name":{"x":1,"y":2,"x":3}}', "x"),
+        ],
+        ids=["top", "same-value", "nested"],
+    )
+    def test_repeated_key_refused(self, tmp_path, text, key):
+        # json keeps the last value of a repeated key; a document may not repeat one
+        path = tmp_path / "twice.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"JSON object repeats the key '{key}'"):
+            load_document(str(path))
+
 
 class TestGameDocument:
     def test_exactly_one_side(self):

@@ -421,6 +421,14 @@ class TestCliErrors:
         path.write_text("{nope")
         assert main(["classify", str(path)]) == 2
 
+    def test_repeated_key(self, capsys, monkeypatch):
+        # once classified H_E(n=(5,), k=(2,)), the last "n", and exited 0
+        text = '{"kind":"disjunctive","n":[3],"k":[2],"n":[5]}'
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["classify", "-"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "repeats the key 'n'" in out.err
+
     def test_deeply_nested_json(self, tmp_path, capsys):
         # the decoder runs out of recursion long before the end of the file
         path = tmp_path / "deep.json"

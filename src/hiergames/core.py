@@ -91,7 +91,7 @@ def _int_tuple(values: Iterable[int], what: str, minimum: int) -> tuple[int, ...
     out = []
     for v in values:
         if type(v) is not int:  # no bool, IntEnum or other int subclass
-            raise TypeError(f"{what} entries must be ints, got {v!r}")
+            raise TypeError(f"{what} entries must be ints, got {v!r} of type {type(v).__name__}")
         if v < minimum:
             raise ValueError(f"{what} entries must be >= {minimum}, got {v}")
         out.append(v)

@@ -7,8 +7,10 @@ floating point anywhere: the answers here certify mathematical claims, so
 added (add_ge negates it), with no scaling and no dedupe, so row j is the
 j-th constraint the caller added. The tableau stays integral through
 integer-preserving pivots (Edmonds 1967; Bareiss 1968): the simplex returns
-integer numerators over one positive denominator, and a Fraction is built
-only for the values handed back to the caller.
+integer numerators over one positive denominator, and so does _solve, its
+one guarded entry. The public verbs build Fractions from those ints; the
+library's own callers read the numerators through
+LinearSystem._feasible_ints and build no Fraction.
 
 Provided verbs, each one guarded simplex run (_solve):
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 __all__ = ["LinearSystem", "OptResult"]
@@ -104,9 +107,19 @@ class LinearSystem:
         self._add(coeffs, rhs, negate=False)
         self._add(coeffs, rhs, negate=True)
 
+    def _feasible_ints(self) -> Optional[tuple[int, tuple[int, ...]]]:
+        """feasible_point as (denom, pi): the point pi / denom as int
+        numerators over one denominator denom > 0, or None."""
+        _, _, pi, denom = _solve(self._rows, (0,) * self.num_vars)
+        return None if pi is None else (denom, pi)
+
     def feasible_point(self) -> Optional[tuple[Fraction, ...]]:
         """Some exact solution of the system, or None if there is none."""
-        return _solve(self._rows, (0,) * self.num_vars)[2]
+        found = self._feasible_ints()
+        if found is None:
+            return None
+        denom, pi = found
+        return tuple([Fraction(p, denom) for p in pi])
 
     def minimize(self, objective: Sequence[int]) -> OptResult:
         return self._optimize(objective, sense=-1)
@@ -121,10 +134,11 @@ class LinearSystem:
         if len(objective) != self.num_vars:
             raise ValueError(f"expected {self.num_vars} objective coefficients")
         target = tuple(sense * c for c in _ints(objective, "objective"))
-        status, value, point = _solve(self._rows, target)
+        status, value, pi, denom = _solve(self._rows, target)
         if status == OPTIMAL:
-            return OptResult(OPTIMAL, sense * value, point)
-        if self.feasible_point() is None:
+            point = tuple([Fraction(p, denom) for p in pi])
+            return OptResult(OPTIMAL, Fraction(sense * value, denom), point)
+        if self._feasible_ints() is None:
             return OptResult(INFEASIBLE, None, None)
         if status != INFEASIBLE:
             raise RuntimeError("dual cone unbounded although the system is feasible")
@@ -169,10 +183,11 @@ def _simplex_cone(
     # for the coordinate-i equality at cost 0.
     sign = [1 if t >= 0 else -1 for t in target]
     tab: list[list[int]] = []
-    for i in range(d):
-        row = [sign[i] * coeffs[i] for coeffs, _ in rows]
+    columns = zip(*[coeffs for coeffs, _ in rows]) if rows else [()] * d
+    for i, column in enumerate(columns):
+        row = list(column) if sign[i] > 0 else [-a for a in column]
         row.extend(1 if t == i else 0 for t in range(d))
-        row.append(sign[i] * target[i])
+        row.append(abs(target[i]))
         tab.append(row)
     basis = list(range(n, n + d))
     denom = 1
@@ -241,12 +256,15 @@ def _simplex_cone(
                 return UNBOUNDED
             pivot(leave, entering)
 
-    # phase 1: drive the artificial variables to zero
-    phase1 = [0] * n + [1] * d
-    if run(phase1, stop_at_zero=True) != OPTIMAL:
-        raise RuntimeError("phase 1 unbounded although its objective is >= 0")
-    if sum(phase1[b] * row[rhs_col] for b, row in zip(basis, tab)) != 0:
-        return INFEASIBLE, None, None, denom
+    # phase 1: drive the artificial variables to zero. A zero target starts
+    # them all at zero, so phase 1 would stop at its first check and the
+    # infeasibility test below would read 0: both are skipped
+    if any(target):
+        phase1 = [0] * n + [1] * d
+        if run(phase1, stop_at_zero=True) != OPTIMAL:
+            raise RuntimeError("phase 1 unbounded although its objective is >= 0")
+        if sum(phase1[b] * row[rhs_col] for b, row in zip(basis, tab)) != 0:
+            return INFEASIBLE, None, None, denom
     # An artificial still sitting in the basis (at value zero) would poison
     # phase 2: a column whose ray only inflates artificials is not a real
     # ray. Kick each one out with a degenerate pivot (its rhs is zero, so
@@ -277,14 +295,17 @@ def _simplex_cone(
 
 def _solve(
     rows: list[_Row], target: tuple[int, ...]
-) -> tuple[str, Optional[Fraction], Optional[tuple[Fraction, ...]]]:
-    """One guarded _simplex_cone run: (status, value, point), None unless optimal."""
-    status, value, pi, denom = _simplex_cone(rows, target)
+) -> tuple[str, Optional[int], Optional[tuple[int, ...]], int]:
+    """One guarded _simplex_cone run, as ints: (status, value, pi, denom),
+    the optimum value / denom at the point pi / denom, denom > 0; value and
+    pi are None unless optimal."""
+    result = _simplex_cone(rows, target)
+    status, value, pi, denom = result
     if status != OPTIMAL:
-        return status, None, None
+        return result
     # run-time guard on numerators: missing a row or the optimum means a bad pivot
-    if any(sum(p * c for p, c in zip(pi, coeffs)) > rhs * denom for coeffs, rhs in rows):
+    if any(sum(map(mul, pi, coeffs)) > rhs * denom for coeffs, rhs in rows):
         raise RuntimeError("simplex witness violates the system; inexact pivot")
-    if sum(t * p for t, p in zip(target, pi)) != value:
+    if sum(map(mul, target, pi)) != value:
         raise RuntimeError("simplex multipliers miss the dual optimum; inexact pivot")
-    return OPTIMAL, Fraction(value, denom), tuple(Fraction(p, denom) for p in pi)
+    return result

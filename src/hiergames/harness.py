@@ -258,6 +258,11 @@ def structural_scan(universe: Multiset) -> StructuralReport:
     usmw = 0
     conj = 0
     mismatches: list[str] = []
+
+    def detail(members: frozenset[Coalition]) -> str:
+        # the replay text, built only for a mismatch
+        return f"universe={universe} min_winning={sorted(w.counts for w in members)}"
+
     for members in _antichains(coalitions):
         total += 1
         game = _explicit_game(universe, members)
@@ -274,14 +279,13 @@ def structural_scan(universe: Multiset) -> StructuralReport:
         usmw += unique_min
         disj += d is not None
         conj += c is not None
-        detail = f"universe={universe} min_winning={sorted(w.counts for w in members)}"
         if unique_max != (d is not None):
             mismatches.append(
-                f"{detail}: unique shift-max losing={unique_max} but disjunctive recovery={d}"
+                f"{detail(members)}: unique shift-max losing={unique_max} but disjunctive recovery={d}"
             )
         if unique_min != (c is not None):
             mismatches.append(
-                f"{detail}: unique shift-min winning={unique_min} but conjunctive recovery={c}"
+                f"{detail(members)}: unique shift-min winning={unique_min} but conjunctive recovery={c}"
             )
     return StructuralReport(
         universe=universe,

@@ -51,7 +51,10 @@ oracle_rough and oracle_witness solve only the full system, whose vertex
 the golden files pin; oracle_classify never builds it for a strictly
 ordered game. A Farkas ray of the reduced system would carry multipliers
 on the monotone rows, so a refutation (a trading transform) is read off
-the full rows, solved only when one is asked for.
+the full rows, solved only when one is asked for. The LP engine hands a
+witness back as int numerators over one positive denominator, and the
+certificate is built from those ints (RoughCert._of_ints), so deciding a
+game builds no Fraction.
 
 Verification, a corollary. Weights w >= 0 with w_1 >= ... >= w_m lose no
 weight by adding a unit or moving one up a level. Removing a unit or
@@ -162,26 +165,27 @@ def _separating_system(m: int, rows: _Rows, weighted: bool) -> LinearSystem:
 
 
 def _weighted(m: int, rows: _Rows) -> Optional[RoughCert]:
-    point = _separating_system(m, rows, True).feasible_point()
-    if point is None:
+    found = _separating_system(m, rows, True)._feasible_ints()
+    if found is None:
         return None
-    weights, quota = point[:m], point[m]
+    denom, pi = found
     # the empty coalition is losing, so its maximal superset forces q >= 1
-    if quota < 1:
-        raise RuntimeError(f"weighted witness has quota {quota} < 1")
-    return RoughCert(quota, weights)
+    if pi[m] < denom:
+        raise RuntimeError(f"weighted witness has quota {Fraction(pi[m], denom)} < 1")
+    return RoughCert._of_ints(denom, pi[m], pi[:m])
 
 
 def _rough(m: int, rows: _Rows) -> Optional[RoughCert]:
-    point = _separating_system(m, rows, False).feasible_point()
-    if point is not None:
-        return RoughCert(Fraction(1), point)
+    found = _separating_system(m, rows, False)._feasible_ints()
+    if found is not None:
+        denom, pi = found
+        return RoughCert._of_ints(denom, denom, pi)
     # branch B: the lowest level whose single player wins alone; the empty
     # coalition loses (_checked), so that player is minimal winning, and its
     # count vector, lexicographically the largest, is the indicator weighting.
     # Among reduced rows it is e_1 or none (the module docstring's corollary)
     units = [w for w in rows.wins if sum(w) == 1]
-    return RoughCert(0, max(units)) if units else None
+    return RoughCert._of_ints(1, 0, max(units)) if units else None
 
 
 def _two_trade(rows: _Rows) -> Optional[tuple[tuple[int, ...], ...]]:

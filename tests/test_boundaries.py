@@ -86,14 +86,20 @@ INT_SUBCLASSES = {"intenum": Level.TWO, "int_subclass": AlwaysAtLeast(2)}
 INT_INTAKES = {
     "hier_spec_count": (
         lambda v: HierSpec(DISJUNCTIVE, (v,), (3,)),
-        "level count entries must be ints, got {v!r}",
+        "level count entries must be ints, got {v!r} of type {t}",
     ),
     "hier_spec_threshold": (
         lambda v: HierSpec(DISJUNCTIVE, (3,), (v,)),
-        "threshold entries must be ints, got {v!r}",
+        "threshold entries must be ints, got {v!r} of type {t}",
     ),
-    "multiset_count": (lambda v: Multiset((v,)), "universe count entries must be ints, got {v!r}"),
-    "coalition_count": (lambda v: Coalition((v,)), "coalition count entries must be ints, got {v!r}"),
+    "multiset_count": (
+        lambda v: Multiset((v,)),
+        "universe count entries must be ints, got {v!r} of type {t}",
+    ),
+    "coalition_count": (
+        lambda v: Coalition((v,)),
+        "coalition count entries must be ints, got {v!r} of type {t}",
+    ),
     "as_rational": (
         lambda v: as_rational(v, "weight"),
         "weight must be int or Fraction, got {t}",

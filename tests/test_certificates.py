@@ -204,10 +204,12 @@ class TestIntRepresentation:
             ((Count(2), 1, (1,)), TypeError, "den must be an int, got Count"),
             ((1, 0.5, (1,)), TypeError, "q must be an int, got float"),
             ((1, Fraction(1), (1,)), TypeError, "q must be an int, got Fraction"),
-            ((1, 1, (1, False)), TypeError, "w entries must be ints, got False"),
-            ((1, 1, (Level.ONE,)), TypeError, "w entries must be ints, got <Level.ONE: 1>"),
+            ((1, 1, (1, False)), TypeError, "w entries must be ints, got False of type bool"),
+            ((1, 1, (Level.ONE,)), TypeError,
+             "w entries must be ints, got <Level.ONE: 1> of type Level"),
+            ((1, 1, (Count(2),)), TypeError, "w entries must be ints, got 2 of type Count"),
             ((2, 1, (Fraction(1, 2),)), TypeError,
-             "w entries must be ints, got Fraction(1, 2)"),
+             "w entries must be ints, got Fraction(1, 2) of type Fraction"),
             ((1, 1, (1, -2)), ValueError, "w entries must be >= 0, got -2"),
             ((0, 1, (1,)), ValueError, "den must be > 0, got 0"),
             ((-2, 1, (1,)), ValueError, "den must be > 0, got -2"),

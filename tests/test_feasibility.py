@@ -182,7 +182,7 @@ class TestRuntimeGuards:
         real = feasibility._solve
 
         def fake(rows, target):
-            return (UNBOUNDED, None, None) if any(target) else real(rows, target)
+            return (UNBOUNDED, None, None, 1) if any(target) else real(rows, target)
 
         monkeypatch.setattr(feasibility, "_solve", fake)
         sys = LinearSystem(1)

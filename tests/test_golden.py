@@ -99,20 +99,25 @@ def _explicit_games(count: int = 300, seed: int = 6) -> list[ExplicitGame]:
     return games
 
 
-def oracle_certificates() -> str:
-    """The oracle's witnesses on realized sweep specs and seeded explicit games."""
+def oracle_games() -> list[tuple[str, ExplicitGame]]:
+    """The labelled games whose witnesses the oracle golden file pins:
+    realized sweep specs, then seeded explicit games."""
     games = [
         (str(spec), realize(spec))
         for levels, nmax in ((2, 5), (3, 3), (4, 2))
         for kind in ("disjunctive", "conjunctive")
         for spec in sweep_specs(kind, levels, nmax)
     ]
-    games += [
+    return games + [
         (f"{g.universe.counts} {sorted(w.counts for w in g.min_winning)}", g)
         for g in _explicit_games()
     ]
+
+
+def oracle_certificates() -> str:
+    """The oracle's witnesses on oracle_games."""
     lines = []
-    for label, g in games:
+    for label, g in oracle_games():
         objective = tuple(range(1, g.universe.m + 1))
         try:
             top = str(extremal_weight(g, objective, "max"))

@@ -763,13 +763,13 @@ class TestScanCounts:
         self, doc, game_class, solves, scanned, tmp_path, capsys, monkeypatch
     ):
         solved = []
-        solve = LinearSystem.feasible_point
+        solve = LinearSystem._feasible_ints
 
         def counting(system):
             solved.append(system)
             return solve(system)
 
-        monkeypatch.setattr(LinearSystem, "feasible_point", counting)
+        monkeypatch.setattr(LinearSystem, "_feasible_ints", counting)
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         assert main(["classify", str(path), "--json"]) == 0

@@ -2,12 +2,15 @@
 extremal weights."""
 
 import ast
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import hiergames.certificates
+import hiergames.feasibility
 import hiergames.oracle
 from hiergames import (
     CONJUNCTIVE,
@@ -18,6 +21,8 @@ from hiergames import (
     LinearSystem,
     Multiset,
     RoughCert,
+    classify,
+    dual_spec,
     extremal_weight,
     load_document,
     maximal_losing,
@@ -26,9 +31,13 @@ from hiergames import (
     oracle_weighted,
     oracle_witness,
     realize,
+    run_sweep,
+    special_players,
+    sweep_specs,
     verify_representation,
 )
 from hiergames.oracle import _rows, _separating_system
+from test_golden import DATA, oracle_games
 
 
 def game(counts, winning):
@@ -68,9 +77,9 @@ class TestOracleWeighted:
         # the empty coalition loses, so a weighted witness with quota 0 can
         # only come from a broken solver
         def quota_zero(system):
-            return (Fraction(1),) * (system.num_vars - 1) + (Fraction(0),)
+            return 1, (1,) * (system.num_vars - 1) + (0,)
 
-        monkeypatch.setattr(LinearSystem, "feasible_point", quota_zero)
+        monkeypatch.setattr(LinearSystem, "_feasible_ints", quota_zero)
         with pytest.raises(RuntimeError, match="weighted witness has quota 0 < 1"):
             oracle_weighted(realize(HierSpec(DISJUNCTIVE, (2,), (1,))))
 
@@ -314,3 +323,76 @@ class TestDecidesOnRows:
         assert all(t != "bool" for _, t in self.params(cascade))
         defaults = cascade.args.defaults + [d for d in cascade.args.kw_defaults if d]
         assert not any(isinstance(d, ast.Constant) and isinstance(d.value, bool) for d in defaults)
+
+
+class TestIntegerCrossCheck:
+    """The LP engine hands the oracle int numerators over one denominator,
+    and the oracle builds its certificates from them: deciding a game
+    builds no Fraction, while the public LinearSystem verbs still return
+    the same point as Fractions."""
+
+    @staticmethod
+    def criterion_6_subset():
+        # every 3rd passer/dummy-free spec on 4 and 5 levels, n_i <= 3, and
+        # its dual: a fixed slice of acceptance criterion 6's pool
+        pool = []
+        for levels in (4, 5):
+            for spec in sweep_specs(DISJUNCTIVE, levels, 3):
+                special = special_players(realize(spec))
+                if not special.passers and not special.dummies:
+                    pool.append(spec)
+        return [side for spec in pool[::3] for side in (spec, dual_spec(spec))]
+
+    def test_sweep_and_oracle_build_no_fraction(self, monkeypatch):
+        specs = self.criterion_6_subset()
+        expected = [classify(spec).game_class for spec in specs]
+        games = [realize(spec) for spec in specs]
+
+        def refuse(*args):
+            raise AssertionError("a Fraction was built")
+
+        for module in (hiergames.feasibility, hiergames.oracle, hiergames.certificates):
+            monkeypatch.setattr(module, "Fraction", refuse)
+        reports = [run_sweep(kind, 3, 3) for kind in (DISJUNCTIVE, CONJUNCTIVE)]
+        classes = [oracle_classify(g) for g in games]
+        monkeypatch.undo()
+        assert len(specs) == 216
+        assert classes == expected
+        for report in reports:
+            golden = json.loads(
+                (DATA / f"sweep_{report.kind}_l3_n3.golden.json").read_text(encoding="utf-8")
+            )["records"]
+            assert [
+                (
+                    list(r.spec.n),
+                    list(r.spec.k),
+                    r.verdict.game_class,
+                    r.oracle_class,
+                    r.cert_verified,
+                )
+                for r in report.records
+            ] == [
+                (g["n"], g["k"], g["class"], g["oracle_class"], g["certificate_verified"])
+                for g in golden
+            ]
+
+    def test_int_witness_is_the_fraction_witness(self):
+        # on the full and reduced systems of both modes, for every game whose
+        # witnesses the oracle golden file pins
+        solved = 0
+        for label, g in oracle_games():
+            for reduced in (False, True):
+                rows = _rows(g, reduced)
+                for weighted in (True, False):
+                    system = _separating_system(g.m, rows, weighted)
+                    found = system._feasible_ints()
+                    point = system.feasible_point()
+                    if found is None:
+                        assert point is None, label
+                        continue
+                    denom, pi = found
+                    assert type(denom) is int and denom > 0, label
+                    assert all(type(p) is int for p in pi), label
+                    assert tuple(Fraction(p, denom) for p in pi) == point, label
+                    solved += 1
+        assert solved > 1000

@@ -208,7 +208,7 @@ class TestPasserBranch:
             assert oracle_witness(game) == oref.witness(game), game
         # with branch A refused, every game with a passer takes branch B on
         # both row sets, and every other game finds no certificate
-        monkeypatch.setattr(feasibility.LinearSystem, "feasible_point", lambda system: None)
+        monkeypatch.setattr(feasibility.LinearSystem, "_feasible_ints", lambda system: None)
         for game, has_passer in zip(games, passer):
             reduced = _rough(game.m, _rows(game, True))
             assert reduced == _rough(game.m, _rows(game, False)), game

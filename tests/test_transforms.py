@@ -156,12 +156,14 @@ class TestKStar:
             ((3, 3), (2, 3, 5), ValueError, "n and k must be equal length, got (3, 3) / (2, 3, 5)"),
             ((), (), ValueError, "universe needs at least one level"),
             ((3, 0), (2, 3), ValueError, "universe count entries must be >= 1, got 0"),
-            ((3, True), (2, 3), TypeError, "universe count entries must be ints, got True"),
+            ((3, True), (2, 3), TypeError,
+             "universe count entries must be ints, got True of type bool"),
             ((3, 3), (4, 7), ValueError, "thresholds (4, 7) exceed prefixes (3, 6), no conjugate"),
-            ((3, 3), (1, "a"), TypeError, "threshold entries must be ints, got 'a'"),
-            ((2,), (1.5,), TypeError, "threshold entries must be ints, got 1.5"),
-            ((2,), (True,), TypeError, "threshold entries must be ints, got True"),
-            ((2,), (Fraction(1, 2),), TypeError, "threshold entries must be ints, got Fraction(1, 2)"),
+            ((3, 3), (1, "a"), TypeError, "threshold entries must be ints, got 'a' of type str"),
+            ((2,), (1.5,), TypeError, "threshold entries must be ints, got 1.5 of type float"),
+            ((2,), (True,), TypeError, "threshold entries must be ints, got True of type bool"),
+            ((2,), (Fraction(1, 2),), TypeError,
+             "threshold entries must be ints, got Fraction(1, 2) of type Fraction"),
             ((2,), (0,), ValueError, "threshold entries must be >= 1, got 0"),
             ((2,), (-1,), ValueError, "threshold entries must be >= 1, got -1"),
         ],

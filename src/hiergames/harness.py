@@ -14,7 +14,10 @@ equivalences on the complete ones:
   unique shift-minimal winning coalition <=>  conjunctive hierarchical,
 
 after reordering levels by desirability and merging equivalent levels, which
-is what "hierarchical" means for a game rather than a spec.
+is what "hierarchical" means for a game rather than a spec. Every check reads
+only that merged game, and games that differ by a relabelling of equal-size
+levels merge to the same one, so the scan checks each distinct merged game
+once per call and hands the outcome to every complete game that merges to it.
 
 The antichains come from a skip-or-take walk over the lattice points in
 lexicographic order. Each point has an int bitmask of the points comparable
@@ -249,6 +252,13 @@ def structural_scan(universe: Multiset) -> StructuralReport:
     the complete ones, and for each checks both directions of both
     equivalences. Any failure lands in mismatches with enough detail to
     replay it.
+
+    shift_extremal and both recoveries run once per distinct merged game,
+    kept in a dict local to the call. That is exact: they read the merged
+    game alone, and ExplicitGame equality and hashing read only its universe
+    and minimal winning antichain, so equal keys are the same game. Each
+    complete game still adds its own counts and, on a mismatch, its own
+    replay line with its own minimal winning coalitions.
     """
     coalitions = [c for c in iter_coalitions(universe) if c.size > 0]
     total = 0
@@ -258,6 +268,8 @@ def structural_scan(universe: Multiset) -> StructuralReport:
     usmw = 0
     conj = 0
     mismatches: list[str] = []
+    # merged game -> (unique_max, unique_min, d, c)
+    seen: dict[ExplicitGame, tuple[bool, bool, Optional[HierSpec], Optional[HierSpec]]] = {}
 
     def detail(members: frozenset[Coalition]) -> str:
         # the replay text, built only for a mismatch
@@ -270,11 +282,16 @@ def structural_scan(universe: Multiset) -> StructuralReport:
             continue
         complete += 1
         ordered = merge_levels(game)
-        extremal = shift_extremal(ordered)
-        d = recover_disjunctive(ordered)
-        c = recover_conjunctive(ordered)
-        unique_max = len(extremal.shift_max_losing) == 1
-        unique_min = len(extremal.shift_min_winning) == 1
+        checked = seen.get(ordered)
+        if checked is None:
+            extremal = shift_extremal(ordered)
+            checked = seen[ordered] = (
+                len(extremal.shift_max_losing) == 1,
+                len(extremal.shift_min_winning) == 1,
+                recover_disjunctive(ordered),
+                recover_conjunctive(ordered),
+            )
+        unique_max, unique_min, d, c = checked
         usml += unique_max
         usmw += unique_min
         disj += d is not None

@@ -18,6 +18,9 @@ game's two antichains: it realizes the candidate and compares whole games
 (here with the scans above). canonicalize is the canonical form the library
 computed before it read it off (n, k): it realizes the spec, merges the
 level classes of the game and recovers the thresholds of the merged game.
+structural_report is the structural scan as it ran before it checked each
+distinct merged game once: every complete game is merged, searched for
+shift-extremal coalitions and recovered on its own, with the scans above.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from hiergames.core import (
     level_classes,
 )
 import hiergames.hierarchy as hierarchy
+from hiergames.harness import StructuralReport
 from hiergames.hierarchy import (
     DISJUNCTIVE,
     HierSpec,
@@ -223,3 +227,53 @@ def canonicalize(spec: HierSpec) -> tuple[HierSpec, tuple[int, ...]]:
         for lvl in cls:
             mapping[lvl] = cls_index
     return canonical, tuple(mapping)
+
+
+def complete_games(universe: Multiset) -> Iterator[tuple[ExplicitGame, list[list[int]]]]:
+    """Every complete game on the universe, in the scan's order, with its
+    level classes: the antichains of nonempty coalitions whose levels are
+    totally ordered by desirability."""
+    for members in antichains([c for c in lattice(universe) if c.size > 0]):
+        game = ExplicitGame(universe, members)
+        classes = level_classes(game)
+        if classes is not None:
+            yield game, classes
+
+
+def structural_report(universe: Multiset) -> StructuralReport:
+    """The structural scan, every complete game checked on its own merged
+    game, with no memo."""
+    total = sum(1 for _ in antichains([c for c in lattice(universe) if c.size > 0]))
+    complete = usml = disj = usmw = conj = 0
+    mismatches = []
+    for game, classes in complete_games(universe):
+        complete += 1
+        merged = merge_levels(game, classes)
+        extremal = shift_extremal(merged)
+        unique_max = len(extremal.shift_max_losing) == 1
+        unique_min = len(extremal.shift_min_winning) == 1
+        d = recover(merged, DISJUNCTIVE)
+        c = recover(merged, hierarchy.CONJUNCTIVE)
+        usml += unique_max
+        usmw += unique_min
+        disj += d is not None
+        conj += c is not None
+        detail = f"universe={universe} min_winning={sorted(w.counts for w in game.min_winning)}"
+        if unique_max != (d is not None):
+            mismatches.append(
+                f"{detail}: unique shift-max losing={unique_max} but disjunctive recovery={d}"
+            )
+        if unique_min != (c is not None):
+            mismatches.append(
+                f"{detail}: unique shift-min winning={unique_min} but conjunctive recovery={c}"
+            )
+    return StructuralReport(
+        universe=universe,
+        total_games=total,
+        complete_games=complete,
+        unique_shift_max_losing=usml,
+        disjunctive_hierarchical=disj,
+        unique_shift_min_winning=usmw,
+        conjunctive_hierarchical=conj,
+        mismatches=tuple(mismatches),
+    )

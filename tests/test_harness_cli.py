@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hiergames
+import lattice_reference as ref
 from hiergames import (
     CONJUNCTIVE,
     DISJUNCTIVE,
@@ -409,6 +410,51 @@ class TestCliSweepStructural:
             and f"unique {extremal}=True" in line
             for line in mismatches
         )
+
+    @pytest.mark.parametrize(
+        "kind,extremal",
+        [("disjunctive", "shift-max losing"), ("conjunctive", "shift-min winning")],
+        ids=["disjunctive", "conjunctive"],
+    )
+    def test_structural_mismatches_per_game(self, capsys, monkeypatch, kind, extremal):
+        # on (2,2,2) the 378 complete games merge to 86 distinct games; the
+        # shift-extremal search and each recovery run once per merged game,
+        # yet every complete game with a unique shift-extremal coalition of
+        # the refused kind gets its own line naming its own min_winning
+        universe = Multiset((2, 2, 2))
+        calls = {"shift_extremal": [], "recover_disjunctive": [], "recover_conjunctive": []}
+
+        def counted(name, run):
+            def counting(game):
+                calls[name].append(game)
+                return run(game)
+
+            return counting
+
+        for name in calls:
+            run = (lambda game: None) if name == f"recover_{kind}" else getattr(harness, name)
+            monkeypatch.setattr(harness, name, counted(name, run))
+        assert main(["structural", "--universe", "2,2,2"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        expected = []
+        merged = set()
+        for game, classes in ref.complete_games(universe):
+            merged_game = ref.merge_levels(game, classes)
+            merged.add(merged_game)
+            found = ref.shift_extremal(merged_game)
+            side = found.shift_max_losing if kind == DISJUNCTIVE else found.shift_min_winning
+            if len(side) == 1:
+                expected.append(
+                    f"  MISMATCH: universe={universe}"
+                    f" min_winning={sorted(w.counts for w in game.min_winning)}:"
+                    f" unique {extremal}=True but {kind} recovery=None"
+                )
+        assert len(merged) == 86
+        assert [line for line in lines if line.startswith("  MISMATCH: ")] == expected
+        assert len(expected) == len(set(expected)) == 78
+        for name, games in calls.items():
+            assert len(games) == len(set(games)) == len(merged), name
+            assert set(games) == merged, name
 
 
 class TestCliErrors:

@@ -276,6 +276,15 @@ class TestAgainstReference:
             assert ref.minimal_antichain(members) == members
 
     @pytest.mark.parametrize(
+        "counts", [(2, 2), (3, 3), (1, 1, 1), (1, 1, 1, 1), (1, 2, 3), (2, 2, 2)], ids=str
+    )
+    def test_structural_scan(self, counts):
+        # the scan checks each distinct merged game once; the reference
+        # merges, searches and recovers every complete game on its own
+        universe = Multiset(counts)
+        assert structural_scan(universe) == ref.structural_report(universe)
+
+    @pytest.mark.parametrize(
         "levels,nmax,kmax,count", [(4, 2, 8, 1127), (2, 6, 12, 2163), (5, 2, 10, 7345)]
     )
     def test_canonical_form(self, levels, nmax, kmax, count):
@@ -702,12 +711,19 @@ class TestScanCounts:
         assert_memo_kept(realized)
 
     def test_structural_scan_runs_one_pass_per_game(self, pass_steps, kernel_runs):
-        # each complete game is merged, then its shift-extremal antichains
-        # and both recoveries read the one pass over the merged game
-        report = structural_scan(Multiset((2, 2, 2)))
+        # each complete game is merged; the shift-extremal antichains and
+        # both recoveries of each distinct merged game read the one pass
+        # over it, and a game that merges to one already checked adds none
+        universe = Multiset((2, 2, 2))
+        merged = {merge_levels(game) for game, _ in ref.complete_games(universe)}
+        assert len(merged) == 86
+        # merging reads the minimal winning coalitions, not the lattice
+        assert pass_steps == {"_bit_levels": 0, "_antichain_bits": 0} and kernel_runs == []
+        report = structural_scan(universe)
         assert report.complete_games == 378 and report.holds
-        assert pass_steps == {"_bit_levels": 378, "_antichain_bits": 378}
-        assert len(kernel_runs) == len({id(game) for game in kernel_runs}) == 378
+        assert pass_steps == {"_bit_levels": len(merged), "_antichain_bits": len(merged)}
+        assert len(kernel_runs) == len({id(game) for game in kernel_runs}) == len(merged)
+        assert set(kernel_runs) == merged
         for game in kernel_runs:
             assert_pass_record(game)
 

@@ -216,9 +216,12 @@ def _check_cap(counts: Sequence[int]) -> None:
 def iter_coalitions(universe: Multiset) -> Iterator[Coalition]:
     """All submultisets of the universe, in lexicographic count order.
 
-    Raises EnumerationCapError at the call when the lattice has more
-    members than the enumeration cap.
+    Raises TypeError for a universe that is not a Multiset, and
+    EnumerationCapError at the call when the lattice has more members than
+    the enumeration cap.
     """
+    if not isinstance(universe, Multiset):
+        raise TypeError(f"universe must be Multiset, got {universe!r}")
     _check_cap(universe.counts)
     return map(_coalition, product(*(range(c + 1) for c in universe.counts)))
 
@@ -532,9 +535,24 @@ def _at_least(wmin: list[tuple[int, ...]], i: int, j: int, n_i: int) -> bool:
             traded = list(w)
             traded[i] += 1
             traded[j] -= 1
-            if not any(_covers(traded, v) for v in wmin):
+            for v in wmin:
+                if all(map(ge, traded, v)):
+                    break
+            else:
                 return False
     return True
+
+
+def _relation(wmin: list[tuple[int, ...]], n: tuple[int, ...], i: int, j: int) -> LevelRelation:
+    """Levels i and j compared on the minimal winning count vectors wmin of
+    a game with level sizes n; i and j are distinct levels already checked."""
+    i_ge_j = _at_least(wmin, i, j, n[i])
+    j_ge_i = _at_least(wmin, j, i, n[j])
+    if i_ge_j and j_ge_i:
+        return LevelRelation.EQUIVALENT
+    if i_ge_j:
+        return LevelRelation.STRICTLY_ABOVE
+    return LevelRelation.STRICTLY_BELOW if j_ge_i else LevelRelation.INCOMPARABLE
 
 
 def level_relation(game: ExplicitGame, i: int, j: int) -> LevelRelation:
@@ -550,15 +568,7 @@ def level_relation(game: ExplicitGame, i: int, j: int) -> LevelRelation:
     m = game.universe.m
     if i == j or not (0 <= i < m and 0 <= j < m):
         raise ValueError(f"need two distinct levels in 0..{m - 1}, got {i}, {j}")
-    n = game.universe.counts
-    wmin = [w.counts for w in game.min_winning]
-    i_ge_j = _at_least(wmin, i, j, n[i])
-    j_ge_i = _at_least(wmin, j, i, n[j])
-    if i_ge_j and j_ge_i:
-        return LevelRelation.EQUIVALENT
-    if i_ge_j:
-        return LevelRelation.STRICTLY_ABOVE
-    return LevelRelation.STRICTLY_BELOW if j_ge_i else LevelRelation.INCOMPARABLE
+    return _relation([w.counts for w in game.min_winning], game.universe.counts, i, j)
 
 
 def level_classes(game: ExplicitGame) -> list[list[int]] | None:
@@ -575,10 +585,12 @@ def level_classes(game: ExplicitGame) -> list[list[int]] | None:
 
 
 def _order_levels(game: ExplicitGame) -> list[list[int]] | None:
+    wmin = [w.counts for w in game.min_winning]
+    n = game.universe.counts
     classes: list[list[int]] = []
-    for lvl in range(game.universe.m):
+    for lvl in range(len(n)):
         for idx, cls in enumerate(classes):
-            rel = level_relation(game, lvl, cls[0])
+            rel = _relation(wmin, n, lvl, cls[0])
             if rel is LevelRelation.EQUIVALENT:
                 cls.append(lvl)
                 break

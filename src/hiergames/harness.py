@@ -19,12 +19,20 @@ only that merged game, and games that differ by a relabelling of equal-size
 levels merge to the same one, so the scan checks each distinct merged game
 once per call and hands the outcome to every complete game that merges to it.
 
-The antichains come from a skip-or-take walk over the lattice points in
+The antichains come from a walk over the lattice points sorted in
 lexicographic order. Each point has an int bitmask of the points comparable
-to it; the walk ORs in the mask of every point it takes, and takes a point
-only while its bit is clear. Every yielded set is thus an antichain of
-lattice members, already the minimal winning coalitions of its game, so the
-scan builds each game without validating or minimizing it again.
+to it. The walk branches only on the free points after the last point
+taken: those whose bit is clear in the OR of the taken points' masks. It
+takes each free point in turn, from the last one back, yields the antichain
+with it, and recurses on the points after it. The order is that of a walk
+that skips or takes every point in turn, skip before take: read as
+indicator strings over the sorted points, an antichain comes before every
+antichain that extends it, and of two extensions the one whose next point
+comes later has a 0 where the other has a 1, so it comes first. Each call
+yields one antichain, so the recursion is as deep as the antichain it
+builds, not one level per lattice point. Every yielded set is an antichain
+of lattice members, already the minimal winning coalitions of its game, so
+the scan builds each game without validating or minimizing it again.
 """
 
 from __future__ import annotations
@@ -229,20 +237,17 @@ def _antichains(coalitions: list[Coalition]) -> Iterator[frozenset[Coalition]]:
         sum(1 << k for k, y in enumerate(points) if _covers(x, y) or _covers(y, x))
         for x in points
     ]
-    end = len(items)
+    last = len(items) - 1
 
     def rec(idx: int, chosen: list[Coalition], blocked: int) -> Iterator[frozenset[Coalition]]:
-        if idx == end:
-            if chosen:
+        for j in range(last, idx - 1, -1):
+            if not blocked >> j & 1:
+                chosen.append(items[j])
                 yield frozenset(chosen)
-            return
-        yield from rec(idx + 1, chosen, blocked)
-        if not blocked >> idx & 1:
-            chosen.append(items[idx])
-            yield from rec(idx + 1, chosen, blocked | comparable[idx])
-            chosen.pop()
+                yield from rec(j + 1, chosen, blocked | comparable[j])
+                chosen.pop()
 
-    yield from rec(0, [], 0)
+    return rec(0, [], 0)
 
 
 def structural_scan(universe: Multiset) -> StructuralReport:

@@ -18,12 +18,14 @@ from hiergames import (
     extremal_weight,
     hier_is_winning,
     is_winning,
+    iter_coalitions,
     level_relation,
     minor,
     oracle_classify,
     oracle_witness,
     run_sweep,
     shift_maximal_losing,
+    structural_scan,
     sweep_specs,
 )
 from hiergames.certificates import as_rational
@@ -258,6 +260,16 @@ REJECTIONS |= {
     ),
     "explicit_game_universe_not_a_multiset": (
         lambda: ExplicitGame((2, 2), frozenset()),
+        TypeError,
+        "universe must be Multiset, got (2, 2)",
+    ),
+    "iter_coalitions_universe_not_a_multiset": (
+        lambda: iter_coalitions((2, 2)),
+        TypeError,
+        "universe must be Multiset, got (2, 2)",
+    ),
+    "structural_scan_universe_not_a_multiset": (
+        lambda: structural_scan((2, 2)),
         TypeError,
         "universe must be Multiset, got (2, 2)",
     ),

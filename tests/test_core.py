@@ -169,14 +169,15 @@ class TestLevelStructure:
 class TestLevelClassesMemo:
     @pytest.fixture
     def relations(self, monkeypatch):
+        # _order_levels compares each pair of levels through _relation
         calls = []
-        real = core.level_relation
+        real = core._relation
 
-        def counting(game, i, j):
+        def counting(wmin, n, i, j):
             calls.append((i, j))
-            return real(game, i, j)
+            return real(wmin, n, i, j)
 
-        monkeypatch.setattr(core, "level_relation", counting)
+        monkeypatch.setattr(core, "_relation", counting)
         return calls
 
     def test_is_complete_then_level_classes_orders_once(self, relations):

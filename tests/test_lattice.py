@@ -248,15 +248,19 @@ class TestAgainstReference:
             assert shift_extremal(ordered) == ref.shift_extremal(ordered), members
         assert (complete, ordered_as_given) == COMPLETE_AND_ORDERED[counts]
 
-    @pytest.mark.parametrize("counts", [(2, 2, 2), (1, 2, 3), (3, 3), (2, 1, 2)], ids=str)
+    @pytest.mark.parametrize(
+        "counts", [(2, 2, 2), (1, 2, 3), (3, 3), (2, 1, 2), (1, 1, 1, 1)], ids=str
+    )
     def test_recovery_on_every_game(self, counts):
         # complete or not, and for the complete ones also after the merge
-        # structural_scan applies before it recovers
+        # structural_scan applies before it recovers; the level order too,
+        # on every game
         universe = Multiset(counts)
         coalitions = [c for c in iter_coalitions(universe) if c.size > 0]
         recovered = 0
         for members in _antichains(coalitions):
             game = ExplicitGame(universe, members)
+            assert_same_level_order(game)
             assert_same_recovery(game)
             if is_complete(game):
                 merged = merge_levels(game)
@@ -264,7 +268,9 @@ class TestAgainstReference:
                 recovered += recover_disjunctive(merged) is not None
         assert recovered > 10
 
-    @pytest.mark.parametrize("counts", [(2, 2, 2), (1, 2, 3), (3, 3), (2, 1, 2)], ids=str)
+    @pytest.mark.parametrize(
+        "counts", [(2, 2, 2), (1, 2, 3), (3, 3), (2, 1, 2), (1, 1, 1, 1), (2, 3, 2)], ids=str
+    )
     def test_antichains(self, counts):
         # structural_scan builds its games from these sets unvalidated, so
         # each must already be an antichain of nonempty coalitions

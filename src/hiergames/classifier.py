@@ -99,7 +99,8 @@ def _weighted_disj(
 ) -> Optional[tuple[int, int, tuple[int, ...]]]:
     """Thm4 case of a canonical disjunctive (n, k) and its integer
     certificate (case, q, w), with minimal winning coalitions at >= q and
-    maximal losing ones at <= q - 1; None when the game is not weighted."""
+    maximal losing ones at <= q - 1; None when the game is not weighted.
+    The cases may assume canonical input; so may the subgames they recurse on."""
     m = len(n)
     if m == 1:
         return 1, k[0], (1,)
@@ -118,9 +119,10 @@ def _weighted_disj(
             _, q, w = inner
             return 4, q, (q,) + w
     if m in (2, 3, 4) and k[-1] == k[-2] + n[-1]:
+        # dummy last level; the subgame's last level was a middle level,
+        # which canonical form makes strict, so it never matches (5) itself
         inner = _weighted_disj(n[:-1], k[:-1])
-        if inner is not None and inner[0] != 5:
-            # dummy last level
+        if inner is not None:
             _, q, w = inner
             return 5, q, w + (0,)
     return None
@@ -139,6 +141,10 @@ def _rough_disj(
 
     A dummy last level routes to (vii) and never falls through to (i)-(vi).
     Canonical middle levels are strict, so the subgame has no dummy level.
+    (i)-(vi) may assume canonical nonweighted input without a dummy last
+    level, and that the first match wins; (vii) may assume a nonweighted
+    subgame too: for m <= 4 a weighted one would make the spec Thm4(5), and
+    no dummy-free spec of 4 or more levels is weighted.
     """
     m = len(n)
     if m >= 2 and k[-1] == k[-2] + n[-1]:
@@ -152,11 +158,13 @@ def _rough_disj(
         # contain no first-level player at all
         return "i", 1, 0, (1,) + (0,) * (m - 1)
     if m == 2:
-        if k == (2, 4) and n[0] >= 2 and n[1] >= 4:
-            # [1; (1/2, 1/4)]
+        if k == (2, 4):
+            # n1 >= k1 is canonical; n2 >= 4, as n2 = 2 is a dummy level,
+            # (vii), and n2 = 3 is Thm4(3); [1; (1/2, 1/4)]
             return "ii", 4, 4, (2, 1)
-        if k[1] == k[0] + 2 and k[0] > 2 and n[0] >= k[0] and n[1] == 4:
-            # [1; (1/k1, 1/(2 k1))]
+        if k[1] == k[0] + 2 and n[1] == 4:
+            # k1 > 2, as k1 = 1 is (i) and k1 = 2 is (ii), and n1 >= k1 is
+            # canonical; [1; (1/k1, 1/(2 k1))]
             return "iii", 2 * k[0], 2 * k[0], (2, 1)
         return None
     if m == 3:
@@ -169,9 +177,11 @@ def _rough_disj(
                 # [1; (1/2, 1/4, 1/4)]
                 return "iv", 4, 4, (2, 1, 1)
             return None
-        if k[1] == k[0] + 1 and n[0] >= k[0]:
-            v = k[2] == k[0] + 2 and k[0] > 2 and n[2] == 2
-            vi = k[0] >= 2 and n[2] == k[2] - k[0] >= 3
+        if k[1] == k[0] + 1:
+            # n1 >= k1 is canonical, k1 >= 2 by (i), and k1 = 2 in (v) is
+            # (2, 3, 4), decided above
+            v = k[2] == k[0] + 2 and n[2] == 2
+            vi = n[2] == k[2] - k[0] >= 3
             if v or vi:
                 # [1; (1/k1, 1/k1, 0)]
                 return ("v" if v else "vi"), k[0], k[0], (1, 1, 0)
@@ -271,6 +281,5 @@ def classify_rough(spec: HierSpec) -> Verdict:
     return Verdict(ROUGH_NOT_WEIGHTED, f"Thm{13 if conj else 12}({tag})", cert, notes)
 
 
-def classify(spec: HierSpec) -> Verdict:
-    """Alias for classify_rough: the one-call entry point."""
-    return classify_rough(spec)
+# the one-call entry point
+classify = classify_rough

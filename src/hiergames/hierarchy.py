@@ -7,10 +7,11 @@ A spec (kind, n, k) describes a game on the universe {1^n1, ..., m^nm}:
 
 with k strictly increasing (conjunctive: the last pair may be equal). Distinct
 specs can describe the same game; canon_check tests the canonical-form
-conditions under which the m levels are strictly ordered by desirability, and
-canonicalize_semantic computes the one canonical spec of any spec's game from
-(n, k) alone, dropping the thresholds that never decide the game and merging
-the levels they separated, without realizing the game.
+conditions (the m levels are strictly ordered by desirability iff the spec's
+normalized form meets them), and canonicalize_semantic computes the one
+canonical spec of any spec's game from (n, k) alone, dropping the thresholds
+that never decide the game and merging the levels they separated, without
+realizing the game.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .core import (
     _prefix_game,
     _shift_extremal_points,
     level_classes,
-    maximal_losing,
 )
 
 __all__ = [
@@ -145,8 +145,9 @@ class CanonReport:
         the disjunctive kind (that boundary is the canonical form of games
         whose last level is dummy) and stays strict for the conjunctive kind
         (equality there collapses the last two levels into one class).
-    canonical: condition_a and all of condition_b. Exactly then the m levels
-        of the realized game are strictly ordered by desirability.
+    canonical: condition_a and all of condition_b. The m levels of the
+        realized game are strictly ordered by desirability iff
+        normalized_spec is canonical (a disjunctive k_m past its bound is not).
     dummy_last_level: level m is a dummy, read off the canonical form, where
         that is m >= 2 and k_m = k_{m-1} + n_m (disjunctive) or k_m = k_{m-1}.
     passer_first_level: a lone first-level player wins.
@@ -277,10 +278,10 @@ def canonicalize_semantic(spec: HierSpec) -> tuple[HierSpec, tuple[int, ...]]:
 def recover_disjunctive(game: ExplicitGame) -> Optional[HierSpec]:
     """Canonical disjunctive spec describing `game`, or None.
 
-    Candidate thresholds: k_i = 1 + (largest i-prefix among losing
-    coalitions). It must be a valid canonical spec under which every minimal
-    winning coalition wins and every maximal losing one loses (the two
-    antichains fix a monotone game); else the game is not hierarchical.
+    Candidate thresholds: k_i = 1 + (largest i-prefix among shift-maximal
+    losers). It must be a valid canonical spec under which every
+    shift-minimal winner wins and every shift-maximal loser loses (the rows
+    fix a game on strictly ordered levels); else the game is not hierarchical.
     """
     return _recover(game, DISJUNCTIVE)
 
@@ -288,33 +289,39 @@ def recover_disjunctive(game: ExplicitGame) -> Optional[HierSpec]:
 def recover_conjunctive(game: ExplicitGame) -> Optional[HierSpec]:
     """Canonical conjunctive spec describing `game`, or None.
 
-    Candidate thresholds: k_i = smallest i-prefix among winning coalitions.
+    Candidate thresholds: k_i = smallest i-prefix among shift-minimal winners.
     """
     return _recover(game, CONJUNCTIVE)
 
 
 def _recover(game: ExplicitGame, kind: str) -> Optional[HierSpec]:
-    if not game.min_winning or any(w.size == 0 for w in game.min_winning):
-        return None
-    losing = maximal_losing(game)  # the cap error comes before any threshold
-    # prefix counts only grow with the coalition, so the extreme prefixes of
-    # all losing (winning) coalitions are those of the maximal losing
-    # (minimal winning) ones
+    """Recovery on the shift-extremal rows, with neither antichain decoded.
+
+    On strictly ordered levels every winner prefix-dominates a shift-minimal
+    winning row and every loser is prefix-dominated by a shift-maximal
+    losing one (the oracle's verification corollary), and the prefix rule
+    is monotone in the prefix sums: the rows give the thresholds of all
+    coalitions, and a spec that agrees with the game on them agrees on all.
+    """
+    empty_wins, full_wins = game._ends_win()
+    if empty_wins or not full_wins:
+        return None  # trivial, so no spec: refused before the cap is checked
+    rows = _shift_extremal_points(game)  # the cap error comes before any threshold
+    if rows is None:
+        return None  # a canonical spec's game has strictly ordered levels
+    wins, losses = rows
     if kind == DISJUNCTIVE:
-        prefixes = zip(*(accumulate(x.counts) for x in losing))
-        k = tuple(1 + max(p) for p in prefixes)
+        k = tuple(1 + max(p) for p in zip(*map(accumulate, losses)))
     else:
-        prefixes = zip(*(accumulate(w.counts) for w in game.min_winning))
-        k = tuple(min(p) for p in prefixes)
+        k = tuple(min(p) for p in zip(*map(accumulate, wins)))
     try:
         spec = HierSpec(kind, game.universe.counts, k)
     except ValueError:
         return None
     if not _is_canonical(spec):
         return None
-    # the game's own coalitions fit its universe: no fit check per coalition
-    winning = all(_prefix_wins(kind, k, w.counts) for w in game.min_winning)
-    return spec if winning and not any(_prefix_wins(kind, k, x.counts) for x in losing) else None
+    winning = all(_prefix_wins(kind, k, x) for x in wins)
+    return spec if winning and not any(_prefix_wins(kind, k, x) for x in losses) else None
 
 
 @dataclass(frozen=True)

@@ -268,6 +268,14 @@ class TestAgainstReference:
                 recovered += recover_disjunctive(merged) is not None
         assert recovered > 10
 
+    @pytest.mark.parametrize("counts", [(1,), (3,), (2, 2), (1, 2, 1), (2, 2, 2)], ids=str)
+    def test_recovery_on_trivial_games(self, counts):
+        # the walk above builds neither the empty antichain (nothing wins)
+        # nor {empty coalition} (everything wins)
+        universe = Multiset(counts)
+        for members in (frozenset(), frozenset({Coalition((0,) * universe.m)})):
+            assert_same_recovery(ExplicitGame(universe, members))
+
     @pytest.mark.parametrize(
         "counts", [(2, 2, 2), (1, 2, 3), (3, 3), (2, 1, 2), (1, 1, 1, 1), (2, 3, 2)], ids=str
     )
@@ -539,6 +547,8 @@ class TestBitLayoutStaysInCore:
                 assert not used & self.REALIZE_ONLY, name
             if name == "oracle":
                 assert from_core == {"ExplicitGame", "_shift_extremal_points", "maximal_losing"}
+            if name == "hierarchy":
+                assert "maximal_losing" not in from_core
 
     def test_one_gate_and_one_decoder(self):
         # _lattice is the one gate and _read_lattice the one pass: no
@@ -689,14 +699,23 @@ SOLVED_SYSTEMS = {
 
 class TestScanCounts:
     def test_recognition_realizes_no_candidate(self, realized):
-        # a recovered candidate is checked on the game's two antichains,
-        # never rebuilt as a whole game, and the canonical form is arithmetic
+        # a recovered candidate is checked on the game's shift-extremal
+        # rows, never rebuilt as a whole game, and the canonical form is
+        # arithmetic
         report = structural_scan(Multiset((2, 2, 2)))
         assert report.complete_games == 378 and report.holds
         assert realized == []
         spec = HierSpec(CONJUNCTIVE, (2, 2), (2, 4))
         assert canonicalize_semantic(spec) == (HierSpec(CONJUNCTIVE, (4,), (4,)), (0, 0))
         assert realized == []
+
+    def test_recovery_decodes_neither_antichain(self):
+        # both recoveries read the shift-extremal rows off the realized
+        # game's win mask alone
+        spec = HierSpec(DISJUNCTIVE, (3, 3, 3), (2, 3, 5))
+        game = realize(spec)
+        assert (recover_disjunctive(game), recover_conjunctive(game)) == (spec, None)
+        assert not {"min_winning", "_maximal_losing"} & set(game.__dict__)
 
     def test_run_sweep_scans_each_game_once(self, scanned, realized, kernel_runs):
         # realize hands its game over with the win mask already set, so the

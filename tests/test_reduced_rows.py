@@ -24,6 +24,7 @@ from hiergames import (
     HierSpec,
     Multiset,
     RoughCert,
+    canon_check,
     classify,
     dual_explicit,
     dual_spec,
@@ -171,6 +172,9 @@ class TestAgainstFullRows:
             game = realize(spec)
             strict = level_classes(game) == [[i] for i in range(levels)]
             assert (_shift_extremal_points(game) is not None) == strict, spec
+            # strict order is canonicity of the normalized spec, not of the
+            # spec: a disjunctive k_m past k_{m-1} + n_m still orders strictly
+            assert canon_check(canon_check(spec).normalized_spec).canonical == strict, spec
             ordered += strict
             assert_same_as_reference(game)
         assert ordered == {1: 12, 2: 132, 3: 486}[levels]

@@ -12,9 +12,10 @@ Inputs are validated at the public boundary (Multiset, Coalition,
 ExplicitGame, is_winning). Inside, a set of lattice points is one Python
 int, bit j standing for the point of index j in mixed-radix order (see
 _strides). Core alone writes and reads these bits: _prefix_game writes a
-game's win mask from the prefix rule that hierarchy.realize supplies, and
-the game holds that mask alone. One whole-lattice pass per game,
-_read_lattice, reads that mask (or scans an explicit game's once) and
+game's win mask from the prefix rule that hierarchy.realize supplies,
+_strict_games the masks of the complete games with strictly ordered levels
+of given sizes, and each game holds its mask alone. One whole-lattice pass
+per game, _read_lattice, reads that mask (or scans an explicit game's once) and
 keeps its minimal winning, maximal losing and shift-extremal points;
 min_winning, maximal_losing and _shift_extremal_points are read off that
 record. Nothing builds a tuple per point, and only the coalitions
@@ -23,9 +24,9 @@ returned are decoded and wrapped, unvalidated, by _coalition.
 Everything here is exact and deterministic. _check_cap reads the
 enumeration cap (HIERGAME_ENUM_CAP) and checks it before anything is
 allocated, so that a typo in a universe cannot silently turn into a
-billion-element loop or a billion-bit int; iter_coalitions, _prefix_game
-and _lattice, the one gate to the pass, call it every time. Values
-derived from a game are memoized on it by one rule, _memo.
+billion-element loop or a billion-bit int; iter_coalitions, _prefix_game,
+_strict_games and _lattice, the one gate to the pass, call it every time.
+Values derived from a game are memoized on it by one rule, _memo.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from operator import ge, mul
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
@@ -254,7 +255,7 @@ class ExplicitGame:
     Three derived values are memoized on the instance by _memo, outside the
     dataclass fields, so equality and hashing do not see them: the record
     of the lattice pass (_lattice), maximal_losing's antichain and
-    level_classes' desirability classes (or None). A game from _prefix_game
+    level_classes' desirability classes (or None). A game from _mask_game
     holds only its universe and win mask; its min_winning is decoded off
     the pass on first read and memoized the same way (__getattr__).
     """
@@ -290,7 +291,7 @@ class ExplicitGame:
     def __getattr__(self, name: str) -> Any:
         """The fallback for min_winning: an antichain kept in the game's own
         __dict__ shadows it, so only a game holding its win mask alone
-        (_prefix_game) gets here. Like a stored field, no cap is checked."""
+        (_mask_game) gets here. Like a stored field, no cap is checked."""
         if name != "min_winning" or "_win" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         strides, minimal, _, _ = _memo(self, "_lattice", _read_lattice)
@@ -431,9 +432,83 @@ def _prefix_game(universe: Multiset, bounds: Callable[[int, int], tuple[int, int
         on = "".join([block(i + 1, p + a) for a in range(hi - 1, lo - 1, -1)])
         return "1" * ((n + 1 - hi) * s) + on + "0" * (lo * s)
 
+    return _mask_game(universe, int(block(0, 0), 2))
+
+
+def _mask_game(universe: Multiset, win: int) -> ExplicitGame:
+    """A game holding only its universe and its win mask, as _prefix_game and
+    _strict_games build them."""
     game = object.__new__(ExplicitGame)
-    game.__dict__.update(universe=universe, _win=int(block(0, 0), 2))
+    game.__dict__.update(universe=universe, _win=win)
     return game
+
+
+def _strict_games(sizes: tuple[int, ...]) -> Iterator[ExplicitGame]:
+    """Every complete game on levels of sizes c = sizes whose levels are
+    strictly ordered 1 > 2 > ... > r, once each, holding only its universe
+    and win mask as a game from _prefix_game does. Guarded by the
+    enumeration cap, at the call.
+
+    Write x <= y (prefix dominance) when P_s(x) <= P_s(y) for every prefix
+    sum P_s, on the fitting count vectors (0 <= x_s <= c_s). One game is
+    yielded per nonempty antichain A of nonzero vectors under <= whose
+    members witness every adjacent pair t: some a in A has a_t > 0 and
+    a_{t+1} < c_{t+1}. Its win mask is the union of the up-sets of A's
+    members. Three facts make this exact.
+
+    (a) <= is the order generated by adding a unit and by moving a unit up
+    a level. Neither move lowers a prefix sum. Conversely let y <= x, y !=
+    x, and t the first level where they differ, so y_t < x_t. If P_s(y) =
+    P_s(x) for some s > t, then at the least such s y_s > x_s, so
+    x - e_t + e_s fits and still lies above y; else x - e_t does. Each step
+    lowers the sum of the prefix sums, so the steps reach y. So a monotone
+    game whose levels are weakly ordered 1 >= ... >= r is an up-set of <=,
+    and conversely. It is fixed by its minimal elements, which are its
+    shift-minimal winning rows: each loses once a unit is removed or moved
+    down. The zero vector is left out, and with it the game where
+    everything wins.
+
+    (b) On weakly ordered levels, t > t + 1 strictly iff some winner x with
+    x_t > 0 and x_{t+1} < c_{t+1} loses after a unit moves from t to
+    t + 1, and adjacent pairs suffice, as in _scan_shift_extremal. For
+    a in A with a_t > 0 and a_{t+1} < c_{t+1}, a - e_t + e_{t+1} lies
+    strictly below a, so it loses: A is an antichain. Conversely, suppose
+    such an x loses after the move. The move lowers P_t alone, by one, so
+    any a in A below x has P_t(a) = P_t(x): then a_t >= x_t > 0 and
+    a_{t+1} <= x_{t+1} < c_{t+1}.
+
+    (c) A complete game with level classes C_1, ..., C_r, most desirable
+    first, is the expansion of its merged game G (hierarchy.merge_levels):
+    x wins iff its class sums s(x) win in G. Conversely the expansion of a
+    game G on the class sizes whose levels are strictly ordered has the
+    classes C_1, ..., C_r in that order and merges back to G. So the
+    complete games are the pairs of an ordered partition of the levels and
+    a game yielded here on its class sizes. A point x is minimal winning in
+    the expansion iff s(x) is minimal winning in G: x - e_i sums to
+    s(x) - e_j for i in C_j, and every s(x) - e_j with s(x)_j > 0 is such
+    a sum.
+
+    The antichains come from a walk that takes each free point after the
+    last one taken, as the scan's walk over the lattice does.
+    """
+    _check_cap(sizes)
+    universe, last = Multiset(sizes), len(sizes) - 1
+    points = list(product(*(range(c + 1) for c in sizes)))  # bit j is points[j]
+    prefixes = [tuple(accumulate(x)) for x in points]
+    up = [sum(1 << k for k, q in enumerate(prefixes) if _covers(q, p)) for p in prefixes]
+    comparable = [u | sum(1 << k for k, v in enumerate(up) if v >> j & 1) for j, u in enumerate(up)]
+    witness = [sum(1 << t for t in range(last) if x[t] and x[t + 1] < sizes[t + 1]) for x in points]
+    every = (1 << last) - 1
+
+    def walk(first: int, blocked: int, win: int, seen: int) -> Iterator[ExplicitGame]:
+        for j in range(first, len(points)):
+            if not blocked >> j & 1:
+                taken, witnessed = win | up[j], seen | witness[j]
+                if witnessed == every:
+                    yield _mask_game(universe, taken)
+                yield from walk(j + 1, blocked | comparable[j], taken, witnessed)
+
+    return walk(1, 0, 0, 0)
 
 
 def _lattice(game: ExplicitGame) -> _Pass:
@@ -446,7 +521,7 @@ def _lattice(game: ExplicitGame) -> _Pass:
 def _read_lattice(game: ExplicitGame) -> _Pass:
     """(strides, minimal winning bits, maximal losing bits, shift-extremal
     points or None) of the game. The level masks are built once and live
-    only for the pass; a game from _prefix_game comes with its win mask,
+    only for the pass; a game from _mask_game comes with its win mask,
     any other is scanned once, and the mask is not kept."""
     strides, levels = _bit_levels(game.universe.counts)
     win = game.__dict__.get("_win")

@@ -6,33 +6,23 @@ certificate arithmetically, and reports every disagreement. The classifier
 and the oracle share no decision logic, so agreement across a grid is real
 evidence, not an echo.
 
-structural_scan enumerates every monotone game on a small universe (as
-nonempty antichains of nonempty coalitions) and tests the structural
-equivalences on the complete ones:
+structural_scan tests the structural equivalences on every complete game
+of a small universe:
 
   unique shift-maximal losing coalition  <=>  disjunctive hierarchical,
   unique shift-minimal winning coalition <=>  conjunctive hierarchical,
 
 after reordering levels by desirability and merging equivalent levels, which
 is what "hierarchical" means for a game rather than a spec. Every check reads
-only that merged game, and games that differ by a relabelling of equal-size
-levels merge to the same one, so the scan checks each distinct merged game
-once per call and hands the outcome to every complete game that merges to it.
+only that merged game, a complete game whose levels are strictly ordered, and
+a complete game is exactly an ordered partition of the levels into classes
+together with such a game on the class sizes. So the scan generates the
+strictly ordered games of each distinct class-size tuple directly
+(core._strict_games), checks each once, and counts it once per partition
+with those sizes. It never builds a game that is not complete.
 
-The antichains come from a walk over the lattice points sorted in
-lexicographic order. Each point has an int bitmask of the points comparable
-to it. The walk branches only on the free points after the last point
-taken: those whose bit is clear in the OR of the taken points' masks. It
-takes each free point in turn, from the last one back, yields the antichain
-with it, and recurses on the points after it. The order is that of a walk
-that skips or takes every point in turn, skip before take: read as
-indicator strings over the sorted points, an antichain comes before every
-antichain that extends it, and of two extensions the one whose next point
-comes later has a 0 where the other has a 1, so it comes first. Each call
-yields one antichain, so the recursion is as deep as the antichain it
-builds, not one level per lattice point. Every yielded set is an antichain
-of lattice members, already the minimal winning coalitions of its game, so
-the scan builds each game without validating or minimizing it again.
+The count of all games, nonempty antichains of nonempty coalitions, comes
+from a walk that builds nothing per antichain (_count_antichains).
 """
 
 from __future__ import annotations
@@ -43,14 +33,12 @@ from typing import Iterator, Optional
 
 from .classifier import WEIGHTED, Verdict, classify_rough
 from .core import (
-    Coalition,
     EnumerationCapError,
     ExplicitGame,
     Multiset,
     _covers,
-    _explicit_game,
     _require_int,
-    is_complete,
+    _strict_games,
     iter_coalitions,
 )
 from .hierarchy import (
@@ -58,7 +46,6 @@ from .hierarchy import (
     DISJUNCTIVE,
     HierSpec,
     _is_canonical,
-    merge_levels,
     realize,
     recover_conjunctive,
     recover_disjunctive,
@@ -230,92 +217,95 @@ class StructuralReport:
         return not self.mismatches
 
 
-def _antichains(coalitions: list[Coalition]) -> Iterator[frozenset[Coalition]]:
-    items = sorted(coalitions, key=lambda c: c.counts)
-    points = [c.counts for c in items]
-    comparable = [
-        sum(1 << k for k, y in enumerate(points) if _covers(x, y) or _covers(y, x))
-        for x in points
-    ]
-    last = len(items) - 1
-
-    def rec(idx: int, chosen: list[Coalition], blocked: int) -> Iterator[frozenset[Coalition]]:
-        for j in range(last, idx - 1, -1):
-            if not blocked >> j & 1:
-                chosen.append(items[j])
-                yield frozenset(chosen)
-                yield from rec(j + 1, chosen, blocked | comparable[j])
-                chosen.pop()
-
-    return rec(0, [], 0)
-
-
 def structural_scan(universe: Multiset) -> StructuralReport:
     """Test the shift-extremal uniqueness equivalences over one universe.
 
-    Enumerates every game (nonempty antichain of nonempty coalitions), keeps
-    the complete ones, and for each checks both directions of both
-    equivalences. Any failure lands in mismatches with enough detail to
-    replay it.
+    Counts every game and checks both directions of both equivalences on
+    every complete one. Any failure lands in mismatches with enough detail
+    to replay it.
 
-    shift_extremal and both recoveries run once per distinct merged game,
-    kept in a dict local to the call. That is exact: they read the merged
-    game alone, and ExplicitGame equality and hashing read only its universe
-    and minimal winning antichain, so equal keys are the same game. Each
-    complete game still adds its own counts and, on a mismatch, its own
-    replay line with its own minimal winning coalitions.
+    shift_extremal and both recoveries run once per generated game, which
+    is all they read. Each ordered partition of the levels whose class
+    sizes are that game's levels adds the outcome once, as one complete
+    game (core._strict_games, fact (c)). Only a mismatch rebuilds that
+    complete game: its minimal winning coalitions are the points whose
+    class sums are minimal winning in the generated game. The lines come
+    in the order of the walk that once built every game: by the tuple of
+    -rank(w) over the game's minimal winning coalitions w in lexicographic
+    order, rank(w) being w's position in that order among all points.
     """
-    coalitions = [c for c in iter_coalitions(universe) if c.size > 0]
-    total = 0
-    complete = 0
-    usml = 0
-    disj = 0
-    usmw = 0
-    conj = 0
-    mismatches: list[str] = []
-    # merged game -> (unique_max, unique_min, d, c)
-    seen: dict[ExplicitGame, tuple[bool, bool, Optional[HierSpec], Optional[HierSpec]]] = {}
-
-    def detail(members: frozenset[Coalition]) -> str:
-        # the replay text, built only for a mismatch
-        return f"universe={universe} min_winning={sorted(w.counts for w in members)}"
-
-    for members in _antichains(coalitions):
-        total += 1
-        game = _explicit_game(universe, members)
-        if not is_complete(game):
-            continue
-        complete += 1
-        ordered = merge_levels(game)
-        checked = seen.get(ordered)
-        if checked is None:
-            extremal = shift_extremal(ordered)
-            checked = seen[ordered] = (
-                len(extremal.shift_max_losing) == 1,
-                len(extremal.shift_min_winning) == 1,
-                recover_disjunctive(ordered),
-                recover_conjunctive(ordered),
-            )
-        unique_max, unique_min, d, c = checked
-        usml += unique_max
-        usmw += unique_min
-        disj += d is not None
-        conj += c is not None
-        if unique_max != (d is not None):
-            mismatches.append(
-                f"{detail(members)}: unique shift-max losing={unique_max} but disjunctive recovery={d}"
-            )
-        if unique_min != (c is not None):
-            mismatches.append(
-                f"{detail(members)}: unique shift-min winning={unique_min} but conjunctive recovery={c}"
-            )
+    points = [c.counts for c in iter_coalitions(universe)][1:]
+    m = universe.m
+    partitions: dict[tuple[int, ...], list[list[list[int]]]] = {}
+    for label in product(range(m), repeat=m):
+        classes = [[i for i in range(m) if label[i] == c] for c in range(max(label) + 1)]
+        if all(classes):  # an ordered partition: every class index in use
+            sizes = tuple(sum(universe.counts[i] for i in cls) for cls in classes)
+            partitions.setdefault(sizes, []).append(classes)
+    complete = usml = disj = usmw = conj = 0
+    failed: list[tuple[tuple[int, ...], str]] = []  # (the walk's sort key, line)
+    for sizes, expansions in partitions.items():
+        for game in _strict_games(sizes):
+            extremal = shift_extremal(game)
+            unique_max = len(extremal.shift_max_losing) == 1
+            unique_min = len(extremal.shift_min_winning) == 1
+            d = recover_disjunctive(game)
+            c = recover_conjunctive(game)
+            times = len(expansions)
+            complete += times
+            usml += times * unique_max
+            usmw += times * unique_min
+            disj += times * (d is not None)
+            conj += times * (c is not None)
+            lines = []
+            if unique_max != (d is not None):
+                lines.append(f"unique shift-max losing={unique_max} but disjunctive recovery={d}")
+            if unique_min != (c is not None):
+                lines.append(f"unique shift-min winning={unique_min} but conjunctive recovery={c}")
+            if lines:
+                merged = {w.counts for w in game.min_winning}
+                for classes in expansions:
+                    wins = [
+                        (j, x)
+                        for j, x in enumerate(points)
+                        if tuple(sum(x[i] for i in cls) for cls in classes) in merged
+                    ]
+                    detail = f"universe={universe} min_winning={[x for _, x in wins]}"
+                    failed += [(tuple(-j for j, _ in wins), f"{detail}: {line}") for line in lines]
+    failed.sort(key=lambda pair: pair[0])
     return StructuralReport(
         universe=universe,
-        total_games=total,
+        total_games=_count_antichains(points),
         complete_games=complete,
         unique_shift_max_losing=usml,
         disjunctive_hierarchical=disj,
         unique_shift_min_winning=usmw,
         conjunctive_hierarchical=conj,
-        mismatches=tuple(mismatches),
+        mismatches=tuple(line for _, line in failed),
     )
+
+
+def _count_antichains(points: list[tuple[int, ...]]) -> int:
+    """The number of nonempty antichains of the points under containment.
+
+    Each point has an int bitmask of the points comparable to it. An
+    antichain is counted from its last point: the walk takes each free
+    point in turn, from the last one back, and counts the antichains that
+    extend it by the free points before it, those whose bit is clear in
+    the OR of the taken points' masks. The recursion is as deep as the
+    antichain it counts.
+    """
+    comparable = [
+        sum(1 << k for k, y in enumerate(points) if _covers(x, y) or _covers(y, x))
+        for x in points
+    ]
+
+    def count(free: int) -> int:
+        total = 0
+        while free:
+            j = free.bit_length() - 1
+            free ^= 1 << j
+            total += 1 + count(free & ~comparable[j])
+        return total
+
+    return count((1 << len(points)) - 1)

@@ -10,9 +10,11 @@ walk the library used before it read desirability off the minimal winning
 coalitions. shift_extremal is the shift test the library used before it
 tested shifted count tuples against the minimal winning counts. antichains
 is the enumeration structural_scan used before it carried a bitmask of the
-points comparable to those taken. merge_levels is the merge the library used
-before it read the classes off the game itself: it takes them from the caller
-and rebuilds the merged game through the validating constructors. recover is
+points comparable to those taken, and _antichains the bitmask walk it used
+before it generated the complete games directly. merge_levels is the merge
+the library used before it read the classes off the game itself: it takes
+them from the caller and rebuilds the merged game through the validating
+constructors. recover is
 the threshold recovery the library used before it checked a candidate on the
 game's two antichains: it realizes the candidate and compares whole games
 (here with the scans above). canonicalize is the canonical form the library
@@ -33,6 +35,7 @@ from hiergames.core import (
     ExplicitGame,
     LevelRelation,
     Multiset,
+    _covers,
     is_winning,
     level_classes,
 )
@@ -173,6 +176,26 @@ def antichains(coalitions: list[Coalition]) -> Iterator[frozenset[Coalition]]:
             chosen.pop()
 
     yield from rec(0, [])
+
+
+def _antichains(coalitions: list[Coalition]) -> Iterator[frozenset[Coalition]]:
+    items = sorted(coalitions, key=lambda c: c.counts)
+    points = [c.counts for c in items]
+    comparable = [
+        sum(1 << k for k, y in enumerate(points) if _covers(x, y) or _covers(y, x))
+        for x in points
+    ]
+    last = len(items) - 1
+
+    def rec(idx: int, chosen: list[Coalition], blocked: int) -> Iterator[frozenset[Coalition]]:
+        for j in range(last, idx - 1, -1):
+            if not blocked >> j & 1:
+                chosen.append(items[j])
+                yield frozenset(chosen)
+                yield from rec(j + 1, chosen, blocked | comparable[j])
+                chosen.pop()
+
+    return rec(0, [], 0)
 
 
 def merge_levels(game: ExplicitGame, classes: list[list[int]]) -> ExplicitGame:

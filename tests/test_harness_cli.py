@@ -128,20 +128,28 @@ class TestStructuralScan:
         assert rep.conjunctive_hierarchical == conj
         assert rep.holds
 
-    def test_is_complete_called_once_per_game(self, monkeypatch):
-        # perfbench times each game by wrapping harness.is_complete, so the
-        # scan must make exactly one such call per enumerated game
+    def test_strict_games_once_per_class_sizes(self, monkeypatch):
+        # the complete games of each distinct class-size tuple are generated
+        # once, however many ordered partitions of the levels share it
         calls = []
-        real = harness.is_complete
+        real = harness._strict_games
 
-        def counting(game):
-            calls.append(game)
-            return real(game)
+        def counting(sizes):
+            calls.append(sizes)
+            return real(sizes)
 
-        monkeypatch.setattr(harness, "is_complete", counting)
+        monkeypatch.setattr(harness, "_strict_games", counting)
         rep = structural_scan(Multiset((2, 2, 2)))
-        assert rep.total_games == 978
-        assert len(calls) == rep.total_games
+        assert (rep.total_games, rep.complete_games) == (978, 378) and rep.holds
+        assert sorted(calls) == [(2, 2, 2), (2, 4), (4, 2), (6,)]
+
+    def test_reach(self):
+        # the counts of the walk that built and tested all 232,846 games
+        rep = structural_scan(Multiset((3, 3, 3)))
+        assert (rep.total_games, rep.complete_games) == (232846, 8004)
+        assert rep.unique_shift_max_losing == rep.disjunctive_hierarchical == 225
+        assert rep.unique_shift_min_winning == rep.conjunctive_hierarchical == 225
+        assert rep.holds
 
 
 def write_doc(tmp_path, data, name="doc.json"):

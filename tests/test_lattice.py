@@ -12,8 +12,8 @@ import json
 import pickle
 import pkgutil
 import tracemalloc
-from itertools import combinations, product
-from operator import attrgetter
+from itertools import accumulate, combinations, product
+from operator import attrgetter, ge
 from pathlib import Path
 
 import pytest
@@ -54,9 +54,9 @@ from hiergames import (
     verify_representation,
 )
 from hiergames.cli import main
-from hiergames.core import _explicit_game, _shift_extremal_points
+from hiergames.core import _explicit_game, _shift_extremal_points, _strict_games
 from hiergames.feasibility import LinearSystem
-from hiergames.harness import _antichains
+from lattice_reference import _antichains
 from hiergames.oracle import _rows, _separating_system
 
 GRIDS = [(levels, 3) for levels in (1, 2, 3, 4)] + [(5, 2)]
@@ -280,14 +280,16 @@ class TestAgainstReference:
         "counts", [(2, 2, 2), (1, 2, 3), (3, 3), (2, 1, 2), (1, 1, 1, 1), (2, 3, 2)], ids=str
     )
     def test_antichains(self, counts):
-        # structural_scan builds its games from these sets unvalidated, so
-        # each must already be an antichain of nonempty coalitions
+        # the walk the tests enumerate every game with: each set must be an
+        # antichain of nonempty coalitions; structural_scan counts these
+        # antichains without building them
         coalitions = [c for c in iter_coalitions(Multiset(counts)) if c.size > 0]
         got = list(_antichains(coalitions))
         assert got == list(ref.antichains(coalitions))
         for members in got:
             assert members and all(c.size > 0 for c in members)
             assert ref.minimal_antichain(members) == members
+        assert structural_scan(Multiset(counts)).total_games == len(got)
 
     @pytest.mark.parametrize(
         "counts", [(2, 2), (3, 3), (1, 1, 1), (1, 1, 1, 1), (1, 2, 3), (2, 2, 2)], ids=str
@@ -684,6 +686,52 @@ def assert_memo_kept(realized):
         assert maximal_losing(game) is losing
 
 
+class TestStrictGames:
+    """core._strict_games against the games of every antichain of the
+    lattice whose levels are strictly ordered as given."""
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [(6,), (2, 4), (4, 2), (3, 3), (2, 2, 2), (1, 2, 3), (2, 3, 2), (1, 1, 1, 1)],
+        ids=str,
+    )
+    def test_against_every_antichain(self, sizes):
+        universe = Multiset(sizes)
+        strict = [[i] for i in range(universe.m)]
+        games = (
+            ExplicitGame(universe, members)
+            for members in ref.antichains([c for c in ref.lattice(universe) if c.size > 0])
+        )
+        expected = {game for game in games if level_classes(game) == strict}
+        got = list(_strict_games(sizes))
+        assert len(set(got)) == len(got) == len(expected)
+        assert set(got) == expected
+        for game in got:
+            # the generating antichain: the winners no other winner lies
+            # below in prefix dominance
+            prefixes = {x: tuple(accumulate(x)) for x in ref.winning(game)}
+            generating = {
+                x
+                for x, p in prefixes.items()
+                if not any(y != x and all(map(ge, p, q)) for y, q in prefixes.items())
+            }
+            rows = ref.shift_extremal(game).shift_min_winning
+            assert {w.counts for w in rows} == generating, game
+
+    @pytest.mark.parametrize(
+        "sizes,count", [((3, 3, 3), 1253), ((2, 2, 2, 2), 3670), ((4, 4, 3), 7714)], ids=str
+    )
+    def test_counts_past_the_scan(self, sizes, count):
+        # strictly ordered complete games on universes the lattice scan
+        # never reached, counted independently before the generator existed
+        assert sum(1 for _ in _strict_games(sizes)) == count
+
+    def test_cap_checked_at_the_call(self, monkeypatch):
+        monkeypatch.setenv("HIERGAME_ENUM_CAP", "26")
+        with pytest.raises(EnumerationCapError, match="has 27 coalitions, cap is 26"):
+            _strict_games((2, 2, 2))
+
+
 # the systems `classify` solves on each explicit document of TestScanCounts,
 # in order, then those `oracle_classify` solves: a witness is read off the
 # full rows alone; the weighted document has strictly ordered levels, so
@@ -736,9 +784,9 @@ class TestScanCounts:
         assert_memo_kept(realized)
 
     def test_structural_scan_runs_one_pass_per_game(self, pass_steps, kernel_runs):
-        # each complete game is merged; the shift-extremal antichains and
-        # both recoveries of each distinct merged game read the one pass
-        # over it, and a game that merges to one already checked adds none
+        # the scan generates each distinct merged game once; its
+        # shift-extremal antichains and both recoveries read the one pass
+        # over it
         universe = Multiset((2, 2, 2))
         merged = {merge_levels(game) for game, _ in ref.complete_games(universe)}
         assert len(merged) == 86

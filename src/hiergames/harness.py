@@ -1,10 +1,10 @@
 """Verification harness: classifier-vs-oracle sweeps and the structural scan.
 
 run_sweep walks a canonical grid of specs, classifies each one structurally,
-reclassifies it with the LP oracle on the realized game, verifies any
-certificate arithmetically, and reports every disagreement. The classifier
-and the oracle share no decision logic, so agreement across a grid is real
-evidence, not an echo.
+verifies its certificate arithmetically on the realized game, asks the LP
+oracle what that certificate leaves open (cross_check), and reports every
+disagreement. The classifier and the oracle share no decision logic, so
+agreement across a grid is real evidence, not an echo.
 
 structural_scan tests the structural equivalences on every complete game
 of a small universe:
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import accumulate, product
 from typing import Iterator, Optional
 
-from .classifier import WEIGHTED, Verdict, classify_rough
+from .classifier import ROUGH_NOT_WEIGHTED, WEIGHTED, Verdict, classify_rough
 from .core import (
     EnumerationCapError,
     ExplicitGame,
@@ -51,7 +51,7 @@ from .hierarchy import (
     recover_disjunctive,
     shift_extremal,
 )
-from .oracle import oracle_classify, verify_representation
+from .oracle import oracle_classify, oracle_is_weighted, verify_representation
 
 __all__ = [
     "SweepRecord",
@@ -166,10 +166,34 @@ def cross_check(spec: HierSpec, verdict: Verdict) -> tuple[str, Optional[bool]]:
     """The oracle's class of the realized spec, and whether the verdict's
     certificate holds on that game (None when the verdict has none).
 
+    The certificate is checked first, and the oracle is asked only what it
+    leaves open. With no certificate, or one that fails, the class is
+    oracle_classify's. One that holds in weighted mode is, scaled, a point
+    of the oracle's weighted system, so the class is weighted. One that
+    holds in rough mode proves rough: it scales to a point of the quota-1
+    system, or at quota 0 its nonzero weight (RoughCert refuses all zeros)
+    marks a unit that wins alone, branch B's passer. Only the weighted
+    question is then open, and oracle_is_weighted answers it.
+
+    So whenever the LP is correct the class is oracle_classify's, and the
+    disagreements are those of asking it every time: a wrong weighted
+    verdict's certificate cannot hold; a rough verdict on a weighted game
+    still meets the weighted question; a rough verdict on a game that is
+    not rough has a certificate that cannot hold, and a not-rough verdict
+    has none. What is given up is the LP's own run on a half that a
+    certificate has proved. The LP is tested there elsewhere: by its
+    run-time witness guards, the oracle certificates golden file, its
+    agreement with the Fourier-Motzkin reference and the reduced-rows tests.
+
     Raises EnumerationCapError when the spec's lattice exceeds the cap.
     """
     game = realize(spec)
-    return oracle_classify(game), certificate_holds(game, verdict)
+    holds = certificate_holds(game, verdict)
+    if not holds:
+        return oracle_classify(game), holds
+    if verdict.game_class == WEIGHTED:
+        return WEIGHTED, True
+    return (WEIGHTED if oracle_is_weighted(game) else ROUGH_NOT_WEIGHTED), True
 
 
 def run_sweep(

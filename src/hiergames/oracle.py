@@ -48,13 +48,13 @@ maximal losing coalition with w >= 0.
 Witnesses come from the full rows alone. By the lemma the full system is
 infeasible exactly when the reduced one is, so oracle_weighted,
 oracle_rough and oracle_witness solve only the full system, whose vertex
-the golden files pin; oracle_classify never builds it for a strictly
-ordered game. A Farkas ray of the reduced system would carry multipliers
-on the monotone rows, so a refutation (a trading transform) is read off
-the full rows, solved only when one is asked for. The LP engine hands a
-witness back as int numerators over one positive denominator, and the
-certificate is built from those ints (RoughCert._of_ints), so deciding a
-game builds no Fraction.
+the golden files pin; oracle_classify and oracle_is_weighted never build
+it for a strictly ordered game. A Farkas ray of the reduced system would
+carry multipliers on the monotone rows, so a refutation (a trading
+transform) is read off the full rows, solved only when one is asked for.
+The LP engine hands a witness back as int numerators over one positive
+denominator, and the certificate is built from those ints
+(RoughCert._of_ints), so deciding a game builds no Fraction.
 
 Verification, a corollary. Weights w >= 0 with w_1 >= ... >= w_m lose no
 weight by adding a unit or moving one up a level. Removing a unit or
@@ -86,11 +86,16 @@ and oracle_classify goes straight to the rough system when it finds one
 
 Every question reads one row set, chosen once by _rows: the reduced rows
 when they are asked for and the levels are strictly ordered, else the
-full rows. Below the public functions no helper sees the game: each takes
-m and those rows, so rows built some other way run the same code. A
-system's rows are the count vectors as ints (the weighted system appends
-the quota variable), and the LP engine keeps every row as built: row j of
-the system is the j-th row the builder writes, never rescaled or merged.
+full rows. The weighted question is asked in one place,
+_weighted_unless_traded: a 2-trade refutes, else the weighted LP decides.
+_cascade asks it first; oracle_is_weighted asks it alone, on the reduced
+rows, for a caller whose verified certificate has already proved the game
+rough (harness.cross_check). Below the public functions no helper sees
+the game: each takes m and those rows, so rows built some other way run
+the same code. A system's rows are the count vectors as ints (the
+weighted system appends the quota variable), and the LP engine keeps
+every row as built: row j of the system is the j-th row the builder
+writes, never rescaled or merged.
 """
 
 from __future__ import annotations
@@ -108,6 +113,7 @@ __all__ = [
     "oracle_weighted",
     "oracle_rough",
     "oracle_classify",
+    "oracle_is_weighted",
     "oracle_witness",
     "verify_representation",
     "extremal_weight",
@@ -205,11 +211,15 @@ def _two_trade(rows: _Rows) -> Optional[tuple[tuple[int, ...], ...]]:
     return None
 
 
+def _weighted_unless_traded(m: int, rows: _Rows) -> Optional[RoughCert]:
+    """The weighted witness on `rows`, or None: a 2-trade refutes before any LP."""
+    return _weighted(m, rows) if _two_trade(rows) is None else None
+
+
 def _cascade(m: int, rows: _Rows) -> tuple[str, Optional[RoughCert]]:
-    if _two_trade(rows) is None:
-        cert = _weighted(m, rows)
-        if cert is not None:
-            return "weighted", cert
+    cert = _weighted_unless_traded(m, rows)
+    if cert is not None:
+        return "weighted", cert
     cert = _rough(m, rows)
     return ("not_rough" if cert is None else "rough_not_weighted"), cert
 
@@ -249,6 +259,13 @@ def oracle_classify(game: ExplicitGame) -> str:
     weightedness."""
     _checked(game)
     return _cascade(game.universe.m, _rows(game, reduced=True))[0]
+
+
+def oracle_is_weighted(game: ExplicitGame) -> bool:
+    """Whether the game is weighted: oracle_classify's first question alone,
+    on the same rows, a 2-trade refuting before the weighted LP decides."""
+    _checked(game)
+    return _weighted_unless_traded(game.universe.m, _rows(game, reduced=True)) is not None
 
 
 def verify_representation(game: ExplicitGame, cert: RoughCert, mode: str) -> bool:

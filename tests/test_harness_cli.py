@@ -19,11 +19,13 @@ from hiergames import (
     DISJUNCTIVE,
     HierSpec,
     Multiset,
+    RoughCert,
     SweepRecord,
     Verdict,
     canon_check,
     classify,
     harness,
+    oracle_classify,
     parse_document,
     realize,
     run_sweep,
@@ -104,6 +106,88 @@ class TestRunSweep:
         rep = run_sweep(CONJUNCTIVE, 2, 2, oracle=False)
         assert rep.all_agree
         assert all(r.oracle_class is None for r in rep.records)
+
+
+class TestCertificateFirst:
+    """cross_check asks the LP only what a verified certificate leaves open,
+    and still catches every wrong verdict."""
+
+    W1 = HierSpec(DISJUNCTIVE, (1, 2, 1), (1, 2, 3))
+    W2 = HierSpec(DISJUNCTIVE, (1, 2, 2), (1, 2, 4))
+    R1 = HierSpec(DISJUNCTIVE, (2, 2, 2), (2, 3, 4))
+    R2 = HierSpec(DISJUNCTIVE, (2, 2, 3), (2, 3, 5))
+    N = HierSpec(DISJUNCTIVE, (2, 3, 2), (2, 4, 5))
+
+    @classmethod
+    def forged(cls):
+        """spec -> (wrong verdict, whether its certificate holds) for the five
+        shapes, all on the disjunctive 3-level grid with n_i <= 3."""
+        rough, stray = "rough_not_weighted", RoughCert(1, (1, 1, 1))
+        return {
+            # a weighted verdict whose certificate fails
+            cls.R1: (Verdict("weighted", "forged", classify(cls.R1).certificate), False),
+            # a weighted spec's own certificate holds in rough mode: only
+            # the weighted question can catch it
+            cls.W1: (Verdict(rough, "forged", classify(cls.W1).certificate), True),
+            # a not-rough verdict on a rough spec
+            cls.R2: (Verdict("not_rough", "none", None), None),
+            # a rough verdict with a made-up certificate on a not-rough spec
+            cls.N: (Verdict(rough, "forged", stray), False),
+            # a not-rough verdict on a weighted spec
+            cls.W2: (Verdict("not_rough", "none", None), None),
+        }
+
+    def test_sweep_catches_wrong_verdicts(self, monkeypatch):
+        forged = self.forged()
+        real = harness.classify_rough
+        monkeypatch.setattr(
+            harness, "classify_rough", lambda spec: forged[spec][0] if spec in forged else real(spec)
+        )
+        rep = run_sweep(DISJUNCTIVE, 3, 3)
+        rough = "rough_not_weighted"
+        assert {r.spec: r.oracle_class for r in rep.disagreements} == {
+            self.W1: "weighted", self.W2: "weighted", self.R1: rough, self.R2: rough, self.N: "not_rough"
+        }
+        for r in rep.disagreements:
+            assert r.oracle_class == oracle_classify(realize(r.spec)) != r.verdict.game_class
+            assert r.cert_verified is forged[r.spec][1]
+
+    def test_classify_oracle_catches_wrong_verdicts(self, tmp_path, capsys, monkeypatch):
+        for spec, (verdict, holds) in self.forged().items():
+            monkeypatch.setattr(hiergames.cli, "classify_rough", lambda spec, v=verdict: v)
+            doc = {"kind": spec.kind, "n": list(spec.n), "k": list(spec.k)}
+            assert main(["classify", write_doc(tmp_path, doc), "--oracle", "--json"]) == 1
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["oracle"] == {
+                "class": oracle_classify(realize(spec)),
+                "certificate_verified": holds,
+            }
+            assert payload["agree"] is False
+
+    def test_lp_runs_once_per_not_rough_record(self, monkeypatch):
+        # weighted and rough certificates verify, a 2-trade refutes every
+        # rough one's weightedness, and only a not-rough spec meets the LP
+        solved = []
+        simplex = hiergames.feasibility._simplex_cone
+        monkeypatch.setattr(
+            hiergames.feasibility, "_simplex_cone", lambda *a: solved.append(1) or simplex(*a)
+        )
+        runs = {}
+        check = harness.cross_check
+
+        def counted(spec, verdict):
+            before = len(solved)
+            found = check(spec, verdict)
+            runs[spec] = len(solved) - before
+            return found
+
+        monkeypatch.setattr(harness, "cross_check", counted)
+        records = [r for kind in (DISJUNCTIVE, CONJUNCTIVE) for r in run_sweep(kind, 3, 3).records]
+        assert all(r.agree for r in records)
+        assert [runs[r.spec] for r in records] == [
+            int(r.verdict.game_class == "not_rough") for r in records
+        ]
+        assert len(solved) == 26
 
 
 class TestStructuralScan:
@@ -388,13 +472,16 @@ class TestCliSweepStructural:
         assert lines[-1] == "  disagreements: 0"
 
     def test_sweep_text_reports_disagreements(self, capsys, monkeypatch):
+        # a certificate that holds proves its half, so the cross-check asks
+        # the oracle only once the certificate is refuted
+        monkeypatch.setattr(harness, "verify_representation", lambda game, cert, mode: False)
         monkeypatch.setattr(harness, "oracle_classify", lambda game: "not_rough")
         assert main(self.SWEEP) == 1
         lines = capsys.readouterr().out.splitlines()
         disagree = [line for line in lines if line.startswith("  DISAGREE: ")]
         assert len(disagree) == 9
         assert all(
-            line.endswith(" classifier=weighted oracle=not_rough cert_verified=True")
+            line.endswith(" classifier=weighted oracle=not_rough cert_verified=False")
             for line in disagree
         )
         assert lines[-1] == "  disagreements: 9"

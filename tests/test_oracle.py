@@ -27,6 +27,7 @@ from hiergames import (
     load_document,
     maximal_losing,
     oracle_classify,
+    oracle_is_weighted,
     oracle_rough,
     oracle_weighted,
     oracle_witness,
@@ -139,6 +140,14 @@ class TestOracleClassify:
     )
     def test_three_way(self, spec, expected):
         assert oracle_classify(realize(spec)) == expected
+
+    def test_weighted_question_is_the_cascades_first(self):
+        # the golden games hold strictly ordered games (reduced rows) and
+        # others (full rows)
+        games = [g for _, g in oracle_games()]
+        assert {_rows(g, reduced=True).reduced for g in games} == {True, False}
+        for g in games:
+            assert oracle_is_weighted(g) == (oracle_classify(g) == "weighted")
 
 
 class TestOracleWitness:

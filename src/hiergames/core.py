@@ -18,15 +18,19 @@ of given sizes, and each game holds its mask alone. One whole-lattice pass
 per game, _read_lattice, reads that mask (or scans an explicit game's once) and
 keeps its minimal winning, maximal losing and shift-extremal points;
 min_winning, maximal_losing and _shift_extremal_points are read off that
-record. Nothing builds a tuple per point, and only the coalitions
-returned are decoded and wrapped, unvalidated, by _coalition.
+record. The level masks the pass reads (_bit_levels) are built on the first
+pass over any game on a universe object and live as long as it does, so the
+games of one universe share them. Nothing builds a tuple per point, and
+only the coalitions returned are decoded and wrapped, unvalidated, by
+_coalition.
 
 Everything here is exact and deterministic. _check_cap reads the
 enumeration cap (HIERGAME_ENUM_CAP) and checks it before anything is
 allocated, so that a typo in a universe cannot silently turn into a
 billion-element loop or a billion-bit int; iter_coalitions, _prefix_game,
 _strict_games and _lattice, the one gate to the pass, call it every time.
-Values derived from a game are memoized on it by one rule, _memo.
+Values derived from a game, and a universe's level masks, are memoized on
+the object by one rule, _memo.
 """
 
 from __future__ import annotations
@@ -298,12 +302,13 @@ class ExplicitGame:
         return _memo(self, name, lambda g: frozenset(map(_coalition, _points(minimal, strides))))
 
 
-def _memo(game: ExplicitGame, name: str, compute: Callable[[ExplicitGame], Any]) -> Any:
-    """compute(game), run on the first read only and kept in the game's
-    __dict__ under `name` (None included), outside its dataclass fields."""
-    memo = game.__dict__
+def _memo(obj: Any, name: str, compute: Callable[[Any], Any]) -> Any:
+    """compute(obj), run on the first read only and kept in the object's
+    __dict__ under `name` (None included), outside its dataclass fields, so
+    equality, hashing and repr do not see it."""
+    memo = obj.__dict__
     if name not in memo:
-        memo[name] = compute(game)
+        memo[name] = compute(obj)
     return memo[name]
 
 
@@ -520,10 +525,12 @@ def _lattice(game: ExplicitGame) -> _Pass:
 
 def _read_lattice(game: ExplicitGame) -> _Pass:
     """(strides, minimal winning bits, maximal losing bits, shift-extremal
-    points or None) of the game. The level masks are built once and live
-    only for the pass; a game from _mask_game comes with its win mask,
-    any other is scanned once, and the mask is not kept."""
-    strides, levels = _bit_levels(game.universe.counts)
+    points or None) of the game. The strides and level masks are built once
+    per universe object and live as long as it does, memoized on it, so
+    the games _strict_games yields on one universe share them; a game from
+    _mask_game comes with its win mask, any other is scanned once, and the
+    mask is not kept."""
+    strides, levels = _memo(game.universe, "_bit_levels", lambda u: _bit_levels(u.counts))
     win = game.__dict__.get("_win")
     if win is None:
         win = _scan_win(game, strides, levels)

@@ -21,8 +21,10 @@ strictly ordered games of each distinct class-size tuple directly
 (core._strict_games), checks each once, and counts it once per partition
 with those sizes. It never builds a game that is not complete.
 
-The count of all games, nonempty antichains of nonempty coalitions, comes
-from a walk that builds nothing per antichain (_count_antichains).
+The count of all games, nonempty antichains of nonempty coalitions, is
+not a walk over them: it is |J(L)| - 2, J(L) being the down-sets of the
+lattice L of count vectors, counted as multichains of down-sets of a
+smaller lattice (_count_down_sets).
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .core import (
     EnumerationCapError,
     ExplicitGame,
     Multiset,
-    _covers,
     _require_int,
     _strict_games,
     iter_coalitions,
@@ -246,7 +247,8 @@ def structural_scan(universe: Multiset) -> StructuralReport:
 
     Counts every game and checks both directions of both equivalences on
     every complete one. Any failure lands in mismatches with enough detail
-    to replay it.
+    to replay it. The universe's type and the enumeration cap are checked
+    at the call (iter_coalitions), before anything is counted.
 
     shift_extremal and both recoveries run once per generated game, which
     is all they read. Each ordered partition of the levels whose class
@@ -258,7 +260,8 @@ def structural_scan(universe: Multiset) -> StructuralReport:
     -rank(w) over the game's minimal winning coalitions w in lexicographic
     order, rank(w) being w's position in that order among all points.
     """
-    points = [c.counts for c in iter_coalitions(universe)][1:]
+    coalitions = iter_coalitions(universe)
+    points: list[tuple[int, ...]] = []  # the nonzero points, listed for a mismatch only
     m = universe.m
     partitions: dict[tuple[int, ...], list[list[list[int]]]] = {}
     for label in product(range(m), repeat=m):
@@ -287,6 +290,7 @@ def structural_scan(universe: Multiset) -> StructuralReport:
             if unique_min != (c is not None):
                 lines.append(f"unique shift-min winning={unique_min} but conjunctive recovery={c}")
             if lines:
+                points = points or [x.counts for x in coalitions][1:]
                 merged = {w.counts for w in game.min_winning}
                 for classes in expansions:
                     wins = [
@@ -299,7 +303,7 @@ def structural_scan(universe: Multiset) -> StructuralReport:
     failed.sort(key=lambda pair: pair[0])
     return StructuralReport(
         universe=universe,
-        total_games=_count_antichains(points),
+        total_games=_count_down_sets(universe.counts) - 2,
         complete_games=complete,
         unique_shift_max_losing=usml,
         disjunctive_hierarchical=disj,
@@ -309,27 +313,64 @@ def structural_scan(universe: Multiset) -> StructuralReport:
     )
 
 
-def _count_antichains(points: list[tuple[int, ...]]) -> int:
-    """The number of nonempty antichains of the points under containment.
+def _count_down_sets(counts: tuple[int, ...]) -> int:
+    """|J(L)|, the number of down-sets of the lattice L of count vectors
+    x <= counts, from count vectors alone: no lattice of L is built.
 
-    Each point has an int bitmask of the points comparable to it. An
-    antichain is counted from its last point: the walk takes each free
-    point in turn, from the last one back, and counts the antichains that
-    extend it by the free points before it, those whose bit is clear in
-    the OR of the taken points' masks. The recursion is as deep as the
-    antichain it counts.
+    The games are the nonempty antichains of nonzero points. Each generates
+    an up-set that is neither empty nor, lacking the zero point, all of L,
+    and each such up-set is generated by its minimal points alone. Up-sets
+    are the complements of down-sets, so there are |J(L)| - 2 games.
+
+    Chains. Put the level p with the most players first: L = [0..n] x L',
+    n = n_p, L' the product of the other levels ([0..0], one point, when
+    there are none). For a down-set D of L, D_a = {y : (a, y) in D} is a
+    down-set of L', and D_a contains D_{a+1}, since (a, y) <= (a + 1, y).
+    Conversely, if D_0 >= ... >= D_n are down-sets of L', then
+    D = {(a, y) : y in D_a} is a down-set: (b, z) <= (a, y) with y in D_a
+    puts z in D_a, which D_b contains. The two maps are inverse, so
+    |J(L)| is the number of such chains of n + 1 down-sets of L'. With
+    (zeta f)(E) = sum of f(F) over the down-sets F contained in E, and f = 1,
+    (zeta^k f)(E) counts the chains of k down-sets inside E, so |J(L)| is
+    (zeta^(n+1) f)(L').
+
+    Down-sets of L'. Split L' as C x [0..t], t its last level: D is a
+    down-set iff each fibre {z : (y, z) in D} is an initial segment
+    [0..h(y) - 1] and the height h is non-increasing on C. D gains a point
+    x = (y, h(y)) iff h(y) <= t and h(y - e_i) > h(y) for every i with
+    y_i > 0; those steps D -> D + x, from the empty down-set, reach all of
+    J(L'), and each pairs a down-set with one of its maximal points.
+
+    The zeta step runs in place over the points x of L' in lexicographic
+    order, a linear extension. Once the points before x are done, g(E)
+    sums f(F) over the down-sets F in E that agree with E from x on. A
+    down-set F in E lacking x but agreeing with E after x exists only when
+    x is maximal in E, since the points above x come after it; those F are
+    the ones g(E - x) sums, and E - x is not itself updated at x. So the
+    step adds g(E - x) into g(E) once per step E - x -> E: at most
+    |J(L')| x |L'| additions, and n + 1 steps in all, after one search
+    over J(L') that tries each of its |C| columns per down-set. On
+    (2,2,2,2), L' = [0..2]^3 has 27 points and 980 down-sets.
     """
-    comparable = [
-        sum(1 << k for k, y in enumerate(points) if _covers(x, y) or _covers(y, x))
-        for x in points
-    ]
-
-    def count(free: int) -> int:
-        total = 0
-        while free:
-            j = free.bit_length() - 1
-            free ^= 1 << j
-            total += 1 + count(free & ~comparable[j])
-        return total
-
-    return count((1 << len(points)) - 1)
+    p = counts.index(max(counts))
+    *heads, t = counts[:p] + counts[p + 1 :] or (0,)
+    cells = list(product(*(range(c + 1) for c in heads)))
+    column = {y: j for j, y in enumerate(cells)}
+    lower = [[column[y[:i] + (a - 1,) + y[i + 1 :]] for i, a in enumerate(y) if a] for y in cells]
+    found = [(0,) * len(cells)]  # heights, the empty down-set first
+    index = {found[0]: 0}
+    steps = []  # (column, height, E - x, E) for x = (cells[column], height)
+    for src, h in enumerate(found):  # found grows as the search goes
+        for j, z in enumerate(h):
+            if z <= t and all(h[k] > z for k in lower[j]):
+                grown = h[:j] + (z + 1,) + h[j + 1 :]
+                dst = index.setdefault(grown, len(found))
+                if dst == len(found):
+                    found.append(grown)
+                steps.append((j, z, src, dst))
+    steps.sort()
+    ways = [1] * len(found)
+    for _ in range(counts[p] + 1):
+        for _, _, src, dst in steps:
+            ways[dst] += ways[src]
+    return ways[index[(t + 1,) * len(cells)]]

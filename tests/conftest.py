@@ -1,4 +1,5 @@
-"""Fixtures shared by several test modules."""
+"""Fixtures shared by several test modules, and the --run-slow option:
+tests marked slow are skipped unless it is given."""
 
 import importlib
 import pkgutil
@@ -7,6 +8,19 @@ import pytest
 
 import hiergames
 import hiergames.core
+
+
+def pytest_addoption(parser):
+    parser.addoption("--run-slow", action="store_true", help="also run the tests marked slow")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--run-slow"):
+        return
+    skip = pytest.mark.skip(reason="slow: needs --run-slow")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)
 
 
 @pytest.fixture

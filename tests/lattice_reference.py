@@ -11,7 +11,9 @@ coalitions. shift_extremal is the shift test the library used before it
 tested shifted count tuples against the minimal winning counts. antichains
 is the enumeration structural_scan used before it carried a bitmask of the
 points comparable to those taken, and _antichains the bitmask walk it used
-before it generated the complete games directly. merge_levels is the merge
+before it generated the complete games directly; count_antichains is the
+walk that counted every game, building none, before structural_scan counted
+the down-sets of the lattice instead. merge_levels is the merge
 the library used before it read the classes off the game itself: it takes
 them from the caller and rebuilds the merged game through the validating
 constructors. recover is
@@ -196,6 +198,32 @@ def _antichains(coalitions: list[Coalition]) -> Iterator[frozenset[Coalition]]:
                 chosen.pop()
 
     return rec(0, [], 0)
+
+
+def count_antichains(points: list[tuple[int, ...]]) -> int:
+    """The number of nonempty antichains of the points under containment.
+
+    Each point has an int bitmask of the points comparable to it. An
+    antichain is counted from its last point: the walk takes each free
+    point in turn, from the last one back, and counts the antichains that
+    extend it by the free points before it, those whose bit is clear in
+    the OR of the taken points' masks. The recursion is as deep as the
+    antichain it counts.
+    """
+    comparable = [
+        sum(1 << k for k, y in enumerate(points) if _covers(x, y) or _covers(y, x))
+        for x in points
+    ]
+
+    def count(free: int) -> int:
+        total = 0
+        while free:
+            j = free.bit_length() - 1
+            free ^= 1 << j
+            total += 1 + count(free & ~comparable[j])
+        return total
+
+    return count((1 << len(points)) - 1)
 
 
 def merge_levels(game: ExplicitGame, classes: list[list[int]]) -> ExplicitGame:

@@ -12,7 +12,8 @@ import json
 import pickle
 import pkgutil
 import tracemalloc
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, islice, product
+from math import comb, prod
 from operator import attrgetter, ge
 from pathlib import Path
 
@@ -489,9 +490,33 @@ class TestCapWithMemos:
         assert oracle_classify(game) == "rough_not_weighted"
         read(game)  # sets what this read memoizes, if anything
         assert {"_win", "_lattice"} <= set(game.__dict__)
+        assert "_bit_levels" in vars(game.universe)
         monkeypatch.setenv("HIERGAME_ENUM_CAP", "63")
         with pytest.raises(EnumerationCapError, match="has 64 coalitions, cap is 63"):
             read(game)
+
+    def test_shared_universe_refused_under_a_smaller_cap(self, monkeypatch):
+        # the games _strict_games yields share one universe, which keeps the
+        # level masks from the first pass; the cap still gates every game
+        monkeypatch.setenv("HIERGAME_ENUM_CAP", "27")
+        first, second = islice(_strict_games((2, 2, 2)), 2)
+        assert _shift_extremal_points(first) is not None
+        assert second.universe is first.universe and "_bit_levels" in vars(first.universe)
+        monkeypatch.setenv("HIERGAME_ENUM_CAP", "26")
+        for game in (first, second):
+            with pytest.raises(EnumerationCapError, match="has 27 coalitions, cap is 26"):
+                _shift_extremal_points(game)
+
+    def test_universe_memo_is_invisible(self):
+        # equality, hashing and repr read the counts alone, not the level
+        # masks memoized on the universe
+        game = next(_strict_games((2, 2, 2)))
+        _shift_extremal_points(game)
+        held, bare = game.universe, Multiset((2, 2, 2))
+        assert "_bit_levels" in vars(held) and "_bit_levels" not in vars(bare)
+        for copied in (held, copy.copy(held), copy.deepcopy(held), pickle.loads(pickle.dumps(held))):
+            assert copied == bare and hash(copied) == hash(bare)
+            assert repr(copied) == repr(bare) == "Multiset(counts=(2, 2, 2))"
 
     def test_each_read_checks_the_cap_once(self, monkeypatch):
         # a cold read runs the kernel on the mask its own check let through
@@ -732,6 +757,74 @@ class TestStrictGames:
             _strict_games((2, 2, 2))
 
 
+def macmahon(a, b, c):
+    """MacMahon's count of the plane partitions in an a x b x c box:
+    prod over i <= a, j <= b of (i + j + c - 1) / (i + j - 1)."""
+    cells = list(product(range(1, a + 1), range(1, b + 1)))
+    return prod(i + j + c - 1 for i, j in cells) // prod(i + j - 1 for i, j in cells)
+
+
+CRITERION_7 = [(a, b) for a in range(1, 6) for b in range(1, 6) if a + b <= 6]
+# every universe this module's scan tests read
+SCANNED = [(2, 2), (3, 3), (1, 1, 1), (2, 2, 2), (1, 2, 3), (2, 1, 2), (2, 3, 2), (1, 1, 1, 1)]
+
+
+class TestGameCount:
+    """structural_scan's total_games, the down-sets of the lattice less 2,
+    counted as multichains (harness._count_down_sets), against the walk
+    that counted every game and against closed forms."""
+
+    @staticmethod
+    def walk(counts):
+        return ref.count_antichains([c.counts for c in iter_coalitions(Multiset(counts))][1:])
+
+    @pytest.mark.parametrize("counts", sorted(set(CRITERION_7 + SCANNED)) + [(3, 3, 3)], ids=str)
+    def test_against_the_walk(self, counts):
+        assert structural_scan(Multiset(counts)).total_games == self.walk(counts)
+
+    @pytest.mark.slow
+    def test_against_the_walk_on_3_2_2_2(self):
+        # the walk takes minutes here; the scan takes seconds
+        report = structural_scan(Multiset((3, 2, 2, 2)))
+        assert report.holds and report.complete_games == 622062
+        assert report.total_games == self.walk((3, 2, 2, 2)) == 781429366
+
+    def test_one_level(self):
+        # the other levels' lattice is a single point with two down-sets
+        for n in range(1, 9):
+            assert structural_scan(Multiset((n,))).total_games == n
+
+    def test_two_levels_binomial(self):
+        for a in range(1, 12):
+            for b in range(1, 13 - a):
+                total = structural_scan(Multiset((a, b))).total_games
+                assert total == comb(a + b + 2, a + 1) - 2, (a, b)
+
+    def test_three_levels_macmahon(self):
+        assert macmahon(5, 5, 5) - 2 == 267227530
+        for n in product(range(1, 5), repeat=3):
+            expected = macmahon(*(c + 1 for c in n)) - 2
+            assert hiergames.harness._count_down_sets(n) - 2 == expected, n
+            if max(n) <= 3:
+                assert structural_scan(Multiset(n)).total_games == expected, n
+
+    @pytest.mark.slow
+    def test_three_levels_macmahon_by_scan(self):
+        for n in product(range(1, 5), repeat=3):
+            report = structural_scan(Multiset(n))
+            assert report.holds and report.total_games == macmahon(*(c + 1 for c in n)) - 2, n
+
+    def test_cap_checked_before_counting(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("reached past the cap")
+
+        for name in ("_count_down_sets", "_strict_games"):
+            monkeypatch.setattr(hiergames.harness, name, unreachable)
+        monkeypatch.setenv("HIERGAME_ENUM_CAP", "26")
+        with pytest.raises(EnumerationCapError, match="has 27 coalitions, cap is 26"):
+            structural_scan(Multiset((2, 2, 2)))
+
+
 # the systems `classify` solves on each explicit document of TestScanCounts,
 # in order, then those `oracle_classify` solves: a witness is read off the
 # full rows alone; the weighted document has strictly ordered levels, so
@@ -786,15 +879,17 @@ class TestScanCounts:
     def test_structural_scan_runs_one_pass_per_game(self, pass_steps, kernel_runs):
         # the scan generates each distinct merged game once; its
         # shift-extremal antichains and both recoveries read the one pass
-        # over it
+        # over it. The games of one class-size tuple share one universe,
+        # which keeps the level masks, so they are built once per tuple
         universe = Multiset((2, 2, 2))
         merged = {merge_levels(game) for game, _ in ref.complete_games(universe)}
         assert len(merged) == 86
+        assert {game.universe.counts for game in merged} == {(2, 2, 2), (2, 4), (4, 2), (6,)}
         # merging reads the minimal winning coalitions, not the lattice
         assert pass_steps == {"_bit_levels": 0, "_antichain_bits": 0} and kernel_runs == []
         report = structural_scan(universe)
         assert report.complete_games == 378 and report.holds
-        assert pass_steps == {"_bit_levels": len(merged), "_antichain_bits": len(merged)}
+        assert pass_steps == {"_bit_levels": 4, "_antichain_bits": len(merged)}
         assert len(kernel_runs) == len({id(game) for game in kernel_runs}) == len(merged)
         assert set(kernel_runs) == merged
         for game in kernel_runs:

@@ -118,9 +118,10 @@ def _weighted_disj(
         if inner is not None:
             _, q, w = inner
             return 4, q, (q,) + w
-    if m in (2, 3, 4) and k[-1] == k[-2] + n[-1]:
+    if k[-1] == k[-2] + n[-1]:
         # dummy last level; the subgame's last level was a middle level,
-        # which canonical form makes strict, so it never matches (5) itself
+        # which canonical form makes strict, so it never matches (5) itself;
+        # m <= 4 is implied: past it the subgame has 4+ levels and no case
         inner = _weighted_disj(n[:-1], k[:-1])
         if inner is not None:
             _, q, w = inner
@@ -162,7 +163,8 @@ def _rough_disj(
             # n1 >= k1 is canonical; n2 >= 4, as n2 = 2 is a dummy level,
             # (vii), and n2 = 3 is Thm4(3); [1; (1/2, 1/4)]
             return "ii", 4, 4, (2, 1)
-        if k[1] == k[0] + 2 and n[1] == 4:
+        if n[1] == 4:
+            # k2 = k1 + 2, as k2 - k1 = 1 is Thm4(2), 3 Thm4(3) and 4 (vii);
             # k1 > 2, as k1 = 1 is (i) and k1 = 2 is (ii), and n1 >= k1 is
             # canonical; [1; (1/k1, 1/(2 k1))]
             return "iii", 2 * k[0], 2 * k[0], (2, 1)
@@ -180,7 +182,8 @@ def _rough_disj(
         if k[1] == k[0] + 1:
             # n1 >= k1 is canonical, k1 >= 2 by (i), and k1 = 2 in (v) is
             # (2, 3, 4), decided above
-            v = k[2] == k[0] + 2 and n[2] == 2
+            # with n3 = 2, k3 = k2 + 1 = k1 + 2, as k3 - k2 = 2 is (vii)
+            v = n[2] == 2
             vi = n[2] == k[2] - k[0] >= 3
             if v or vi:
                 # [1; (1/k1, 1/k1, 0)]

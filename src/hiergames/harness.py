@@ -18,8 +18,10 @@ only that merged game, a complete game whose levels are strictly ordered, and
 a complete game is exactly an ordered partition of the levels into classes
 together with such a game on the class sizes. So the scan generates the
 strictly ordered games of each distinct class-size tuple directly
-(core._strict_games), checks each once, and counts it once per partition
-with those sizes. It never builds a game that is not complete.
+(core._strict_games), checks each once on its shift-extremal rows, and
+counts it once per partition with those sizes. It never builds a game that
+is not complete, and recovers each kind's spec from the rows alone
+(hierarchy._spec_of_rows).
 
 The count of all games, nonempty antichains of nonempty coalitions, is
 not a walk over them: it is |J(L)| - 2, J(L) being the down-sets of the
@@ -39,19 +41,11 @@ from .core import (
     ExplicitGame,
     Multiset,
     _require_int,
+    _shift_extremal_points,
     _strict_games,
     iter_coalitions,
 )
-from .hierarchy import (
-    CONJUNCTIVE,
-    DISJUNCTIVE,
-    HierSpec,
-    _is_canonical,
-    realize,
-    recover_conjunctive,
-    recover_disjunctive,
-    shift_extremal,
-)
+from .hierarchy import CONJUNCTIVE, DISJUNCTIVE, HierSpec, _is_canonical, _spec_of_rows, realize
 from .oracle import oracle_classify, oracle_is_weighted, verify_representation
 
 __all__ = [
@@ -250,10 +244,13 @@ def structural_scan(universe: Multiset) -> StructuralReport:
     to replay it. The universe's type and the enumeration cap are checked
     at the call (iter_coalitions), before anything is counted.
 
-    shift_extremal and both recoveries run once per generated game, which
-    is all they read. Each ordered partition of the levels whose class
-    sizes are that game's levels adds the outcome once, as one complete
-    game (core._strict_games, fact (c)). Only a mismatch rebuilds that
+    Each generated game's shift-extremal rows are read once
+    (core._shift_extremal_points); the uniqueness counts and one call of
+    the rows rule per kind (hierarchy._spec_of_rows) read those rows alone.
+    The game is strictly ordered and nontrivial, which is all that
+    recover_* would check first. Each ordered partition of the levels
+    whose class sizes are that game's levels adds the outcome once, as one
+    complete game (core._strict_games, fact (c)). Only a mismatch rebuilds that
     complete game: its minimal winning coalitions are the points whose
     class sums are minimal winning in the generated game. The lines come
     in the order of the walk that once built every game: by the tuple of
@@ -273,11 +270,11 @@ def structural_scan(universe: Multiset) -> StructuralReport:
     failed: list[tuple[tuple[int, ...], str]] = []  # (the walk's sort key, line)
     for sizes, expansions in partitions.items():
         for game in _strict_games(sizes):
-            extremal = shift_extremal(game)
-            unique_max = len(extremal.shift_max_losing) == 1
-            unique_min = len(extremal.shift_min_winning) == 1
-            d = recover_disjunctive(game)
-            c = recover_conjunctive(game)
+            wins, losses = _shift_extremal_points(game)  # never None: the levels are strict
+            unique_max = len(losses) == 1
+            unique_min = len(wins) == 1
+            d = _spec_of_rows(DISJUNCTIVE, sizes, wins, losses)
+            c = _spec_of_rows(CONJUNCTIVE, sizes, wins, losses)
             times = len(expansions)
             complete += times
             usml += times * unique_max

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import ge
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
     Coalition,
@@ -276,49 +276,58 @@ def canonicalize_semantic(spec: HierSpec) -> tuple[HierSpec, tuple[int, ...]]:
 
 
 def recover_disjunctive(game: ExplicitGame) -> Optional[HierSpec]:
-    """Canonical disjunctive spec describing `game`, or None.
-
-    Candidate thresholds: k_i = 1 + (largest i-prefix among shift-maximal
-    losers). It must be a valid canonical spec under which every
-    shift-minimal winner wins and every shift-maximal loser loses (the rows
-    fix a game on strictly ordered levels); else the game is not hierarchical.
-    """
+    """Canonical disjunctive spec describing `game`, or None: None for a
+    trivial game or one whose levels are not strictly ordered as given
+    (merge equivalent levels first), else the rows rule's answer
+    (_spec_of_rows) on the game's shift-extremal rows."""
     return _recover(game, DISJUNCTIVE)
 
 
 def recover_conjunctive(game: ExplicitGame) -> Optional[HierSpec]:
-    """Canonical conjunctive spec describing `game`, or None.
-
-    Candidate thresholds: k_i = smallest i-prefix among shift-minimal winners.
-    """
+    """Canonical conjunctive spec describing `game`, or None; as
+    recover_disjunctive."""
     return _recover(game, CONJUNCTIVE)
 
 
 def _recover(game: ExplicitGame, kind: str) -> Optional[HierSpec]:
-    """Recovery on the shift-extremal rows, with neither antichain decoded.
-
-    On strictly ordered levels every winner prefix-dominates a shift-minimal
-    winning row and every loser is prefix-dominated by a shift-maximal
-    losing one (the oracle's verification corollary), and the prefix rule
-    is monotone in the prefix sums: the rows give the thresholds of all
-    coalitions, and a spec that agrees with the game on them agrees on all.
-    """
     empty_wins, full_wins = game._ends_win()
     if empty_wins or not full_wins:
         return None  # trivial, so no spec: refused before the cap is checked
     rows = _shift_extremal_points(game)  # the cap error comes before any threshold
     if rows is None:
         return None  # a canonical spec's game has strictly ordered levels
-    wins, losses = rows
+    return _spec_of_rows(kind, game.universe.counts, *rows)
+
+
+def _spec_of_rows(
+    kind: str,
+    counts: tuple[int, ...],
+    wins: Sequence[tuple[int, ...]],
+    losses: Sequence[tuple[int, ...]],
+) -> Optional[HierSpec]:
+    """The spec of `kind` on level sizes `counts` whose game has these
+    shift-minimal winning and shift-maximal losing rows, or None; the rows
+    must be those of a game with strictly ordered levels, which this rule
+    never sees.
+
+    Disjunctive k_i is 1 + the largest i-prefix of a losing row,
+    conjunctive k_i the smallest i-prefix of a winning row. The spec stands
+    iff it is valid, every winning row wins and every losing row loses.
+    Then it realizes the game: on strictly ordered levels every winner
+    prefix-dominates a winning row and every loser is prefix-dominated by a
+    losing one (the oracle's verification corollary), and the prefix rule
+    is monotone in the prefix sums. So its levels are strictly ordered, and
+    by CanonReport's rule its normalized form is canonical. That form is
+    the spec itself: a disjunctive k_m is at most k_{m-1} + n_m, as every
+    losing row has X_m = X_{m-1} + x_m <= k_{m-1} - 1 + n_m.
+    """
     if kind == DISJUNCTIVE:
         k = tuple(1 + max(p) for p in zip(*map(accumulate, losses)))
     else:
         k = tuple(min(p) for p in zip(*map(accumulate, wins)))
     try:
-        spec = HierSpec(kind, game.universe.counts, k)
+        spec = HierSpec(kind, counts, k)
     except ValueError:
-        return None
-    if not _is_canonical(spec):
         return None
     winning = all(_prefix_wins(kind, k, x) for x in wins)
     return spec if winning and not any(_prefix_wins(kind, k, x) for x in losses) else None

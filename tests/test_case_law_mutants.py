@@ -1,0 +1,148 @@
+"""Conditions of the case law that nothing on the grids can tell from
+implied ones, found by mutation.
+
+Each mutant of classifier.py changes one site: an `and` operand made
+True, an `or` operand made False, or an `if` test made False. It is loaded
+as a module of its own and judged in process on the S1 grids against the
+unmutated classifier. A mutant survives when every verdict tuple (class,
+tag, certificate, notes) is unchanged; the survivors are committed below
+by function and source text, so a new survivor, or a guard deleted or
+killed, fails the run. Run with `pytest --run-slow`.
+"""
+
+import ast
+import sys
+import types
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+import hiergames.classifier
+from hiergames import CONJUNCTIVE, DISJUNCTIVE, sweep_specs
+
+# (levels, nmax) of the S1 grids, both kinds: 16,326 canonical specs
+S1_GRIDS = [(1, 8), (2, 8), (3, 5), (4, 4), (5, 3), (6, 2)]
+
+# (function, mutation, source text of the site) of every surviving mutant
+SURVIVORS = [
+    # input validation: every grid spec is canonical
+    ("classify_rough", "if -> False", "not _is_canonical(spec)"),
+    # equivalent, kept for clarity: for m = 1, k[-2] is k[0], and
+    # k[0] == k[0] + n[0] fails
+    ("_rough_disj", "and -> True", "m >= 2"),
+    # the printed conjunctive reading, kept verbatim: it reaches only
+    # Verdict.notes, and only when it disagrees with duality on whether
+    # any case matches, so most of its conditions cannot show there
+    *(
+        ("_literal_conj_case", "and -> True", text)
+        for text in (
+            "k1 == n1 - 1",
+            "n1 >= 2",
+            "n2 >= 4",
+            "k2 == k1 + 2",
+            "1 <= k1 < n1 - 1",
+            "n1 >= 2",
+            "k2 == k1 + 1",
+            "k3 == k1 + 2",
+            "k3 == k2 + 1",
+            "k2 - k1 == n2 - 1",
+            "1 <= k1 < n1 - 1",
+            "n3 >= 3",
+            "1 <= k1 <= n1 - 1",
+            "m >= 2",
+        )
+    ),
+    # (vb), which never fires
+    (
+        "_literal_conj_case",
+        "if -> False",
+        "k3 == k2 + 1 and n3 == 2 and k2 - k1 == n2 - 1 and 1 <= k1 < n1 - 1 and n3 >= 3",
+    ),
+]
+# every site: 35 `and` operands, 2 `or` operands and 38 `if` tests
+SITES = 75
+
+
+class _Mutator(ast.NodeTransformer):
+    """Applies the mutation of one site, counted in walk order; after the
+    pass, `sites` holds every site seen as (function, mutation, node)."""
+
+    def __init__(self, target=None):
+        self.target = target
+        self.sites = []
+        self.function = None
+
+    def _site(self, mutation, node):
+        self.sites.append((self.function, mutation, node))
+        return len(self.sites) - 1 == self.target
+
+    def visit_FunctionDef(self, node):
+        outer, self.function = self.function, self.function or node.name
+        self.generic_visit(node)
+        self.function = outer
+        return node
+
+    def visit_BoolOp(self, node):
+        self.generic_visit(node)
+        conjunction = isinstance(node.op, ast.And)
+        mutation, value = ("and -> True", True) if conjunction else ("or -> False", False)
+        node.values = [
+            ast.Constant(value) if self._site(mutation, operand) else operand
+            for operand in node.values
+        ]
+        return node
+
+    def visit_If(self, node):
+        if self._site("if -> False", node.test):
+            node.test = ast.Constant(False)
+        self.generic_visit(node)
+        return node
+
+
+def _source():
+    return Path(hiergames.classifier.__file__).read_text(encoding="utf-8")
+
+
+def _load_mutant(target):
+    """The classifier with site `target` mutated, as a fresh module."""
+    tree = _Mutator(target).visit(ast.parse(_source()))
+    name = "hiergames._classifier_mutant"
+    module = types.ModuleType(name)
+    module.__package__ = "hiergames"
+    sys.modules[name] = module  # dataclasses look the module up while it runs
+    try:
+        exec(compile(ast.fix_missing_locations(tree), name, "exec"), vars(module))
+    finally:
+        del sys.modules[name]
+    return module
+
+
+def _verdict(classify, spec):
+    try:
+        v = classify(spec)
+    except Exception as exc:  # a crash kills the mutant
+        return type(exc)
+    return v.game_class, v.matched_case, v.certificate, v.notes
+
+
+@pytest.mark.slow
+def test_survivors_are_the_committed_list():
+    specs = [
+        spec
+        for kind in (DISJUNCTIVE, CONJUNCTIVE)
+        for levels, nmax in S1_GRIDS
+        for spec in sweep_specs(kind, levels, nmax)
+    ]
+    assert len(specs) == 16326
+    expected = [_verdict(hiergames.classifier.classify_rough, spec) for spec in specs]
+    source = _source()
+    mutator = _Mutator()
+    mutator.visit(ast.parse(source))
+    survivors = []
+    for target, (function, mutation, node) in enumerate(mutator.sites):
+        classify = _load_mutant(target).classify_rough
+        if all(_verdict(classify, spec) == want for spec, want in zip(specs, expected)):
+            survivors.append((function, mutation, ast.get_source_segment(source, node)))
+    assert len(mutator.sites) == SITES
+    assert Counter(survivors) == Counter(SURVIVORS)

@@ -494,7 +494,10 @@ class TestCliSweepStructural:
     def test_structural_reports_mismatches(self, capsys, monkeypatch, kind, extremal):
         # with one kind's recovery refused, each of the 7 complete games with
         # a unique shift-extremal coalition of that kind is a mismatch
-        monkeypatch.setattr(harness, f"recover_{kind}", lambda game: None)
+        rule = harness._spec_of_rows
+        monkeypatch.setattr(
+            harness, "_spec_of_rows", lambda k, *rows: None if k == kind else rule(k, *rows)
+        )
         assert main(["structural", "--universe", "1,2"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert "equivalences hold: False" in lines
@@ -512,23 +515,25 @@ class TestCliSweepStructural:
         ids=["disjunctive", "conjunctive"],
     )
     def test_structural_mismatches_per_game(self, capsys, monkeypatch, kind, extremal):
-        # on (2,2,2) the 378 complete games merge to 86 distinct games; the
-        # shift-extremal search and each recovery run once per merged game,
-        # yet every complete game with a unique shift-extremal coalition of
-        # the refused kind gets its own line naming its own min_winning
+        # on (2,2,2) the 378 complete games merge to 86 distinct games; their
+        # rows are read once and the rows rule runs once per kind on each
+        # merged game, yet every complete game with a unique shift-extremal
+        # coalition of the refused kind gets its own line naming its own
+        # min_winning
         universe = Multiset((2, 2, 2))
-        calls = {"shift_extremal": [], "recover_disjunctive": [], "recover_conjunctive": []}
+        read, rule = harness._shift_extremal_points, harness._spec_of_rows
+        reads, rules = [], {DISJUNCTIVE: [], CONJUNCTIVE: []}
 
-        def counted(name, run):
-            def counting(game):
-                calls[name].append(game)
-                return run(game)
+        def reading(game):
+            reads.append(game)
+            return read(game)
 
-            return counting
+        def recovering(k, counts, wins, losses):
+            rules[k].append((counts, tuple(wins), tuple(losses)))
+            return None if k == kind else rule(k, counts, wins, losses)
 
-        for name in calls:
-            run = (lambda game: None) if name == f"recover_{kind}" else getattr(harness, name)
-            monkeypatch.setattr(harness, name, counted(name, run))
+        monkeypatch.setattr(harness, "_shift_extremal_points", reading)
+        monkeypatch.setattr(harness, "_spec_of_rows", recovering)
         assert main(["structural", "--universe", "2,2,2"]) == 1
         lines = capsys.readouterr().out.splitlines()
         expected = []
@@ -547,9 +552,12 @@ class TestCliSweepStructural:
         assert len(merged) == 86
         assert [line for line in lines if line.startswith("  MISMATCH: ")] == expected
         assert len(expected) == len(set(expected)) == 78
-        for name, games in calls.items():
-            assert len(games) == len(set(games)) == len(merged), name
-            assert set(games) == merged, name
+        assert len(reads) == len(set(reads)) == len(merged)
+        assert set(reads) == merged
+        rows = {(game.universe.counts, *map(tuple, read(game))) for game in merged}
+        for k, calls in rules.items():
+            assert len(calls) == len(set(calls)) == len(merged), k
+            assert set(calls) == rows, k
 
 
 class TestCliErrors:

@@ -1,13 +1,18 @@
 """Hierarchical specs: validation, realization, canonicity, recovery, shifts."""
 
+import ast
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import hiergames.hierarchy
 from hiergames.core import (
     Coalition,
     ExplicitGame,
     Multiset,
+    _shift_extremal_points,
+    _strict_games,
     is_winning,
     iter_coalitions,
     special_players,
@@ -16,6 +21,7 @@ from hiergames.hierarchy import (
     CONJUNCTIVE,
     DISJUNCTIVE,
     HierSpec,
+    _spec_of_rows,
     canon_check,
     canonicalize_semantic,
     hier_is_winning,
@@ -237,6 +243,58 @@ class TestRecovery:
     def test_non_hierarchical_recovers_nothing(self):
         g = realize(HierSpec(DISJUNCTIVE, (3, 3), (2, 3)))
         assert recover_conjunctive(g) is None
+
+
+# the class-size tuples of criterion 7's universes (a, b), a + b <= 6
+CRITERION_7_SIZES = [(a, b) for a in range(1, 6) for b in range(1, 6) if a + b <= 6]
+CRITERION_7_SIZES += [(n,) for n in range(2, 7)]
+
+
+@pytest.fixture(scope="module")
+def strict_rows():
+    """(sizes, shift-extremal rows, recover_disjunctive, recover_conjunctive)
+    of every strictly ordered game of the criterion-7 class sizes, read on
+    the lattice before any test's own fixtures are entered."""
+    return [
+        (sizes, _shift_extremal_points(game), recover_disjunctive(game), recover_conjunctive(game))
+        for sizes in CRITERION_7_SIZES
+        for game in _strict_games(sizes)
+    ]
+
+
+class TestRecoversOnRows:
+    """Below its public functions recovery reads rows, never the game:
+    _recover refuses what no spec describes and reads the rows, and the
+    rows rule _spec_of_rows turns them into a spec."""
+
+    @staticmethod
+    def functions():
+        tree = ast.parse(Path(hiergames.hierarchy.__file__).read_text(encoding="utf-8"))
+        return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def test_only_the_game_side_takes_a_game(self):
+        takers = set()
+        for name, node in self.functions().items():
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            notes = [ast.unparse(a.annotation) if a.annotation else "" for a in args]
+            if any(a.arg == "game" or "ExplicitGame" in t for a, t in zip(args, notes)):
+                takers.add(name)
+        public = {"merge_levels", "recover_disjunctive", "recover_conjunctive", "shift_extremal"}
+        assert takers == {"_recover", *public}
+        assert "_spec_of_rows" in self.functions()
+
+    def test_rule_recovers_off_the_lattice(self, strict_rows, off_lattice):
+        # what recover_* returns, from the rows alone; each spec is
+        # canonical, though the rule never checks canonicity
+        recovered = {DISJUNCTIVE: 0, CONJUNCTIVE: 0}
+        for sizes, (wins, losses), *expected in strict_rows:
+            for kind, spec in zip((DISJUNCTIVE, CONJUNCTIVE), expected):
+                assert _spec_of_rows(kind, sizes, wins, losses) == spec, (kind, wins, losses)
+                if spec is not None:
+                    assert canon_check(spec).canonical, spec
+                    recovered[kind] += 1
+        assert len(strict_rows) == 153
+        assert recovered == {DISJUNCTIVE: 90, CONJUNCTIVE: 90}
 
 
 class TestShifts:

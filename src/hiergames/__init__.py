@@ -69,7 +69,6 @@ from .hierarchy import (
 from .oracle import (
     extremal_weight,
     oracle_classify,
-    oracle_is_weighted,
     oracle_rough,
     oracle_weighted,
     oracle_witness,

@@ -3,8 +3,10 @@
 run_sweep walks a canonical grid of specs, classifies each one structurally,
 verifies its certificate arithmetically on the realized game, asks the LP
 oracle what that certificate leaves open (cross_check), and reports every
-disagreement. The classifier and the oracle share no decision logic, so
-agreement across a grid is real evidence, not an echo.
+disagreement. A canonical spec's levels are strictly ordered, so both the
+check and the oracle read only the game's shift-extremal rows. The
+classifier and the oracle share no decision logic, so agreement across a
+grid is real evidence, not an echo.
 
 structural_scan tests the structural equivalences on every complete game
 of a small universe:
@@ -46,7 +48,7 @@ from .core import (
     iter_coalitions,
 )
 from .hierarchy import CONJUNCTIVE, DISJUNCTIVE, HierSpec, _is_canonical, _spec_of_rows, realize
-from .oracle import oracle_classify, oracle_is_weighted, verify_representation
+from .oracle import _cascade, _rows, _weighted, verify_representation
 
 __all__ = [
     "SweepRecord",
@@ -162,13 +164,17 @@ def cross_check(spec: HierSpec, verdict: Verdict) -> tuple[str, Optional[bool]]:
     certificate holds on that game (None when the verdict has none).
 
     The certificate is checked first, and the oracle is asked only what it
-    leaves open. With no certificate, or one that fails, the class is
-    oracle_classify's. One that holds in weighted mode is, scaled, a point
-    of the oracle's weighted system, so the class is weighted. One that
-    holds in rough mode proves rough: it scales to a point of the quota-1
-    system, or at quota 0 its nonzero weight (RoughCert refuses all zeros)
-    marks a unit that wins alone, branch B's passer. Only the weighted
-    question is then open, and oracle_is_weighted answers it.
+    leaves open. One that holds in weighted mode is, scaled, a point of the
+    oracle's weighted system, so the class is weighted without asking it.
+    Otherwise the oracle reads the rows oracle_classify reads (oracle._rows
+    with reduced=True), once. With no certificate, or one that fails, the
+    class is oracle._cascade's, which is oracle_classify's. One that holds
+    in rough mode proves rough: it scales to a point of the quota-1 system,
+    or at quota 0 its nonzero weight (RoughCert refuses all zeros) marks a
+    unit that wins alone, branch B's passer. Only the weighted question is
+    then open, and oracle._weighted answers it. A spec's game is never
+    trivial, its empty coalition losing and its full one winning, so nothing
+    is checked before the rows.
 
     So whenever the LP is correct the class is oracle_classify's, and the
     disagreements are those of asking it every time: a wrong weighted
@@ -184,11 +190,12 @@ def cross_check(spec: HierSpec, verdict: Verdict) -> tuple[str, Optional[bool]]:
     """
     game = realize(spec)
     holds = certificate_holds(game, verdict)
-    if not holds:
-        return oracle_classify(game), holds
-    if verdict.game_class == WEIGHTED:
+    if holds and verdict.game_class == WEIGHTED:
         return WEIGHTED, True
-    return (WEIGHTED if oracle_is_weighted(game) else ROUGH_NOT_WEIGHTED), True
+    m, rows = game.universe.m, _rows(game, reduced=True)
+    if not holds:
+        return _cascade(m, rows)[0], holds
+    return (WEIGHTED if _weighted(m, rows) is not None else ROUGH_NOT_WEIGHTED), True
 
 
 def run_sweep(

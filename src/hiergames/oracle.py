@@ -28,11 +28,11 @@ indicator weighting. The two branches together are complete.
 
 Reduced rows. When every level i is strictly more desirable than level
 i + 1 (core._shift_extremal_points reads that order off the win mask), every
-weighted or quota-1 rough representation has w_1 >= ... >= w_m:
+weighted or rough representation, at any quota, has w_1 >= ... >= w_m:
 
     if w_j > w_i for some i < j, take a winner Y with y_i > 0 and y_j < n_j
     that loses once a unit moves from i to j (i > j strictly): the loser
-    weighs more than w(Y) >= q, where every loser weighs at most q.
+    weighs w(Y) - w_i + w_j > w(Y) >= q, where every loser weighs at most q.
 
 Weights that fall along the levels never fall along a shift up or a
 superset, and every minimal winning (maximal losing) coalition lies above
@@ -48,9 +48,9 @@ maximal losing coalition with w >= 0.
 Witnesses come from the full rows alone. By the lemma the full system is
 infeasible exactly when the reduced one is, so oracle_weighted,
 oracle_rough and oracle_witness solve only the full system, whose vertex
-the golden files pin; oracle_classify and oracle_is_weighted never build
-it for a strictly ordered game. A Farkas ray of the reduced system would
-carry multipliers on the monotone rows, so a refutation (a trading
+the golden files pin; oracle_classify and harness.cross_check never
+build it for a strictly ordered game. A Farkas ray of the reduced system
+would carry multipliers on the monotone rows, so a refutation (a trading
 transform) is read off the full rows, solved only when one is asked for.
 The LP engine hands a witness back as int numerators over one positive
 denominator, and the certificate is built from those ints
@@ -62,10 +62,12 @@ moving one down strictly lowers sum_i (m - i) x_i, so from any winning X
 such steps through winning coalitions end at a shift-minimal winning one
 that weighs at most w(X); dually, from any losing X they end at a
 shift-maximal losing one that weighs at least w(X). For such weights on a
-strictly ordered game those two antichains decide verify_representation;
-any other certificate or game is checked on every minimal winning and
-maximal losing coalition. Either way the comparisons are made in
-integers, the certificate's numerators over its one denominator.
+strictly ordered game those two antichains decide verify_representation,
+and by the lemma weights that rise anywhere represent no such game, so
+every certificate of a strictly ordered game is checked on its rows
+alone. Any other game's is checked on every minimal winning and maximal
+losing coalition. Either way the comparisons are made in integers, the
+certificate's numerators over its one denominator.
 
 Passers, a corollary. On a strictly ordered game only e_1 can be a
 winning unit: were e_i winning for some i > 1, every winner would still
@@ -86,16 +88,16 @@ and oracle_classify goes straight to the rough system when it finds one
 
 Every question reads one row set, chosen once by _rows: the reduced rows
 when they are asked for and the levels are strictly ordered, else the
-full rows. The weighted question is asked in one place,
-_weighted_unless_traded: a 2-trade refutes, else the weighted LP decides.
-_cascade asks it first; oracle_is_weighted asks it alone, on the reduced
-rows, for a caller whose verified certificate has already proved the game
-rough (harness.cross_check). Below the public functions no helper sees
-the game: each takes m and those rows, so rows built some other way run
-the same code. A system's rows are the count vectors as ints (the
-weighted system appends the quota variable), and the LP engine keeps
-every row as built: row j of the system is the j-th row the builder
-writes, never rescaled or merged.
+full rows. The weighted question is asked in one place, _weighted: a
+2-trade refutes, else the weighted LP decides (on full rows _two_trade
+finds none at once, so oracle_weighted and oracle_witness solve the LP
+alone). _cascade asks it first; harness.cross_check asks it alone, on
+the reduced rows, once a verified certificate has proved the game rough.
+Below the public functions no helper sees the game: each takes m and
+those rows, so rows built some other way run the same code. A system's
+rows are the count vectors as ints (the weighted system appends the
+quota variable), and the LP engine keeps every row as built: row j of
+the system is the j-th row the builder writes, never rescaled or merged.
 """
 
 from __future__ import annotations
@@ -113,7 +115,6 @@ __all__ = [
     "oracle_weighted",
     "oracle_rough",
     "oracle_classify",
-    "oracle_is_weighted",
     "oracle_witness",
     "verify_representation",
     "extremal_weight",
@@ -171,6 +172,9 @@ def _separating_system(m: int, rows: _Rows, weighted: bool) -> LinearSystem:
 
 
 def _weighted(m: int, rows: _Rows) -> Optional[RoughCert]:
+    """The weighted witness on `rows`, or None: a 2-trade refutes before any LP."""
+    if _two_trade(rows) is not None:
+        return None
     found = _separating_system(m, rows, True)._feasible_ints()
     if found is None:
         return None
@@ -211,13 +215,8 @@ def _two_trade(rows: _Rows) -> Optional[tuple[tuple[int, ...], ...]]:
     return None
 
 
-def _weighted_unless_traded(m: int, rows: _Rows) -> Optional[RoughCert]:
-    """The weighted witness on `rows`, or None: a 2-trade refutes before any LP."""
-    return _weighted(m, rows) if _two_trade(rows) is None else None
-
-
 def _cascade(m: int, rows: _Rows) -> tuple[str, Optional[RoughCert]]:
-    cert = _weighted_unless_traded(m, rows)
+    cert = _weighted(m, rows)
     if cert is not None:
         return "weighted", cert
     cert = _rough(m, rows)
@@ -261,13 +260,6 @@ def oracle_classify(game: ExplicitGame) -> str:
     return _cascade(game.universe.m, _rows(game, reduced=True))[0]
 
 
-def oracle_is_weighted(game: ExplicitGame) -> bool:
-    """Whether the game is weighted: oracle_classify's first question alone,
-    on the same rows, a 2-trade refuting before the weighted LP decides."""
-    _checked(game)
-    return _weighted_unless_traded(game.universe.m, _rows(game, reduced=True)) is not None
-
-
 def verify_representation(game: ExplicitGame, cert: RoughCert, mode: str) -> bool:
     """Check a certificate against the game's antichains, exactly.
 
@@ -276,9 +268,10 @@ def verify_representation(game: ExplicitGame, cert: RoughCert, mode: str) -> boo
     mode 'rough': losing side relaxed to <= quota.
 
     Sound for monotone games because weights are nonnegative: supersets only
-    gain weight, subsets only lose it. Non-increasing weights on a strictly
-    ordered game are checked on its shift-extremal rows alone (the module
-    docstring's corollary), anything else on both antichains; a game where
+    gain weight, subsets only lose it. A strictly ordered game's
+    certificate is checked on its shift-extremal rows alone, weights that
+    rise anywhere refused before any sum (the module docstring's lemma and
+    corollary); any other game's on both antichains. A game where
     everything wins has no losing row, one where nothing wins no winning
     row. All arithmetic is on the certificate's int numerators over its one
     denominator d > 0: w(X) < q iff d w(X) <= d q - 1.
@@ -289,7 +282,9 @@ def verify_representation(game: ExplicitGame, cert: RoughCert, mode: str) -> boo
     if cert.m != game.universe.m:
         raise ValueError(f"certificate has {cert.m} weights for {game.universe}")
     weights, quota = cert._w, cert._q
-    rows = _rows(game, reduced=all(map(ge, weights, weights[1:])))
+    rows = _rows(game, reduced=True)
+    if rows.reduced and not all(map(ge, weights, weights[1:])):
+        return False  # rising weights represent no strictly ordered game
     top = quota - 1 if mode == "weighted" else quota
     return all(sum(map(mul, weights, w)) >= quota for w in rows.wins) and all(
         sum(map(mul, weights, x)) <= top for x in rows.losses

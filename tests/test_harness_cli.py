@@ -26,6 +26,7 @@ from hiergames import (
     classify,
     harness,
     oracle_classify,
+    oracle_witness,
     parse_document,
     realize,
     run_sweep,
@@ -33,6 +34,7 @@ from hiergames import (
     sweep_specs,
 )
 from hiergames.cli import main
+from hiergames.core import _shift_extremal_points
 
 EXAMPLE_DOC = {"kind": "disjunctive", "n": [3, 3, 3], "k": [2, 3, 5]}
 # 10^18 coalitions, far past the enumeration cap; levels 1 and 2 merge
@@ -188,6 +190,63 @@ class TestCertificateFirst:
             int(r.verdict.game_class == "not_rough") for r in records
         ]
         assert len(solved) == 26
+
+
+class TestCrossCheckContract:
+    """cross_check answers as asking the oracle every time would: the class
+    oracle_classify gives the realized game, and whether the verdict's
+    certificate holds on it, for each spec's own verdict and forged ones."""
+
+    # realized games whose levels are not strictly ordered: full rows
+    WEAK = [
+        HierSpec(DISJUNCTIVE, (2, 2), (3, 4)),
+        HierSpec(CONJUNCTIVE, (2, 2, 2), (1, 2, 6)),
+        HierSpec(DISJUNCTIVE, (1, 1, 1), (1, 2, 3)),
+    ]
+
+    @staticmethod
+    def check(spec, own):
+        """Compares cross_check with the oracle on own and the forged
+        verdicts: either certified class with own's certificate or a stray
+        all-ones one, and not_rough with none. Returns the number of calls."""
+        game = realize(spec)
+        oracle_class = oracle_classify(game)
+        stray = RoughCert(1, (1,) * spec.m)
+        verdicts = [own] + [
+            Verdict(game_class, "forged", cert)
+            for game_class in ("weighted", "rough_not_weighted")
+            for cert in (own.certificate, stray)
+            if cert is not None and (game_class, cert) != (own.game_class, own.certificate)
+        ]
+        if own.game_class != "not_rough":
+            verdicts.append(Verdict("not_rough", "none", None))
+        for verdict in verdicts:
+            expected = (oracle_class, harness.certificate_holds(game, verdict))
+            assert harness.cross_check(spec, verdict) == expected, (spec, verdict)
+        return len(verdicts)
+
+    @pytest.mark.parametrize("kind", [DISJUNCTIVE, CONJUNCTIVE])
+    def test_canonical_grids(self, kind):
+        specs = [spec for nmax in (3, 4) for spec in sweep_specs(kind, 3, nmax)]
+        assert sum(self.check(spec, classify(spec)) for spec in specs) == 3202
+
+    def test_weak_levels(self):
+        for spec in self.WEAK:
+            game = realize(spec)
+            assert _shift_extremal_points(game) is None, spec
+            game_class, cert = oracle_witness(game)
+            self.check(spec, Verdict(game_class, "oracle", cert))
+
+    @pytest.mark.slow
+    def test_eight_grids(self):
+        grids = [(3, 3), (3, 4), (4, 3), (2, 6), (5, 2), (1, 8), (2, 8), (4, 4)]
+        calls = sum(
+            self.check(spec, classify(spec))
+            for levels, nmax in grids
+            for kind in (DISJUNCTIVE, CONJUNCTIVE)
+            for spec in sweep_specs(kind, levels, nmax)
+        )
+        assert calls == 53560
 
 
 class TestStructuralScan:
@@ -475,7 +534,7 @@ class TestCliSweepStructural:
         # a certificate that holds proves its half, so the cross-check asks
         # the oracle only once the certificate is refuted
         monkeypatch.setattr(harness, "verify_representation", lambda game, cert, mode: False)
-        monkeypatch.setattr(harness, "oracle_classify", lambda game: "not_rough")
+        monkeypatch.setattr(harness, "_cascade", lambda m, rows: ("not_rough", None))
         assert main(self.SWEEP) == 1
         lines = capsys.readouterr().out.splitlines()
         disagree = [line for line in lines if line.startswith("  DISAGREE: ")]

@@ -471,7 +471,9 @@ class TestCapWithMemos:
     """The cap gates every read of a game's lattice, memoized or not."""
 
     FALLING = RoughCert(5, (3, 2, 1))  # checked on the shift-extremal rows
-    RISING = RoughCert(5, (1, 2, 3))  # checked on the full rows
+    RISING = RoughCert(5, (1, 2, 3))  # refused on the shift-extremal rows
+    # 64 lattice points, levels 1 and 2 equally desirable (k_1 > n_1)
+    WEAK = HierSpec(DISJUNCTIVE, (3, 3, 3), (4, 5, 6))
 
     @pytest.mark.parametrize(
         "read",
@@ -494,6 +496,17 @@ class TestCapWithMemos:
         monkeypatch.setenv("HIERGAME_ENUM_CAP", "63")
         with pytest.raises(EnumerationCapError, match="has 64 coalitions, cap is 63"):
             read(game)
+
+    def test_rising_weights_on_weak_levels_refused_under_a_smaller_cap(self, monkeypatch):
+        # no strict order, so rising weights are checked on the full rows
+        monkeypatch.setenv("HIERGAME_ENUM_CAP", "64")
+        game = realize(self.WEAK)
+        assert _shift_extremal_points(game) is None
+        assert verify_representation(game, self.RISING, "rough") is False
+        assert {"_win", "_lattice", "_maximal_losing", "min_winning"} <= set(game.__dict__)
+        monkeypatch.setenv("HIERGAME_ENUM_CAP", "63")
+        with pytest.raises(EnumerationCapError, match="has 64 coalitions, cap is 63"):
+            verify_representation(game, self.RISING, "rough")
 
     def test_shared_universe_refused_under_a_smaller_cap(self, monkeypatch):
         # the games _strict_games yields share one universe, which keeps the

@@ -27,7 +27,6 @@ from hiergames import (
     load_document,
     maximal_losing,
     oracle_classify,
-    oracle_is_weighted,
     oracle_rough,
     oracle_weighted,
     oracle_witness,
@@ -37,7 +36,7 @@ from hiergames import (
     sweep_specs,
     verify_representation,
 )
-from hiergames.oracle import _rows, _separating_system
+from hiergames.oracle import _rows, _separating_system, _weighted
 from test_golden import DATA, oracle_games
 
 
@@ -147,7 +146,8 @@ class TestOracleClassify:
         games = [g for _, g in oracle_games()]
         assert {_rows(g, reduced=True).reduced for g in games} == {True, False}
         for g in games:
-            assert oracle_is_weighted(g) == (oracle_classify(g) == "weighted")
+            weighted = _weighted(g.universe.m, _rows(g, reduced=True)) is not None
+            assert weighted == (oracle_classify(g) == "weighted")
 
 
 class TestOracleWitness:

@@ -1,19 +1,21 @@
 """The oracle's reduced rows against the full-row reference: a strictly
 ordered game is decided on its shift-extremal rows, and its witness is the
 full rows' vertex, so every class and every witness equals
-oracle_reference's. The certificate check reads the same rows when the
-weights are non-increasing, and every answer equals the reference's. A
+oracle_reference's. The certificate check reads the same rows, and
+refuses there any weights that rise from one level to a later one (the
+lemma, at every quota); every answer equals the reference's. A
 2-trade among those rows refutes weightedness: wherever one is found it is
 checked coalition by coalition, and oracle_classify then makes one LP run."""
 
 import random
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from operator import ge
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hiergames.oracle
 import lattice_reference as ref
 import oracle_reference as oref
 from hiergames import (
@@ -41,6 +43,7 @@ from hiergames import (
 from hiergames import feasibility
 from hiergames.core import _shift_extremal_points
 from hiergames.oracle import _rough, _rows, _separating_system, _two_trade
+from test_golden import oracle_games
 from test_lattice import valid_specs
 
 # canonical grids of both kinds, (levels, nmax): 2,790 specs in all
@@ -225,11 +228,11 @@ class TestCertificateCheck:
     @pytest.mark.parametrize("kind", [DISJUNCTIVE, CONJUNCTIVE])
     @pytest.mark.parametrize("levels,nmax", GRIDS)
     def test_canonical_grids(self, kind, levels, nmax):
-        # the classifier's certificates are non-increasing and checked on the
-        # shift-extremal rows; mutants that break the order take the full
+        # the classifier's certificates are non-increasing; they and the
+        # mutants that break the order are checked on the shift-extremal
         # rows, and both accepting and rejecting answers occur
         rng = random.Random(18)
-        answers, fallbacks = set(), 0
+        answers, rising = set(), 0
         for spec in sweep_specs(kind, levels, nmax):
             cert = classify(spec).certificate
             if cert is None:
@@ -238,9 +241,9 @@ class TestCertificateCheck:
             game = realize(spec)
             for checked in [cert, *mutants(cert, rng)]:
                 answers.update(assert_check_as_reference(game, checked))
-                fallbacks += not non_increasing(checked)
+                rising += not non_increasing(checked)
         assert answers == {True, False}
-        assert (fallbacks > 0) == (levels > 1)
+        assert (rising > 0) == (levels > 1)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -297,3 +300,68 @@ class TestOneRunPerStrictlyOrderedGame:
         full = _rows(game, reduced=False)
         systems = [_separating_system(game.m, full, w)._rows for w in (True, False)]
         assert solved == (systems[:1] if weighted else systems)
+
+
+def weightings(top, m):
+    """Every certificate on m levels with weights in {0, ..., top}, not all
+    zero, and quota 0..3."""
+    return [RoughCert(q, w) for w in product(range(top + 1), repeat=m) if any(w) for q in range(4)]
+
+
+class TestRisingWeights:
+    """The lemma at every quota: on a strictly ordered game a certificate
+    whose weights rise from some level to a later one holds in neither
+    mode, so verify_representation refuses it on the shift-extremal rows,
+    never reading maximal_losing nor decoding a mask-held game's
+    min_winning. Every answer equals the full-row reference's."""
+
+    @staticmethod
+    def refused(game, certs, monkeypatch):
+        """Checks each rising certificate in both modes on a strictly
+        ordered game with maximal_losing failing; returns the count."""
+
+        def unreachable(game):
+            raise AssertionError("maximal_losing was read")
+
+        rising = [c for c in certs if not non_increasing(c)]
+        with monkeypatch.context() as patch:
+            patch.setattr(hiergames.oracle, "maximal_losing", unreachable)
+            for cert in rising:
+                assert verify_representation(game, cert, "weighted") is False, (game, cert)
+                assert verify_representation(game, cert, "rough") is False, (game, cert)
+        if "_win" in vars(game):
+            assert "min_winning" not in vars(game), game
+        return 2 * len(rising)
+
+    def test_golden_games(self, monkeypatch):
+        # the golden oracle games hold the (3, 3) grid of both kinds
+        refused = 0
+        for _, game in oracle_games():
+            if _shift_extremal_points(game) is None:
+                continue
+            certs = weightings(1, game.m)
+            refused += self.refused(game, certs, monkeypatch)
+            for cert in certs:
+                assert_check_as_reference(game, cert)
+        assert refused == 12424
+
+    @pytest.mark.slow
+    def test_every_small_certificate(self, monkeypatch):
+        # five canonical grids (2,964 specs) and the golden games, every
+        # weight in {0, 1, 2}: 961,488 checks, 638,640 of them rising
+        # weights on strictly ordered games
+        games = [
+            realize(spec)
+            for levels, nmax in ((3, 3), (3, 4), (4, 3), (2, 6), (5, 2))
+            for kind in (DISJUNCTIVE, CONJUNCTIVE)
+            for spec in sweep_specs(kind, levels, nmax)
+        ]
+        checks = refused = 0
+        for game in games + [g for _, g in oracle_games()]:
+            certs = weightings(2, game.m)
+            if _shift_extremal_points(game) is not None:
+                refused += self.refused(game, certs, monkeypatch)
+            for cert in certs:
+                assert_check_as_reference(game, cert)
+            checks += 2 * len(certs)
+        assert (checks, refused) == (961488, 638640)

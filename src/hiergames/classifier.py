@@ -181,13 +181,14 @@ def _rough_disj(
             return None
         if k[1] == k[0] + 1:
             # n1 >= k1 is canonical, k1 >= 2 by (i), and k1 = 2 in (v) is
-            # (2, 3, 4), decided above
-            # with n3 = 2, k3 = k2 + 1 = k1 + 2, as k3 - k2 = 2 is (vii)
-            v = n[2] == 2
-            vi = n[2] == k[2] - k[0] >= 3
-            if v or vi:
+            # (2, 3, 4), decided above. A canonical last level that is no
+            # dummy has 1 <= k3 - k2 <= n3 - 1, so n3 = 2 forces k3 = k2 + 1
+            # = k1 + n3: (v) always passes (vi)'s test. That test gives
+            # n3 = k3 - k2 + 1 >= 2, so (vi)'s n3 >= 3 only excludes n3 = 2,
+            # which is (v)
+            if n[2] == k[2] - k[0]:
                 # [1; (1/k1, 1/k1, 0)]
-                return ("v" if v else "vi"), k[0], k[0], (1, 1, 0)
+                return ("v" if n[2] == 2 else "vi"), k[0], k[0], (1, 1, 0)
     return None
 
 
@@ -278,7 +279,8 @@ def classify_rough(spec: HierSpec) -> Verdict:
     tag, d, q, w = rough
     if conj:
         if tag == "v":
-            tag = "va" if spec.n[1] == spec.n[2] == 2 else "vb"
+            # the dual's (v) fixes n3 = 2
+            tag = "va" if spec.n[1] == 2 else "vb"
         q = _across_duality(d, q, w, spec.n, 0)
     cert = RoughCert._of_ints(d, q, w)
     return Verdict(ROUGH_NOT_WEIGHTED, f"Thm{13 if conj else 12}({tag})", cert, notes)

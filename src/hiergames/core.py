@@ -256,12 +256,12 @@ class ExplicitGame:
     {empty coalition} (everything wins) are representable; most derived
     operations treat them as edge cases rather than rejecting them.
 
-    Three derived values are memoized on the instance by _memo, outside the
+    Two derived values are memoized on the instance by _memo, outside the
     dataclass fields, so equality and hashing do not see them: the record
-    of the lattice pass (_lattice), maximal_losing's antichain and
-    level_classes' desirability classes (or None). A game from _mask_game
-    holds only its universe and win mask; its min_winning is decoded off
-    the pass on first read and memoized the same way (__getattr__).
+    of the lattice pass (_lattice) and maximal_losing's antichain. A game
+    from _mask_game holds only its universe and win mask; its min_winning
+    is decoded off the pass on first read and memoized the same way
+    (__getattr__).
     """
 
     universe: Multiset
@@ -310,14 +310,6 @@ def _memo(obj: Any, name: str, compute: Callable[[Any], Any]) -> Any:
     if name not in memo:
         memo[name] = compute(obj)
     return memo[name]
-
-
-def _explicit_game(universe: Multiset, min_winning: frozenset[Coalition]) -> ExplicitGame:
-    """ExplicitGame from an antichain a lattice scan built: no validation and
-    no minimization, since the scan yields exactly the minimal members."""
-    game = object.__new__(ExplicitGame)
-    game.__dict__.update(universe=universe, min_winning=min_winning)
-    return game
 
 
 def is_winning(game: ExplicitGame, coalition: Coalition) -> bool:
@@ -658,15 +650,9 @@ def level_classes(game: ExplicitGame) -> list[list[int]] | None:
     desirable class first, each level inserted in turn before the first
     class it beats. None when two levels are incomparable; as the preorder
     is transitive, the insertions meet such a pair if there is one.
-
-    The order is derived once per game and memoized on it (None included);
-    every call returns fresh lists.
+    Each call orders the levels afresh, so the lists it returns are the
+    caller's own.
     """
-    memo = _memo(game, "_level_classes", _order_levels)
-    return None if memo is None else [list(cls) for cls in memo]
-
-
-def _order_levels(game: ExplicitGame) -> list[list[int]] | None:
     wmin = [w.counts for w in game.min_winning]
     n = game.universe.counts
     classes: list[list[int]] = []

@@ -26,7 +26,6 @@ from .core import (
     ExplicitGame,
     Multiset,
     _coalition,
-    _explicit_game,
     _int_tuple,
     _prefix_game,
     _shift_extremal_points,
@@ -218,10 +217,9 @@ def merge_levels(game: ExplicitGame) -> ExplicitGame:
 
     Levels in one class are interchangeable, so a merged coalition wins iff
     any (equally, every) spread of it over the class's levels wins, and the
-    classwise sums of the minimal winning coalitions, duplicates dropped, are
-    the merged game's minimal winning antichain: were sum(w) >= sum(v) and
-    unequal, spreading sum(v) inside w would give a smaller winning
-    coalition than w.
+    classwise sums of the minimal winning coalitions generate the merged
+    game: a winning spread contains some minimal winning w, so its squash
+    contains sum(w). The constructor keeps their minimal members.
 
     Class c becomes level c, each strictly above the next, which is what
     shift_extremal needs. Merged levels inherit the class order: trading a
@@ -238,7 +236,7 @@ def merge_levels(game: ExplicitGame) -> ExplicitGame:
         return tuple(sum(counts[i] for i in cls) for cls in classes)
 
     merged_wmin = frozenset(_coalition(squash(w.counts)) for w in game.min_winning)
-    return _explicit_game(Multiset(squash(game.universe.counts)), merged_wmin)
+    return ExplicitGame(Multiset(squash(game.universe.counts)), merged_wmin)
 
 
 def canonicalize_semantic(spec: HierSpec) -> tuple[HierSpec, tuple[int, ...]]:

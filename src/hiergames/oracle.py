@@ -94,10 +94,13 @@ finds none at once, so oracle_weighted and oracle_witness solve the LP
 alone). _cascade asks it first; harness.cross_check asks it alone, on
 the reduced rows, once a verified certificate has proved the game rough.
 Below the public functions no helper sees the game: each takes m and
-those rows, so rows built some other way run the same code. A system's
-rows are the count vectors as ints (the weighted system appends the
-quota variable), and the LP engine keeps every row as built: row j of
-the system is the j-th row the builder writes, never rescaled or merged.
+those rows, so rows built some other way run the same code;
+harness.cross_check hands a canonical spec's closed-form rows
+(hierarchy._spec_rows) to _holds, verify_representation's body, and to
+the same questions. A system's rows are the count vectors as ints
+(the weighted system appends the quota variable), and the LP engine
+keeps every row as built: row j of the system is the j-th row the
+builder writes, never rescaled or merged.
 """
 
 from __future__ import annotations
@@ -275,14 +278,20 @@ def verify_representation(game: ExplicitGame, cert: RoughCert, mode: str) -> boo
     everything wins has no losing row, one where nothing wins no winning
     row. All arithmetic is on the certificate's int numerators over its one
     denominator d > 0: w(X) < q iff d w(X) <= d q - 1.
-    Raises EnumerationCapError when the game's lattice exceeds the cap.
+    Raises ValueError for another mode or a certificate with the wrong
+    number of weights, and EnumerationCapError, before the second check,
+    when the game's lattice exceeds the cap.
     """
     if mode not in ("weighted", "rough"):
         raise ValueError(f"mode must be 'weighted' or 'rough', got {mode!r}")
-    if cert.m != game.universe.m:
-        raise ValueError(f"certificate has {cert.m} weights for {game.universe}")
+    return _holds(game.universe.m, _rows(game, reduced=True), cert, mode)
+
+
+def _holds(m: int, rows: _Rows, cert: RoughCert, mode: str) -> bool:
+    """verify_representation on `rows` over m levels, its mode checked."""
+    if cert.m != m:
+        raise ValueError(f"certificate has {cert.m} weights for {m} levels")
     weights, quota = cert._w, cert._q
-    rows = _rows(game, reduced=True)
     if rows.reduced and not all(map(ge, weights, weights[1:])):
         return False  # rising weights represent no strictly ordered game
     top = quota - 1 if mode == "weighted" else quota

@@ -18,10 +18,9 @@ disappear from the minor's universe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .core import Coalition, ExplicitGame, Multiset, _int_tuple, maximal_losing
-from .hierarchy import DISJUNCTIVE, HierSpec, _is_canonical, truncate
+from .hierarchy import DISJUNCTIVE, HierSpec, _is_canonical, _k_star, truncate
 
 __all__ = [
     "MinorStep",
@@ -76,11 +75,6 @@ def k_star(n: tuple[int, ...], k: tuple[int, ...]) -> tuple[int, ...]:
     if any(v < 1 for v in out):
         raise ValueError(f"thresholds {k} exceed prefixes {prefixes}, no conjugate")
     return out
-
-
-def _k_star(n: tuple[int, ...], k: tuple[int, ...]) -> tuple[int, ...]:
-    """k_star's arithmetic alone, for (n, k) already known valid."""
-    return tuple(p - t + 1 for p, t in zip(accumulate(n), k))
 
 
 def dual_spec(spec: HierSpec) -> HierSpec:

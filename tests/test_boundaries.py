@@ -15,6 +15,8 @@ from hiergames import (
     MinorStep,
     Multiset,
     RoughCert,
+    Verdict,
+    cross_check,
     extremal_weight,
     hier_is_winning,
     is_winning,
@@ -27,6 +29,7 @@ from hiergames import (
     shift_maximal_losing,
     structural_scan,
     sweep_specs,
+    verify_representation,
 )
 from hiergames.certificates import as_rational
 
@@ -132,6 +135,21 @@ REJECTIONS |= {
         lambda: oracle_classify(game((2, 2), [(0, 0)])),
         ValueError,
         "game declares the empty coalition winning",
+    ),
+    # a certificate with one weight too few, checked on a game and on a
+    # canonical spec's closed-form rows alike
+    "verify_representation_wrong_length": (
+        lambda: verify_representation(game((2, 2, 2), [(1, 0, 0)]), RoughCert(1, (1, 1)), "rough"),
+        ValueError,
+        "certificate has 2 weights for 3 levels",
+    ),
+    "cross_check_wrong_length": (
+        lambda: cross_check(
+            HierSpec(DISJUNCTIVE, (2, 2, 2), (1, 2, 3)),
+            Verdict("weighted", "forged", RoughCert(1, (1, 1))),
+        ),
+        ValueError,
+        "certificate has 2 weights for 3 levels",
     ),
     "shift_maximal_losing_not_canonical": (
         lambda: shift_maximal_losing(HierSpec(DISJUNCTIVE, (1, 2), (2, 3))),

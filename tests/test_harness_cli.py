@@ -24,6 +24,7 @@ from hiergames import (
     Verdict,
     canon_check,
     classify,
+    dual_spec,
     harness,
     oracle_classify,
     oracle_witness,
@@ -101,7 +102,6 @@ class TestRunSweep:
         assert rep.all_agree
         assert rep.disagreements == ()
         assert rep.class_counts() == {"weighted": 36}
-        assert all(r.skipped is None for r in rep.records)
         assert all(r.cert_verified for r in rep.records)
 
     def test_oracle_can_be_skipped(self):
@@ -361,11 +361,29 @@ class TestCliClassify:
         ids=["spec", "explicit"],
     )
     def test_refuted_certificate_exits_1(self, doc, oracle_line, tmp_path, capsys, monkeypatch):
-        # the same check line and exit rule for spec and explicit documents
+        # the same check line and exit rule for spec and explicit documents:
+        # a spec's certificate is checked on its rows, an explicit game's on
+        # the game
+        monkeypatch.setattr(harness, "_holds", lambda m, rows, cert, mode: False)
         monkeypatch.setattr(harness, "verify_representation", lambda game, cert, mode: False)
         assert main(["classify", write_doc(tmp_path, doc), "--oracle"]) == 1
         out = capsys.readouterr().out
         assert f"{oracle_line}certificate check: INVALID\n" in out
+
+    @pytest.mark.parametrize("side", ["spec", "dual"])
+    def test_oracle_past_the_cap(self, side, tmp_path, capsys, off_lattice):
+        # 10^18 coalitions: the certificate and the oracle read the closed-form rows
+        spec = HierSpec(DISJUNCTIVE, (10**6,) * 3, (1, 2, 3))
+        spec = spec if side == "spec" else dual_spec(spec)
+        doc = {"kind": spec.kind, "n": list(spec.n), "k": list(spec.k)}
+        assert main(["classify", write_doc(tmp_path, doc), "--oracle"]) == 0
+        out = capsys.readouterr().out
+        assert "oracle: weighted (agree)\ncertificate check: valid\n" in out
+
+    def test_explicit_document_past_the_cap_exits_2(self, tmp_path, capsys):
+        doc = {"universe": [10**6] * 3, "min_winning": [[1, 0, 0]]}
+        assert main(["classify", write_doc(tmp_path, doc)]) == 2
+        assert "cap is" in capsys.readouterr().err
 
 
 class TestAgreementRule:
@@ -386,7 +404,7 @@ class TestAgreementRule:
         assert SweepRecord(self.SPEC, verdict, "rough_not_weighted", True).agree
         assert not SweepRecord(self.SPEC, verdict, "rough_not_weighted", False).agree
         assert not SweepRecord(self.SPEC, verdict, "not_rough", None).agree
-        assert SweepRecord(self.SPEC, verdict, None, None, "over the cap").agree
+        assert SweepRecord(self.SPEC, verdict, None, None).agree
 
     def test_certificate_checked_in_the_class_mode(self):
         game = realize(self.SPEC)
@@ -522,18 +540,27 @@ class TestCliSweepStructural:
 
     SWEEP = ["sweep", "--kind", "disjunctive", "--levels", "2", "--nmax", "2"]
 
-    def test_sweep_text_reports_skipped_specs(self, capsys, monkeypatch):
-        # only the 4-coalition lattice of n = (1, 1) fits under the cap
+    def test_sweep_text_checks_every_spec_past_the_cap(self, capsys, monkeypatch):
+        # only the 4-coalition lattice of n = (1, 1) fits under the cap, yet
+        # every spec is checked on its rows, and the exit code follows the
+        # agreement
         monkeypatch.setenv("HIERGAME_ENUM_CAP", "5")
         assert main(self.SWEEP) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert "  skipped (enumeration cap): 8" in lines
+        assert not any("skipped" in line for line in lines)
         assert lines[-1] == "  disagreements: 0"
+        monkeypatch.setattr(harness, "_cascade", lambda m, rows: ("not_rough", None))
+        monkeypatch.setattr(harness, "_holds", lambda m, rows, cert, mode: False)
+        assert main(self.SWEEP + ["--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["disagreements"] == payload["count"] == 9
+        assert all(r["oracle_class"] == "not_rough" for r in payload["records"])
+        assert all(r["skipped"] is None for r in payload["records"])
 
     def test_sweep_text_reports_disagreements(self, capsys, monkeypatch):
         # a certificate that holds proves its half, so the cross-check asks
         # the oracle only once the certificate is refuted
-        monkeypatch.setattr(harness, "verify_representation", lambda game, cert, mode: False)
+        monkeypatch.setattr(harness, "_holds", lambda m, rows, cert, mode: False)
         monkeypatch.setattr(harness, "_cascade", lambda m, rows: ("not_rough", None))
         assert main(self.SWEEP) == 1
         lines = capsys.readouterr().out.splitlines()
@@ -695,9 +722,11 @@ class TestCliErrors:
         assert "must be ints" in capsys.readouterr().err
 
     def test_coerced_enum_cap_rejected(self, tmp_path, capsys, monkeypatch):
-        # int() once read "6_4" as 64, the example's lattice size, and ran
+        # int() once read "6_4" as 64 and ran; an explicit document reads the
+        # cap (a canonical spec's cross-check never does)
         monkeypatch.setenv("HIERGAME_ENUM_CAP", "6_4")
-        assert main(["classify", write_doc(tmp_path, EXAMPLE_DOC), "--oracle"]) == 2
+        doc = {"universe": [3, 3, 3], "min_winning": [[2, 0, 0], [1, 2, 0]]}
+        assert main(["classify", write_doc(tmp_path, doc)]) == 2
         assert "HIERGAME_ENUM_CAP must be an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from hiergames.hierarchy import (
     DISJUNCTIVE,
     HierSpec,
     _spec_of_rows,
+    _spec_rows,
     canon_check,
     canonicalize_semantic,
     hier_is_winning,
@@ -33,6 +34,7 @@ from hiergames.hierarchy import (
     shift_maximal_losing,
     truncate,
 )
+from hiergames.harness import sweep_specs
 
 
 class TestValidation:
@@ -332,3 +334,31 @@ class TestShifts:
             shift_maximal_losing(HierSpec(DISJUNCTIVE, (3, 3), (1, 3)))  # passer
         with pytest.raises(ValueError):
             shift_maximal_losing(HierSpec(CONJUNCTIVE, (3, 3), (2, 4)))
+
+
+class TestSpecRows:
+    """hierarchy._spec_rows, the closed-form shift-extremal rows of a
+    canonical spec, against the lattice's rows (tests/test_properties.py
+    checks them at any size on the prefix rule alone)."""
+
+    # (levels, nmax) of the acceptance criteria's grids, and of every grid
+    # from 1 level with n_i <= 8 to 6 levels with n_i <= 2
+    ACCEPTANCE = [(2, 6), (3, 4), (4, 3), (5, 3)]
+    WIDE = [(1, 8), (2, 8), (3, 5), (4, 4), (5, 3), (6, 2)]
+
+    @staticmethod
+    def agree_with_the_lattice(grids):
+        count = 0
+        for levels, nmax in grids:
+            for kind in (DISJUNCTIVE, CONJUNCTIVE):
+                for spec in sweep_specs(kind, levels, nmax):
+                    assert _spec_rows(spec) == _shift_extremal_points(realize(spec)), spec
+                    count += 1
+        return count
+
+    def test_acceptance_grids(self):
+        assert self.agree_with_the_lattice(self.ACCEPTANCE) == 4674
+
+    @pytest.mark.slow
+    def test_wide_grids(self):
+        assert self.agree_with_the_lattice(self.WIDE) == 16326

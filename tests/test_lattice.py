@@ -451,21 +451,14 @@ class TestCap:
         assert "hiergames.documents.GameDocument.to_game" in checked
         assert "hiergames.core.maximal_losing" in checked
 
-    def test_run_sweep_records_skipped_specs(self, monkeypatch):
+    def test_run_sweep_checks_every_spec_past_the_cap(self, monkeypatch):
         # n = (1, 2, 1) has 12 lattice points; every other 3-level universe
-        # with n_i <= 2 has more
+        # with n_i <= 2 has more, yet each spec is checked on its rows
         monkeypatch.setenv("HIERGAME_ENUM_CAP", "12")
         report = run_sweep(DISJUNCTIVE, 3, 2)
-        skipped = [r for r in report.records if r.skipped is not None]
-        checked = [r for r in report.records if r.skipped is None]
-        assert skipped and checked
+        assert any(r.spec.universe().coalition_count() > 12 for r in report.records)
         for r in report.records:
             assert r.verdict == classify(r.spec)
-        for r in skipped:
-            assert r.skipped.startswith("universe {")
-            assert (r.oracle_class, r.cert_verified, r.agree) == (None, None, True)
-        for r in checked:
-            assert r.spec.universe().coalition_count() <= 12
             assert r.oracle_class == r.verdict.game_class and r.cert_verified
         assert report.all_agree
 
@@ -924,22 +917,28 @@ class TestScanCounts:
         assert (recover_disjunctive(game), recover_conjunctive(game)) == (spec, None)
         assert not {"min_winning", "_maximal_losing"} & set(game.__dict__)
 
-    def test_run_sweep_scans_each_game_once(self, scanned, realized, kernel_runs):
-        # realize hands its game over with the win mask already set, so the
-        # oracle scans no realized game at all; the oracle and the
-        # certificate check share one shift-extremal kernel run per game,
-        # and neither decodes a maximal losing antichain
-        report = run_sweep(DISJUNCTIVE, 2, 3)
-        assert len(report.records) == 36 and report.all_agree
-        assert sum(r.cert_verified is not None for r in report.records) > 0
-        games = [g for g, *_ in realized]
-        assert [g.universe.counts for g in games] == [r.spec.n for r in report.records]
-        assert scanned == []
-        assert len(kernel_runs) == len(games)
-        assert all(ran is game for ran, game in zip(kernel_runs, games))
-        assert not any("_maximal_losing" in game.__dict__ for game in games)
-        # nor the minimal winning antichain, which realize no longer decodes
-        assert not any("min_winning" in game.__dict__ for game in games)
+    def test_run_sweep_scans_each_game_once(self, realized, off_lattice):
+        # the oracle and the certificate check read each spec's closed-form
+        # rows: no game is realized, scanned or passed over
+        for kind in (DISJUNCTIVE, CONJUNCTIVE):
+            report = run_sweep(kind, 3, 3)
+            assert len(report.records) == 108 and report.all_agree
+            assert all(r.oracle_class == r.verdict.game_class for r in report.records)
+            assert sum(r.cert_verified is not None for r in report.records) > 0
+        assert realized == []
+
+    def test_cross_check_scans_a_non_canonical_spec_once(self, scanned, realized, kernel_runs):
+        # a spec with no closed-form rows is realized with its win mask set,
+        # so nothing is scanned; the certificate check and the oracle share
+        # one kernel run, and its levels being strictly ordered, neither
+        # decodes an antichain
+        spec = HierSpec(DISJUNCTIVE, (3, 3, 3), (2, 3, 7))  # k_3 past k_2 + n_3
+        assert not canon_check(spec).canonical
+        verdict = classify(canon_check(spec).normalized_spec)
+        assert hiergames.harness.cross_check(spec, verdict) == (verdict.game_class, True)
+        [(game, _, _)] = realized
+        assert scanned == [] and kernel_runs == [game]
+        assert not {"min_winning", "_maximal_losing"} & set(game.__dict__)
         assert_memo_kept(realized)
 
     def test_structural_scan_runs_one_pass_per_game(self, pass_steps, kernel_runs):
@@ -989,13 +988,12 @@ class TestScanCounts:
         assert calls == [game.universe.counts for game in games]
         assert not any("min_winning" in game.__dict__ for game in games)
 
-    def test_classify_oracle_scans_once(self, scanned, realized, tmp_path, capsys):
+    def test_classify_oracle_scans_once(self, realized, tmp_path, capsys, off_lattice):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"kind": DISJUNCTIVE, "n": [3, 3, 3], "k": [2, 3, 5]}))
         assert main(["classify", str(path), "--oracle", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["agree"] is True
-        assert len(realized) == 1 and scanned == []
-        assert_memo_kept(realized)
+        assert realized == []
 
     @pytest.mark.parametrize(
         "doc,game_class,solves",

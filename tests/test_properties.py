@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from hiergames import (
     CONJUNCTIVE,
@@ -17,6 +17,7 @@ from hiergames import (
     classify,
     dual_explicit,
     dual_spec,
+    harness,
     hier_is_winning,
     is_winning,
     iter_coalitions,
@@ -27,6 +28,7 @@ from hiergames import (
 )
 import fm_reference
 from hiergames.feasibility import LinearSystem
+from hiergames.hierarchy import _prefix_wins, _spec_rows
 
 kinds = st.sampled_from([DISJUNCTIVE, CONJUNCTIVE])
 
@@ -158,6 +160,65 @@ def test_classifier_certificates_verify(spec):
         return
     mode = "weighted" if verdict.game_class == "weighted" else "rough"
     assert verify_representation(realize(spec), verdict.certificate, mode)
+
+
+# canonical specs of up to 10 levels with n_i up to 10^6, far past the cap,
+# in tests that must not reach the lattice (the off_lattice fixture)
+large_canonical = canonical_specs(max_levels=10, max_count=10**6)
+off_lattice_settings = settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@off_lattice_settings
+@given(large_canonical)
+def test_spec_rows_are_shift_extremal(off_lattice, spec):
+    # each closed-form row checked by the prefix rule on spec.k alone, never
+    # through the conjugation that builds a conjunctive spec's rows: a
+    # winning row loses once a unit is removed or moved down, a losing row
+    # wins once a unit is added or moved up
+    n, m = spec.n, spec.m
+
+    def wins(x):
+        return _prefix_wins(spec.kind, spec.k, x)
+
+    def step(x, minus=None, plus=None):
+        y = list(x)
+        if minus is not None:
+            y[minus] -= 1
+        if plus is not None:
+            y[plus] += 1
+        return tuple(y)
+
+    winning, losing = _spec_rows(spec)
+    assert winning == sorted(winning) and losing == sorted(losing)
+    assert len(losing if spec.kind == DISJUNCTIVE else winning) == 1
+    for x in winning + losing:
+        assert len(x) == m and all(0 <= a <= c for a, c in zip(x, n)), x
+    for x in winning:
+        assert wins(x), x
+        for i in range(m):
+            if x[i]:
+                assert not wins(step(x, minus=i)), (x, i)
+                for j in range(i + 1, m):
+                    if x[j] < n[j]:
+                        assert not wins(step(x, minus=i, plus=j)), (x, i, j)
+    for x in losing:
+        assert not wins(x), x
+        for i in range(m):
+            if x[i] < n[i]:
+                assert wins(step(x, plus=i)), (x, i)
+                for j in range(i + 1, m):
+                    if x[j]:
+                        assert wins(step(x, minus=j, plus=i)), (x, j, i)
+
+
+@off_lattice_settings
+@given(large_canonical)
+def test_cross_check_agrees_with_classify_at_any_size(off_lattice, spec):
+    verdict = classify(spec)
+    holds = None if verdict.certificate is None else True
+    assert harness.cross_check(spec, verdict) == (verdict.game_class, holds)
 
 
 @settings(max_examples=80, deadline=None)

@@ -29,8 +29,8 @@ enumeration cap (HIERGAME_ENUM_CAP) and checks it before anything is
 allocated, so that a typo in a universe cannot silently turn into a
 billion-element loop or a billion-bit int; iter_coalitions, _prefix_game,
 _strict_games and _lattice, the one gate to the pass, call it every time.
-Values derived from a game, and a universe's level masks, are memoized on
-the object by one rule, _memo.
+A game's lattice pass (and a mask-held game's decoded min_winning) and a
+universe's level masks are memoized on the object by one rule, _memo.
 """
 
 from __future__ import annotations
@@ -256,12 +256,11 @@ class ExplicitGame:
     {empty coalition} (everything wins) are representable; most derived
     operations treat them as edge cases rather than rejecting them.
 
-    Two derived values are memoized on the instance by _memo, outside the
-    dataclass fields, so equality and hashing do not see them: the record
-    of the lattice pass (_lattice) and maximal_losing's antichain. A game
-    from _mask_game holds only its universe and win mask; its min_winning
-    is decoded off the pass on first read and memoized the same way
-    (__getattr__).
+    One derived value is memoized on the instance by _memo, outside the
+    dataclass fields, so equality and hashing do not see it: the record of
+    the lattice pass (_lattice). A game from _mask_game holds only its
+    universe and win mask; its min_winning is decoded off the pass on
+    first read and memoized the same way (__getattr__).
     """
 
     universe: Multiset
@@ -323,15 +322,14 @@ def is_winning(game: ExplicitGame, coalition: Coalition) -> bool:
 def maximal_losing(game: ExplicitGame) -> frozenset[Coalition]:
     """Antichain of losing coalitions all of whose strict supersets win.
 
-    The cap is checked on every call (_lattice), and the antichain is
-    memoized on the game. Its bits come from the lattice pass, O(m)
-    whole-lattice shift/AND operations on product(n_i + 1) bits, and are
-    decoded on first read, O(m) per member. No tuple lattice is built.
+    The cap is checked on every call (_lattice). The bits come from the
+    lattice pass, O(m) whole-lattice shift/AND operations on
+    product(n_i + 1) bits, memoized on the game; each call decodes them,
+    O(m) per member, and the antichain is not kept. No tuple lattice is
+    built.
     """
     strides, _, losing, _ = _lattice(game)
-    return _memo(
-        game, "_maximal_losing", lambda g: frozenset(map(_coalition, _points(losing, strides)))
-    )
+    return frozenset(map(_coalition, _points(losing, strides)))
 
 
 # ===== the lattice as a bitset =====

@@ -2,8 +2,9 @@
 
 run_sweep walks a canonical grid of specs, classifies each one structurally,
 verifies its certificate arithmetically, asks the LP oracle what that
-certificate leaves open (cross_check), and reports every disagreement. A
-canonical spec's levels are strictly ordered, so both the check and the
+certificate leaves open (cross_check, which like the classifier takes
+canonical specs alone), and reports every disagreement. A canonical
+spec's levels are strictly ordered, so both the check and the
 oracle read only the game's shift-extremal rows, and those are closed
 forms in (kind, n, k) (hierarchy._spec_rows): no spec's game is realized
 and no spec is skipped, at any size. The classifier and the oracle share
@@ -58,9 +59,8 @@ from .hierarchy import (
     _is_canonical,
     _spec_of_rows,
     _spec_rows,
-    realize,
 )
-from .oracle import _cascade, _holds, _rows, _Rows, _weighted, verify_representation
+from .oracle import _cascade, _holds, _Rows, _weighted, verify_representation
 
 __all__ = [
     "SweepRecord",
@@ -178,13 +178,12 @@ def cross_check(spec: HierSpec, verdict: Verdict) -> tuple[str, Optional[bool]]:
     """The oracle's class of the spec's game, and whether the verdict's
     certificate holds on that game (None when the verdict has none).
 
-    Both questions read the game's shift-extremal rows. A canonical spec's
-    come in closed form (hierarchy._spec_rows), at any size: no lattice is
-    built and no cap is read. Any other spec is realized and its rows read
-    as oracle_classify reads them (oracle._rows with reduced=True), under
-    the enumeration cap. The certificate is checked on those rows by
-    verify_representation's own body (oracle._holds), in certificate_holds'
-    mode.
+    The spec must be canonical, as for classify_rough: only a canonical
+    spec has a verdict to check. Both questions read its game's
+    shift-extremal rows, which come in closed form (hierarchy._spec_rows),
+    at any size: no lattice is built and no cap is read. The certificate
+    is checked on those rows by verify_representation's own body
+    (oracle._holds), in certificate_holds' mode.
 
     The certificate is checked first, and the oracle is asked only what it
     leaves open. One that holds in weighted mode is, scaled, a point of the
@@ -195,8 +194,8 @@ def cross_check(spec: HierSpec, verdict: Verdict) -> tuple[str, Optional[bool]]:
     weight (RoughCert refuses all zeros) marks a unit that wins alone,
     branch B's passer. Only the weighted question is then open, and
     oracle._weighted answers it. A spec's game is never trivial, its empty
-    coalition losing and its full one winning, so nothing is checked before
-    the rows.
+    coalition losing and its full one winning, so no triviality check
+    comes before the rows.
 
     So whenever the LP is correct the class is oracle_classify's, and the
     disagreements are those of asking it every time: a wrong weighted
@@ -208,12 +207,12 @@ def cross_check(spec: HierSpec, verdict: Verdict) -> tuple[str, Optional[bool]]:
     run-time witness guards, the oracle certificates golden file, its
     agreement with the Fourier-Motzkin reference and the reduced-rows tests.
 
-    Raises ValueError for a certificate whose number of weights is not the
-    spec's, and EnumerationCapError when a non-canonical spec's lattice
-    exceeds the cap.
+    Raises ValueError for a spec that is not canonical, before any row is
+    read, and for a certificate whose number of weights is not the spec's.
     """
-    canonical = _is_canonical(spec)
-    rows = _Rows(*_spec_rows(spec), True) if canonical else _rows(realize(spec), reduced=True)
+    if not _is_canonical(spec):
+        raise ValueError(f"{spec} is not canonical")
+    rows = _Rows(*_spec_rows(spec), True)
     holds = _in_mode(verdict, partial(_holds, spec.m, rows))
     if holds and verdict.game_class == WEIGHTED:
         return WEIGHTED, True

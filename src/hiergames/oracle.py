@@ -95,12 +95,12 @@ alone). _cascade asks it first; harness.cross_check asks it alone, on
 the reduced rows, once a verified certificate has proved the game rough.
 Below the public functions no helper sees the game: each takes m and
 those rows, so rows built some other way run the same code;
-harness.cross_check hands a canonical spec's closed-form rows
-(hierarchy._spec_rows) to _holds, verify_representation's body, and to
-the same questions. A system's rows are the count vectors as ints
-(the weighted system appends the quota variable), and the LP engine
-keeps every row as built: row j of the system is the j-th row the
-builder writes, never rescaled or merged.
+harness.cross_check takes canonical specs alone and hands a spec's
+closed-form rows (hierarchy._spec_rows) to _holds, the body of
+verify_representation, and to the same questions. A system's rows are
+the count vectors as ints (the weighted system appends the quota
+variable), and the LP engine keeps every row as built: row j of the
+system is the j-th row the builder writes, never rescaled or merged.
 """
 
 from __future__ import annotations

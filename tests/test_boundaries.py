@@ -151,6 +151,25 @@ REJECTIONS |= {
         ValueError,
         "certificate has 2 weights for 3 levels",
     ),
+    # a spec that is not canonical has no verdict to check; it is refused
+    # before any row, cap or certificate length is read, even past the cap
+    # and when its game is a canonical spec's (k_3 clamps to 1,000,002)
+    "cross_check_not_canonical_past_the_cap": (
+        lambda: cross_check(
+            HierSpec(DISJUNCTIVE, (10**6,) * 3, (1, 2, 2 * 10**6 + 10)),
+            Verdict("weighted", "forged", RoughCert(1, (1, 1, 1))),
+        ),
+        ValueError,
+        "H_E(n=(1000000, 1000000, 1000000), k=(1, 2, 2000010)) is not canonical",
+    ),
+    "cross_check_not_canonical_weak_levels": (
+        lambda: cross_check(
+            HierSpec(DISJUNCTIVE, (2, 2), (3, 4)),
+            Verdict("weighted", "forged", RoughCert(1, (1,))),
+        ),
+        ValueError,
+        "H_E(n=(2, 2), k=(3, 4)) is not canonical",
+    ),
     "shift_maximal_losing_not_canonical": (
         lambda: shift_maximal_losing(HierSpec(DISJUNCTIVE, (1, 2), (2, 3))),
         ValueError,

@@ -3,8 +3,10 @@ implied ones, found by mutation.
 
 Each mutant of classifier.py changes one site: an `and` operand made
 True, an `or` operand made False, an `if` test made False, one comparator
-dropped from a chained comparison, or a strict comparison swapped with its
-loose form (`<` with `<=`, `>` with `>=`). It is loaded
+dropped from a chained comparison, a strict comparison swapped with its
+loose form (`<` with `<=`, `>` with `>=`), a comparison flipped (`<` with
+`>`, `<=` with `>=`, `==` with `!=`), `+` swapped with `-`, `*` made `//`,
+or an int constant raised by 1. It is loaded
 as a module of its own and judged in process on the S1 grids against the
 unmutated classifier. A mutant survives when every verdict tuple (class,
 tag, certificate, notes) is unchanged; the survivors are committed below
@@ -35,6 +37,10 @@ SURVIVORS = [
     # weighted, and the inner spec of a canonical (vii) has k2 < k1 + n2
     ("_rough_disj", "and -> True", "m >= 2"),
     ("_rough_disj", ">= -> >", "m >= 2"),
+    ("_rough_disj", "2 -> 3", "m >= 2"),
+    # equivalent: a weighted (Thm5) certificate has d = 1 and a rough
+    # (Thm13) one gap = 0, so gap // d is gap * d
+    ("_across_duality", "* -> //", "gap * d"),
     # the printed conjunctive reading, kept verbatim: it reaches only
     # Verdict.notes, and only when it disagrees with duality on whether
     # any case matches, so most of its conditions cannot show there
@@ -65,6 +71,8 @@ SURVIVORS = [
             ("drop k1", "1 <= k1 < n1 - 1"),
             ("drop n1 - 1", "1 <= k1 < n1 - 1"),
             ("< -> <=", "1 <= k1 < n1 - 1"),
+            # k1 < n1 + 1 holds for a canonical k1 <= n1 (and k1 = n1 is (i))
+            ("- -> +", "n1 - 1"),
             # (va)
             ("drop 1", "1 <= k1 < n1 - 1"),
             # (vb), which never fires
@@ -74,12 +82,34 @@ SURVIVORS = [
             ("<= -> <", "1 <= k1 < n1 - 1"),
             ("< -> <=", "1 <= k1 < n1 - 1"),
             (">= -> >", "n3 >= 3"),
+            # each keeps both n3 == 2 and n3 >= 3 (or >= 4), so (vb) still
+            # never fires
+            ("1 -> 2", "k2 + 1"),
+            ("+ -> -", "k2 + 1"),
+            ("== -> !=", "k3 == k2 + 1"),
+            ("- -> +", "k2 - k1"),
+            ("1 -> 2", "n2 - 1"),
+            ("- -> +", "n2 - 1"),
+            ("== -> !=", "k2 - k1 == n2 - 1"),
+            ("1 -> 2", "1 <= k1 < n1 - 1"),
+            ("1 -> 2", "n1 - 1"),
+            ("- -> +", "n1 - 1"),
+            ("<= -> >=", "1 <= k1 < n1 - 1"),
+            ("< -> >", "1 <= k1 < n1 - 1"),
+            ("3 -> 4", "n3 >= 3"),
+            # n3 <= 3 lets (vb) fire, but only where (va) matched first
+            # (n2 = 2) or (vi) would match (n2 >= 3), and duality finds a
+            # case there too, so no note changes
+            (">= -> <=", "n3 >= 3"),
             # (vi)
             ("drop 1", "1 <= k1 <= n1 - 1"),
             ("drop k1", "1 <= k1 <= n1 - 1"),
             ("drop n1 - 1", "1 <= k1 <= n1 - 1"),
-            # (vii)
+            # k1 <= n1 + 1 holds for a canonical k1 <= n1
+            ("- -> +", "n1 - 1"),
+            # (vii); for m = 2 it never fires, as k1 == n1 returned (i)
             (">= -> >", "m >= 2"),
+            ("2 -> 3", "m >= 2"),
         )
     ),
     # (vb), which never fires
@@ -90,8 +120,10 @@ SURVIVORS = [
     ),
 ]
 # every site: 35 `and` operands, 0 `or` operands, 38 `if` tests, 12
-# comparators of chained comparisons and 16 strict or loose comparisons
-SITES = 101
+# comparators of chained comparisons, 16 strict or loose comparisons, 57
+# comparisons flipped, 18 `+` and 14 `-` swapped, 7 `*` made `//` and 152
+# int constants raised
+SITES = 349
 
 
 class _Mutator(ast.NodeTransformer):
@@ -102,6 +134,14 @@ class _Mutator(ast.NodeTransformer):
         self.target = target
         self.sites = []
         self.function = None
+        self.parents = []
+
+    def visit(self, node):
+        self.parents.append(node)
+        try:
+            return super().visit(node)
+        finally:
+            self.parents.pop()
 
     def _site(self, mutation, node):
         self.sites.append((self.function, mutation, node))
@@ -141,15 +181,53 @@ class _Mutator(ast.NodeTransformer):
                     node.left, *node.comparators = operands
                     return node
         for index, op in enumerate(node.ops):
-            swap = _LOOSE_STRICT.get(type(op))
-            if swap is not None and self._site(f"{_SYMBOL[type(op)]} -> {_SYMBOL[swap]}", node):
-                node.ops[index] = swap()
-                return node
+            for table in (_LOOSE_STRICT, _FLIPPED):
+                swap = table.get(type(op))
+                if swap is not None and self._site(f"{_SYMBOL[type(op)]} -> {_SYMBOL[swap]}", node):
+                    node.ops[index] = swap()
+                    return node
+        return node
+
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+        swap = _ARITHMETIC.get(type(node.op))
+        if swap is not None and self._site(f"{_SYMBOL[type(node.op)]} -> {_SYMBOL[swap]}", node):
+            node.op = swap()
+        return node
+
+    def visit_Constant(self, node):
+        # a bool is an int to Python, but not an int constant; the site is
+        # shown by the expression around it, past a unary minus
+        if type(node.value) is not int:
+            return node
+        around = next(n for n in reversed(self.parents[:-1]) if not isinstance(n, ast.UnaryOp))
+        if self._site(f"{node.value} -> {node.value + 1}", around):
+            return ast.Constant(node.value + 1)
         return node
 
 
 _LOOSE_STRICT = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
-_SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
+_FLIPPED = {
+    ast.Lt: ast.Gt,
+    ast.Gt: ast.Lt,
+    ast.LtE: ast.GtE,
+    ast.GtE: ast.LtE,
+    ast.Eq: ast.NotEq,
+    ast.NotEq: ast.Eq,
+}
+_ARITHMETIC = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv}
+_SYMBOL = {
+    ast.Lt: "<",
+    ast.LtE: "<=",
+    ast.Gt: ">",
+    ast.GtE: ">=",
+    ast.Eq: "==",
+    ast.NotEq: "!=",
+    ast.Add: "+",
+    ast.Sub: "-",
+    ast.Mult: "*",
+    ast.FloorDiv: "//",
+}
 
 
 def _source():

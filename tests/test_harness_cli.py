@@ -195,9 +195,11 @@ class TestCertificateFirst:
 class TestCrossCheckContract:
     """cross_check answers as asking the oracle every time would: the class
     oracle_classify gives the realized game, and whether the verdict's
-    certificate holds on it, for each spec's own verdict and forged ones."""
+    certificate holds on it, for each canonical spec's own verdict and
+    forged ones. It refuses any other spec."""
 
-    # realized games whose levels are not strictly ordered: full rows
+    # specs whose realized games' levels are not strictly ordered; none is
+    # canonical
     WEAK = [
         HierSpec(DISJUNCTIVE, (2, 2), (3, 4)),
         HierSpec(CONJUNCTIVE, (2, 2, 2), (1, 2, 6)),
@@ -231,11 +233,18 @@ class TestCrossCheckContract:
         assert sum(self.check(spec, classify(spec)) for spec in specs) == 3202
 
     def test_weak_levels(self):
+        # such a spec has no verdict to check, so cross_check refuses it
+        # whatever the verdict; its game is checked by oracle_classify and
+        # certificate_holds, which cross_check equals on canonical specs
         for spec in self.WEAK:
             game = realize(spec)
             assert _shift_extremal_points(game) is None, spec
             game_class, cert = oracle_witness(game)
-            self.check(spec, Verdict(game_class, "oracle", cert))
+            verdict = Verdict(game_class, "oracle", cert)
+            assert oracle_classify(game) == game_class, spec
+            assert harness.certificate_holds(game, verdict) is (None if cert is None else True), spec
+            with pytest.raises(ValueError, match="is not canonical"):
+                harness.cross_check(spec, verdict)
 
     @pytest.mark.slow
     def test_eight_grids(self):

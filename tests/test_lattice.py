@@ -499,7 +499,7 @@ class TestCapWithMemos:
         game = realize(self.WEAK)
         assert _shift_extremal_points(game) is None
         assert verify_representation(game, self.RISING, "rough") is False
-        assert {"_win", "_lattice", "_maximal_losing", "min_winning"} <= set(game.__dict__)
+        assert {"_win", "_lattice", "min_winning"} <= set(game.__dict__)
         monkeypatch.setenv("HIERGAME_ENUM_CAP", "63")
         with pytest.raises(EnumerationCapError, match="has 64 coalitions, cap is 63"):
             verify_representation(game, self.RISING, "rough")
@@ -646,9 +646,9 @@ def _calls_by_function(tree, accept):
 
 class TestTwoShapesTwoMemos:
     """A game is held in one of two shapes, a validated antichain or a win
-    mask, and core memoizes on a game only its lattice pass and its maximal
-    losing antichain (plus a universe's level masks, and the min_winning
-    that __getattr__ decodes for a mask-held game)."""
+    mask, and core memoizes on a game only its lattice pass (plus a
+    universe's level masks, and the min_winning that __getattr__ decodes
+    for a mask-held game)."""
 
     def test_only_mask_game_skips_the_constructor(self):
         def bare_game(call):
@@ -670,7 +670,7 @@ class TestTwoShapesTwoMemos:
             for function, call in _calls_by_function(TestBitLayoutStaysInCore._tree("core"), memo)
         ]
         constants = {arg.value for _, arg in names if isinstance(arg, ast.Constant)}
-        assert constants == {"_lattice", "_maximal_losing", "_bit_levels"}
+        assert constants == {"_lattice", "_bit_levels"}
         assert [
             (function, ast.unparse(arg)) for function, arg in names if not isinstance(arg, ast.Constant)
         ] == [("__getattr__", "name")]
@@ -738,15 +738,14 @@ def assert_pass_record(game):
 
 @pytest.fixture
 def realized(monkeypatch):
-    """(game, its win mask, its maximal losing memo) for every game realize
-    returns, as realize returns it, with realize replaced in every hiergames
+    """Every game realize returns, with realize replaced in every hiergames
     module that binds it."""
     log = []
     real = hiergames.hierarchy.realize
 
     def logging(spec):
         game = real(spec)
-        log.append((game, game.__dict__.get("_win"), game.__dict__.get("_maximal_losing")))
+        log.append(game)
         return game
 
     for info in pkgutil.iter_modules(hiergames.__path__):
@@ -755,19 +754,6 @@ def realized(monkeypatch):
             if value is real:
                 monkeypatch.setattr(module, name, logging)
     return log
-
-
-def assert_memo_kept(realized):
-    """realize set each game's win mask and decoded no maximal losing
-    antichain; the first read decoded it from those same bits (the callers
-    assert that no scan happened), and every later read got that same
-    object."""
-    for game, win, memo in realized:
-        assert win is not None and memo is None
-        losing = maximal_losing(game)
-        assert game.__dict__["_win"] is win
-        assert losing == ref.maximal_losing(game)
-        assert maximal_losing(game) is losing
 
 
 class TestStrictGames:
@@ -909,13 +895,18 @@ class TestScanCounts:
         assert canonicalize_semantic(spec) == (HierSpec(CONJUNCTIVE, (4,), (4,)), (0, 0))
         assert realized == []
 
-    def test_recovery_decodes_neither_antichain(self):
+    def test_recovery_decodes_neither_antichain(self, monkeypatch):
         # both recoveries read the shift-extremal rows off the realized
-        # game's win mask alone
+        # game's win mask alone: no coalition is decoded, so neither
+        # min_winning nor maximal_losing is read
+        def unreachable(counts):
+            raise AssertionError("a coalition was decoded")
+
         spec = HierSpec(DISJUNCTIVE, (3, 3, 3), (2, 3, 5))
         game = realize(spec)
+        monkeypatch.setattr(hiergames.core, "_coalition", unreachable)
         assert (recover_disjunctive(game), recover_conjunctive(game)) == (spec, None)
-        assert not {"min_winning", "_maximal_losing"} & set(game.__dict__)
+        assert "min_winning" not in game.__dict__
 
     def test_run_sweep_scans_each_game_once(self, realized, off_lattice):
         # the oracle and the certificate check read each spec's closed-form
@@ -927,19 +918,19 @@ class TestScanCounts:
             assert sum(r.cert_verified is not None for r in report.records) > 0
         assert realized == []
 
-    def test_cross_check_scans_a_non_canonical_spec_once(self, scanned, realized, kernel_runs):
-        # a spec with no closed-form rows is realized with its win mask set,
-        # so nothing is scanned; the certificate check and the oracle share
-        # one kernel run, and its levels being strictly ordered, neither
-        # decodes an antichain
+    def test_cross_check_refuses_a_non_canonical_spec_off_lattice(self, realized, off_lattice):
+        # a spec that is not canonical has no verdict to check: it is
+        # refused before any row is read, so no game is realized and no
+        # lattice or cap (core._check_cap, its one reader) is reached, even
+        # for a spec whose game is its canonical form's
         spec = HierSpec(DISJUNCTIVE, (3, 3, 3), (2, 3, 7))  # k_3 past k_2 + n_3
-        assert not canon_check(spec).canonical
-        verdict = classify(canon_check(spec).normalized_spec)
-        assert hiergames.harness.cross_check(spec, verdict) == (verdict.game_class, True)
-        [(game, _, _)] = realized
-        assert scanned == [] and kernel_runs == [game]
-        assert not {"min_winning", "_maximal_losing"} & set(game.__dict__)
-        assert_memo_kept(realized)
+        normalized = canon_check(spec).normalized_spec
+        assert not canon_check(spec).canonical and normalized.k == (2, 3, 6)
+        verdict = classify(normalized)
+        assert hiergames.harness.cross_check(normalized, verdict) == (verdict.game_class, True)
+        with pytest.raises(ValueError, match="is not canonical"):
+            hiergames.harness.cross_check(spec, verdict)
+        assert realized == []
 
     def test_structural_scan_runs_one_pass_per_game(self, pass_steps, kernel_runs):
         # the scan generates each distinct merged game once; its
